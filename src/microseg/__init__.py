@@ -10,17 +10,13 @@ from .clustering import (
     fit_groups,
     kmeans_fit,
     kmeans_pp_init,
-    retrain_with_new_endpoints,
-    tune,
 )
 from .features import (
     FeatureSchema,
     SampleMatrix,
-    SampleVector,
     build_schema,
     encode,
     encode_windows,
-    one_hot,
     standardize,
     windowize,
 )

@@ -47,7 +47,7 @@ def build_parser() -> _Parser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to key = value config")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--workers", type=int, default=None, help="worker count")
+        cmd.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
         cmd.add_argument("--strict", action="store_true", help="fail on any malformed line")
     return parser
 

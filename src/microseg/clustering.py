@@ -11,17 +11,15 @@ lowest index everywhere.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from ._parallel import parallel_map_ordered
 from .features import SampleMatrix, encode_windows, standardize
 from .flows import ClassifiedFlow
-from .metrics import EvalReport, evaluate
+from .metrics import EvalReport
 from .pca import PcaModel, fit_pca, project
 
 
@@ -354,14 +352,10 @@ def resolve_k(k: Union[int, float, None], n_endpoints: int) -> int:
 
 
 def fit_groups(
-    records: Sequence[ClassifiedFlow],
-    params: GroupingParams,
-    workers: int = 1,
+    records: Sequence[ClassifiedFlow], params: GroupingParams
 ) -> GroupingResult:
     """Run encode -> standardize -> project -> cluster -> assign -> group."""
-    matrix, schema = encode_windows(
-        records, params.window_seconds, params.top_k_ports, workers
-    )
+    matrix, schema = encode_windows(records, params.window_seconds, params.top_k_ports)
     std = standardize(matrix)
     pca_model = fit_pca(
         std, params.pca_target, schema_fingerprint=schema.fingerprint()
@@ -382,72 +376,18 @@ def fit_groups(
         max_iter=params.max_iter,
         restarts=params.restarts,
     )
-    assignments = parallel_map_ordered(
-        lambda ep: assign_endpoint(ep, projected[rows_of[ep]], cluster_model),
-        endpoints,
-        workers,
-    )
+    assignments = [
+        assign_endpoint(ep, projected[rows_of[ep]], cluster_model) for ep in endpoints
+    ]
     return GroupingResult(
         schema_fingerprint=schema.fingerprint(),
         matrix=std,
         projected=projected,
         pca_model=pca_model,
         cluster_model=cluster_model,
-        assignments=list(assignments),
+        assignments=assignments,
         groups=derive_groups(assignments),
     )
-
-
-@dataclass(frozen=True)
-class RetrainDiff:
-    """Endpoints added by a retrain, and prior endpoints whose group
-    co-membership changed."""
-
-    added: tuple[str, ...]
-    changed: tuple[str, ...]
-
-    @property
-    def empty(self) -> bool:
-        return not self.added and not self.changed
-
-
-def _co_members(groups: SecurityGroups) -> dict[str, frozenset[str]]:
-    return {
-        ep: members - {ep}
-        for members in groups.groups.values()
-        for ep in members
-    }
-
-
-def retrain_with_new_endpoints(
-    existing: Sequence[ClassifiedFlow],
-    new: Sequence[ClassifiedFlow],
-    params: GroupingParams,
-    workers: int = 1,
-) -> tuple[GroupingResult, RetrainDiff]:
-    """Refit the whole chain on the union of old and new records.
-
-    Returns the new result plus a diff against a fresh fit of the existing
-    records alone: endpoints that appeared, and prior endpoints whose set
-    of co-grouped peers changed.
-    """
-    base = fit_groups(existing, params, workers)
-    result = fit_groups(list(existing) + list(new), params, workers)
-    before = _co_members(base.groups)
-    after = _co_members(result.groups)
-    added = tuple(sorted(set(after) - set(before)))
-    changed = tuple(
-        sorted(ep for ep in before if ep in after and before[ep] != after[ep])
-    )
-    return result, RetrainDiff(added=added, changed=changed)
-
-
-@dataclass
-class TuneResult:
-    best_params: GroupingParams
-    best_report: EvalReport
-    below_floor: bool
-    reports: list[EvalReport]
 
 
 def select_best(reports: Sequence[EvalReport], homogeneity_floor: float) -> tuple[int, bool]:
@@ -462,31 +402,6 @@ def select_best(reports: Sequence[EvalReport], homogeneity_floor: float) -> tupl
         return best, False
     best = max(range(len(reports)), key=lambda i: (reports[i].homogeneity, -i))
     return best, True
-
-
-def tune(
-    records: Sequence[ClassifiedFlow],
-    ground_truth: Mapping[str, object],
-    grid: Sequence[GroupingParams],
-    homogeneity_floor: float,
-    workers: int = 1,
-) -> TuneResult:
-    """Evaluate each grid entry against ground truth and select the winner."""
-    if not grid:
-        raise ValueError("empty grid")
-    reports: list[EvalReport] = []
-    for params in grid:
-        t0 = time.perf_counter()
-        result = fit_groups(records, params, workers)
-        elapsed = time.perf_counter() - t0
-        reports.append(evaluate(result.groups, ground_truth, run_time_seconds=elapsed))
-    idx, below = select_best(reports, homogeneity_floor)
-    return TuneResult(
-        best_params=grid[idx],
-        best_report=reports[idx],
-        below_floor=below,
-        reports=reports,
-    )
 
 
 def save_cluster_model(

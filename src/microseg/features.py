@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map_ordered
 from .flows import ClassifiedFlow
 
 OUTBOUND = "out"
@@ -59,13 +58,6 @@ class FeatureSchema:
 
 
 @dataclass(frozen=True)
-class SampleVector:
-    endpoint: str
-    window_index: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class SampleMatrix:
     """Sample vectors stacked row-wise, with optional standardization state."""
 
@@ -74,16 +66,6 @@ class SampleMatrix:
     values: np.ndarray
     mean: np.ndarray | None = None
     scale: np.ndarray | None = None
-
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[SampleVector]) -> "SampleMatrix":
-        if not vectors:
-            raise ValueError("no sample vectors")
-        return cls(
-            endpoints=tuple(v.endpoint for v in vectors),
-            windows=tuple(v.window_index for v in vectors),
-            values=np.stack([v.values for v in vectors]).astype(np.float64),
-        )
 
     @property
     def n_rows(self) -> int:
@@ -124,17 +106,6 @@ def build_schema(records: Sequence[ClassifiedFlow], top_k_ports: int) -> Feature
     )
 
 
-def one_hot(value, vocab: Sequence) -> np.ndarray:
-    """One-hot vector of length ``len(vocab) + 1`` with an overflow slot."""
-    out = np.zeros(len(vocab) + 1)
-    try:
-        idx = list(vocab).index(value)
-    except ValueError:
-        idx = len(vocab)
-    out[idx] = 1.0
-    return out
-
-
 def _slot(value, index: dict) -> int:
     return index.get(value, len(index))
 
@@ -164,12 +135,9 @@ def windowize(
 
 
 def encode(
-    endpoint: str,
-    window_index: int,
-    contributions: Sequence[tuple[str, ClassifiedFlow]],
-    schema: FeatureSchema,
-) -> SampleVector:
-    """Encode one endpoint-window bucket into a raw sample vector.
+    contributions: Sequence[tuple[str, ClassifiedFlow]], schema: FeatureSchema
+) -> np.ndarray:
+    """Encode one endpoint-window bucket into a raw sample row.
 
     Layout: outbound protocol counts, inbound protocol counts, outbound
     port counts, inbound port counts, peer-class counts, then the three
@@ -205,7 +173,7 @@ def encode(
     values[off_tail] = float(len(service_tuples))
     values[off_tail + 1] = float(len(contributions))
     values[off_tail + 2] = math.log1p(total_bytes)
-    return SampleVector(endpoint=endpoint, window_index=window_index, values=values)
+    return values
 
 
 def encode_windows(
@@ -214,14 +182,19 @@ def encode_windows(
     top_k_ports: int,
     workers: int = 1,
 ) -> tuple[SampleMatrix, FeatureSchema]:
-    """Full raw-encoding pass: schema discovery, windowing, one row per key."""
+    """Full raw-encoding pass: schema discovery, windowing, one row per
+    (endpoint, window) key in sorted key order. ``workers`` is accepted and
+    has no effect."""
     schema = build_schema(records, top_k_ports)
     buckets = windowize(records, window_seconds)
-    keys = sorted(buckets.keys())
-    rows = parallel_map_ordered(
-        lambda key: encode(key[0], key[1], buckets[key], schema), keys, workers
+    keys = sorted(buckets)
+    values = np.stack([encode(buckets[key], schema) for key in keys])
+    matrix = SampleMatrix(
+        endpoints=tuple(ep for ep, _ in keys),
+        windows=tuple(w for _, w in keys),
+        values=values,
     )
-    return SampleMatrix.from_vectors(rows), schema
+    return matrix, schema
 
 
 def standardize(matrix: SampleMatrix) -> SampleMatrix:
@@ -239,12 +212,6 @@ def standardize(matrix: SampleMatrix) -> SampleMatrix:
     return replace(
         matrix, values=(matrix.values - mean) / scale, mean=mean, scale=scale
     )
-
-
-def apply_standardization(
-    values: np.ndarray, mean: np.ndarray, scale: np.ndarray
-) -> np.ndarray:
-    return (values - mean) / scale
 
 
 def destandardize(matrix: SampleMatrix) -> np.ndarray:

@@ -2,15 +2,16 @@
 
 Every persisted artifact embeds a fingerprint hashing the input flow log
 together with the semantic configuration (window, vocab, projection,
-clustering and policy settings; worker count and paths are excluded so
-artifacts are byte-identical at any parallelism). Measured wall time is a
-side file, not a fingerprinted artifact, so reruns stay byte-identical.
+clustering and policy settings; execution controls and paths are excluded).
+Measured wall time is a side file, not a fingerprinted artifact, so reruns
+stay byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -53,17 +54,7 @@ class UsageError(Exception):
 
 
 #: Config fields that define artifact content (hashed into fingerprints).
-SEMANTIC_FIELDS = (
-    "unknown_policy",
-    "window_seconds",
-    "top_k_ports",
-    "pca_target",
-    "k",
-    "seed",
-    "tol",
-    "max_iter",
-    "restarts",
-)
+SEMANTIC_FIELDS = ("unknown_policy",) + tuple(f.name for f in fields(GroupingParams))
 
 
 @dataclass
@@ -87,7 +78,7 @@ class PipelineConfig:
     restarts: int = 4
     homogeneity_floor: float = 0.95
     # execution controls (not part of artifact identity)
-    workers: int = 1
+    workers: int = 1  # accepted; has no effect
     strict: bool = False
     export_features: bool = False
     # synthetic scenario knobs
@@ -103,14 +94,7 @@ class PipelineConfig:
 
     def grouping_params(self) -> GroupingParams:
         return GroupingParams(
-            window_seconds=self.window_seconds,
-            top_k_ports=self.top_k_ports,
-            pca_target=self.pca_target,
-            k=self.k,
-            seed=self.seed,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            restarts=self.restarts,
+            **{f.name: getattr(self, f.name) for f in fields(GroupingParams)}
         )
 
     def semantic_dict(self) -> dict:
@@ -150,31 +134,25 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
         key, value = key.strip(), value.strip()
         if key not in valid:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
-        setattr(config, key, _coerce(key, value))
+        setattr(config, key, _coerce(key, value, valid[key].default))
     _validate_config(config)
     return config
 
 
-def _coerce(key: str, value: str):
+def _coerce(key: str, value: str, default):
+    """Convert ``value`` to the type of the key's default."""
     if key in ("pca_target", "k"):
         if key == "k" and value.lower() in ("", "none", "auto"):
             return None
         return _parse_dim_or_fraction(value, key)
-    if key in ("strict", "export_features"):
+    if isinstance(default, bool):
         return _parse_bool(value, key)
-    if key in (
-        "window_seconds", "top_k_ports", "seed", "max_iter", "restarts", "workers",
-        "synth_group_count", "synth_endpoints_per_group", "synth_windows",
-        "synth_flows_per_endpoint_window", "synth_services_per_group",
-        "synth_port_pool", "synth_object_count",
-    ):
+    if isinstance(default, int):
         try:
             return int(value)
         except ValueError as exc:
             raise UsageError(f"config key {key}: expected an integer, got {value!r}") from exc
-    if key in (
-        "tol", "homogeneity_floor", "synth_noise_rate", "synth_external_fraction",
-    ):
+    if isinstance(default, float):
         try:
             return float(value)
         except ValueError as exc:
@@ -267,8 +245,15 @@ class IngestOutput:
 
 
 def _write(path: Path, text: str) -> None:
+    """Write a temp file beside ``path`` and rename it into place, so a
+    crash never leaves a half-written artifact."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def assignments_csv(assignments: list[GroupAssignment]) -> str:
@@ -301,15 +286,26 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
         raise DataError(f"cannot read groups artifact {path}: {exc}") from exc
-    if payload.get("kind") != "security_groups":
+    except ValueError as exc:
+        raise DataError(f"groups artifact {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("kind") != "security_groups":
         raise DataError(f"{path} is not a security-groups artifact")
-    groups = {
-        int(gid): frozenset(members) for gid, members in payload["groups"].items()
-    }
-    return (
-        SecurityGroups(groups=groups, suggested_qty=int(payload["suggested_qty"])),
-        payload["fingerprint"],
-    )
+    raw = payload.get("groups")
+    qty = payload.get("suggested_qty")
+    fp = payload.get("fingerprint")
+    if not (
+        isinstance(raw, dict)
+        and all(gid.isdecimal() for gid in raw)
+        and all(
+            isinstance(members, list) and all(isinstance(ep, str) for ep in members)
+            for members in raw.values()
+        )
+        and isinstance(qty, int)
+        and isinstance(fp, str)
+    ):
+        raise DataError(f"{path}: malformed security-groups artifact")
+    groups = {int(gid): frozenset(members) for gid, members in raw.items()}
+    return SecurityGroups(groups=groups, suggested_qty=qty), fp
 
 
 GROUP_SUMMARY_HEADER = "dataset,asset_qty,suggested_group_qty,runtime_s"
@@ -327,7 +323,7 @@ def run_group(config: PipelineConfig) -> dict:
     if not kept:
         raise DataError("ingest: no records kept after filtering; nothing to group")
     try:
-        result = fit_groups(kept, config.grouping_params(), config.workers)
+        result = fit_groups(kept, config.grouping_params())
     except ValueError as exc:
         raise DataError(f"grouping: {exc}") from exc
     elapsed = time.perf_counter() - t0
@@ -413,6 +409,7 @@ def load_ground_truth(path: Union[str, Path]) -> dict[str, str]:
     except OSError as exc:
         raise DataError(f"eval: cannot read ground truth {path}: {exc}") from exc
     truth: dict[str, str] = {}
+    first_row = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -420,9 +417,16 @@ def load_ground_truth(path: Union[str, Path]) -> dict[str, str]:
         parts = line.split(",")
         if len(parts) != 2:
             raise DataError(f"eval: ground truth line {lineno}: expected endpoint,label")
-        if lineno == 1 and parts[0].strip().lower() == "endpoint":
-            continue
-        truth[parts[0].strip()] = parts[1].strip()
+        endpoint, label = parts[0].strip(), parts[1].strip()
+        if first_row:
+            first_row = False
+            if endpoint.lower() == "endpoint":
+                continue
+        if endpoint in truth:
+            raise DataError(
+                f"eval: ground truth line {lineno}: duplicate endpoint {endpoint}"
+            )
+        truth[endpoint] = label
     if not truth:
         raise DataError(f"eval: ground truth {path} is empty")
     return truth
@@ -441,9 +445,14 @@ def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
     truth = load_ground_truth(config.ground_truth)
     try:
         timing = json.loads((out / "timing.json").read_text())
-        elapsed = float(timing["grouping_seconds"])
     except OSError as exc:
         raise DataError("eval: timing.json missing; run the group stage first") from exc
+    except ValueError as exc:
+        raise DataError(f"eval: timing.json is not valid JSON: {exc}") from exc
+    try:
+        elapsed = float(timing["grouping_seconds"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError("eval: timing.json has no numeric grouping_seconds") from exc
     report = evaluate(groups, truth, run_time_seconds=elapsed)
     row = report_row(report, config.dataset)
     _write(out / "eval_report.csv", REPORT_HEADER + "\n" + row + "\n")
@@ -495,8 +504,7 @@ def run_tune(config: PipelineConfig) -> dict:
     for entry in grid:
         t0 = time.perf_counter()
         try:
-            result = fit_groups(kept_for(entry, config, kept), entry.grouping_params(),
-                                config.workers)
+            result = fit_groups(kept_for(entry, config, kept), entry.grouping_params())
         except ValueError as exc:
             raise DataError(f"tune: {exc}") from exc
         elapsed = time.perf_counter() - t0

@@ -12,10 +12,8 @@ from microseg.clustering import (
     kmeans_pp_init,
     load_cluster_model,
     resolve_k,
-    retrain_with_new_endpoints,
     save_cluster_model,
     select_best,
-    tune,
 )
 from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, filter_flows, parse_flow_log
 from microseg.metrics import EvalReport
@@ -270,15 +268,10 @@ class TestFitGroups:
         n_endpoints = len(result.assignments)
         assert result.groups.suggested_qty <= result.cluster_model.k <= n_endpoints
 
-    def test_workers_do_not_change_groups(self):
-        _, kept = _scenario_records(_ring_spec())
-        r1 = fit_groups(kept, GroupingParams(seed=1, top_k_ports=16), workers=1)
-        r2 = fit_groups(kept, GroupingParams(seed=1, top_k_ports=16), workers=4)
-        assert r1.groups == r2.groups
-        assert np.array_equal(r1.cluster_model.centroids, r2.cluster_model.centroids)
-
 
 class TestRetrain:
+    """Retraining is a fresh fit on the union of old and new records."""
+
     def test_duplicate_profile_co_grouped(self):
         scenario, _ = _scenario_records(_ring_spec())
         # Clone endpoint 10.0.0.1 (including its inbound traffic) under a
@@ -301,10 +294,9 @@ class TestRetrain:
         base_kept, _ = filter_flows(base_records, scenario.scope, DROP_UNKNOWN)
         new_kept, _ = filter_flows(new_records, scenario.scope, DROP_UNKNOWN)
         params = GroupingParams(seed=1, top_k_ports=16)
-        result, diff = retrain_with_new_endpoints(base_kept, new_kept, params)
+        result = fit_groups(base_kept + new_kept, params)
         mapping = result.groups.endpoint_to_group()
         assert mapping["10.0.250.1"] == mapping["10.0.0.1"]
-        assert "10.0.250.1" in diff.added
 
     def test_isolated_profile_creates_new_group(self):
         scenario, kept = _scenario_records(_ring_spec(), policy=MAP_TO_OBJECTS)
@@ -315,20 +307,11 @@ class TestRetrain:
         )
         new_records, _ = parse_flow_log(outlier_lines)
         new_kept, _ = filter_flows(new_records, scenario.scope, MAP_TO_OBJECTS)
-        result, diff = retrain_with_new_endpoints(kept, new_kept, params)
+        result = fit_groups(kept + new_kept, params)
         assert result.groups.suggested_qty == base.groups.suggested_qty + 1
-        assert diff.added == ("10.0.250.9",)
         mapping = result.groups.endpoint_to_group()
         own_group = result.groups.groups[mapping["10.0.250.9"]]
         assert own_group == frozenset({"10.0.250.9"})
-
-    def test_zero_new_endpoints_empty_diff(self):
-        _, kept = _scenario_records(_ring_spec())
-        params = GroupingParams(seed=1, top_k_ports=16)
-        result, diff = retrain_with_new_endpoints(kept, [], params)
-        base = fit_groups(kept, params)
-        assert diff.empty
-        assert result.groups == base.groups
 
 
 class TestSelectBest:
@@ -360,50 +343,6 @@ class TestSelectBest:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             select_best([], 0.95)
-
-
-class TestTune:
-    def test_separable_data_picks_first_perfect_config(self):
-        scenario, kept = _scenario_records(_ring_spec())
-        grid = [
-            GroupingParams(seed=1, top_k_ports=16),
-            GroupingParams(seed=1, top_k_ports=16, pca_target=0.99),
-        ]
-        result = tune(kept, scenario.truth, grid, homogeneity_floor=0.95)
-        assert result.best_params is grid[0]
-        assert not result.below_floor
-        assert result.best_report.v_measure == 1.0
-
-    def test_below_floor_flagged_when_groups_indistinguishable(self):
-        # All groups share one service profile: clustering cannot separate
-        # them, so homogeneity stays far below a 0.95 floor.
-        profiles = {
-            g: (
-                ServiceTemplate(
-                    peer_kind="group", peer=0, protocol="TCP", dst_port=2000, weight=1.0
-                ),
-            )
-            for g in range(4)
-        }
-        spec = ScenarioSpec(
-            group_count=4,
-            endpoints_per_group=2,
-            windows=4,
-            flows_per_endpoint_window=12,
-            profiles=profiles,
-            noise_rate=0.0,
-            seed=3,
-        )
-        scenario, kept = _scenario_records(spec)
-        result = tune(
-            kept, scenario.truth, [GroupingParams(seed=1, top_k_ports=16)], 0.95
-        )
-        assert result.below_floor
-
-    def test_empty_grid_rejected(self):
-        _, kept = _scenario_records(_ring_spec())
-        with pytest.raises(ValueError):
-            tune(kept, {}, [], 0.95)
 
 
 class TestClusterModelPersistence:

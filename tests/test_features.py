@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from microseg.features import (
     SampleMatrix,
@@ -12,7 +10,6 @@ from microseg.features import (
     encode,
     encode_windows,
     matrix_to_csv,
-    one_hot,
     standardize,
     windowize,
 )
@@ -75,23 +72,6 @@ class TestBuildSchema:
         assert schema.dimension == 13
 
 
-class TestOneHot:
-    def test_known_value(self):
-        assert one_hot("TCP", ["TCP", "UDP", "ICMP"]).tolist() == [1, 0, 0, 0]
-
-    def test_overflow_slot(self):
-        assert one_hot("GRE", ["TCP", "UDP", "ICMP"]).tolist() == [0, 0, 0, 1]
-
-    def test_empty_vocab(self):
-        assert one_hot("anything", []).tolist() == [1]
-
-    @given(st.integers(min_value=0, max_value=30), st.integers(min_value=0, max_value=8))
-    def test_always_sums_to_one(self, value, vocab_size):
-        vec = one_hot(value, list(range(vocab_size)))
-        assert vec.sum() == 1.0
-        assert len(vec) == vocab_size + 1
-
-
 class TestWindowize:
     def test_single_window(self):
         records = [classified("10.0.0.1", "10.0.0.2", timestamp=t) for t in range(60)]
@@ -135,14 +115,14 @@ class TestEncode:
         ]
         schema = build_schema(records, top_k_ports=4)
         contributions = [("out", r) for r in records]
-        vec = encode("10.0.0.1", 0, contributions, schema)
+        vec = encode(contributions, schema)
         expected = [3, 0, 0, 0, 3, 0, 0, 0, 3, 1, 3, math.log1p(3000)]
-        assert vec.values.tolist() == pytest.approx(expected)
+        assert vec.tolist() == pytest.approx(expected)
 
     def test_empty_contributions_all_zero(self):
         schema = build_schema([classified("10.0.0.1", "10.0.0.2")], top_k_ports=4)
-        vec = encode("10.0.0.1", 0, [], schema)
-        assert vec.values.tolist() == [0.0] * schema.dimension
+        vec = encode([], schema)
+        assert vec.tolist() == [0.0] * schema.dimension
 
     def test_unique_tuples_distinguish_ports(self):
         records = [
@@ -150,9 +130,9 @@ class TestEncode:
             classified("10.0.0.1", "10.0.0.2", dst_port=53, protocol="UDP"),
         ]
         schema = build_schema(records, top_k_ports=4)
-        vec = encode("10.0.0.1", 0, [("out", r) for r in records], schema)
+        vec = encode([("out", r) for r in records], schema)
         uniq_index = schema.dimension - 3
-        assert vec.values[uniq_index] == 2.0
+        assert vec[uniq_index] == 2.0
 
     def test_permutation_invariant(self):
         records = [
@@ -161,25 +141,25 @@ class TestEncode:
         ]
         schema = build_schema(records, top_k_ports=4)
         contributions = [("out", r) for r in records]
-        vec1 = encode("10.0.0.1", 0, contributions, schema)
-        vec2 = encode("10.0.0.1", 0, list(reversed(contributions)), schema)
-        assert np.array_equal(vec1.values, vec2.values)
+        vec1 = encode(contributions, schema)
+        vec2 = encode(list(reversed(contributions)), schema)
+        assert np.array_equal(vec1, vec2)
 
     def test_protocol_block_sums_equal_flow_counts(self):
         out = [classified("10.0.0.1", "10.0.0.2", dst_port=p) for p in (443, 80, 22)]
         inbound = [classified("10.0.0.9", "10.0.0.1", dst_port=53, protocol="UDP")]
         schema = build_schema(out + inbound, top_k_ports=8)
         contributions = [("out", r) for r in out] + [("in", r) for r in inbound]
-        vec = encode("10.0.0.1", 0, contributions, schema)
+        vec = encode(contributions, schema)
         p = len(schema.protocol_vocab) + 1
-        assert vec.values[:p].sum() == len(out)
-        assert vec.values[p : 2 * p].sum() == len(inbound)
+        assert vec[:p].sum() == len(out)
+        assert vec[p : 2 * p].sum() == len(inbound)
 
     def test_raw_values_non_negative(self):
         records = [classified("10.0.0.1", "10.0.0.2")]
         schema = build_schema(records, top_k_ports=2)
-        vec = encode("10.0.0.1", 0, [("out", records[0])], schema)
-        assert (vec.values >= 0).all()
+        vec = encode([("out", records[0])], schema)
+        assert (vec >= 0).all()
 
 
 class TestStandardize:

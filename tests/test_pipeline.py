@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,13 +7,14 @@ from pathlib import Path
 import pytest
 
 from microseg.cli import main
-from microseg.flows import DataError
+from microseg.flows import DataError, scope_to_text
 from microseg.pipeline import (
     PipelineConfig,
     UsageError,
     config_to_text,
     fingerprint,
     load_config,
+    load_ground_truth,
     load_groups,
     parse_config_text,
     parse_grid,
@@ -23,6 +25,7 @@ from microseg.pipeline import (
     run_tune,
     verify_ruleset_completeness,
 )
+from microseg.synth import ScenarioSpec, ServiceTemplate, generate
 
 ARTIFACTS = [
     "pca_model.json",
@@ -165,6 +168,22 @@ class TestRunGroup:
         text = (Path(config.out_dir) / "features.csv").read_text()
         assert text.startswith("endpoint,window,f0")
 
+    def test_failed_write_keeps_earlier_artifact(self, tmp_path, monkeypatch):
+        config = synth_setup(tmp_path)
+        run_group(config)
+        out = Path(config.out_dir)
+        before = (out / "groups.json").read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("simulated crash")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        config.seed = 6  # the new groups.json would differ
+        with pytest.raises(OSError, match="simulated crash"):
+            run_group(config)
+        assert (out / "groups.json").read_bytes() == before
+        assert not list(out.glob(".*.tmp"))
+
 
 class TestRunRules:
     def test_rules_after_group(self, tmp_path):
@@ -258,6 +277,19 @@ class TestRunEval:
             run_eval(config)
 
 
+class TestLoadGroundTruth:
+    def test_header_after_comment(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("# labels\n\nendpoint,true_group\n10.0.0.1,a\n10.0.0.2,b\n")
+        assert load_ground_truth(path) == {"10.0.0.1": "a", "10.0.0.2": "b"}
+
+    def test_duplicate_endpoint_named(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("# labels\nendpoint,true_group\n10.0.0.1,a\n10.0.0.1,b\n")
+        with pytest.raises(DataError, match="duplicate endpoint 10.0.0.1"):
+            load_ground_truth(path)
+
+
 class TestRunTune:
     def test_single_entry_grid_echoed(self, tmp_path):
         config = synth_setup(tmp_path)
@@ -291,6 +323,46 @@ class TestRunTune:
         config.grid = str(grid_path)
         with pytest.raises(DataError, match="no configurations"):
             run_tune(config)
+
+    def test_below_floor_flagged_when_groups_indistinguishable(self, tmp_path):
+        # All groups share one service profile: clustering cannot separate
+        # them, so homogeneity stays far below a 0.95 floor.
+        profiles = {
+            g: (
+                ServiceTemplate(
+                    peer_kind="group", peer=0, protocol="TCP", dst_port=2000, weight=1.0
+                ),
+            )
+            for g in range(4)
+        }
+        scenario = generate(
+            ScenarioSpec(
+                group_count=4,
+                endpoints_per_group=2,
+                windows=4,
+                flows_per_endpoint_window=12,
+                profiles=profiles,
+                noise_rate=0.0,
+                seed=3,
+            )
+        )
+        (tmp_path / "flows.csv").write_text(scenario.log_text)
+        (tmp_path / "scope.txt").write_text(scope_to_text(scenario.scope))
+        (tmp_path / "truth.csv").write_text(scenario.truth_csv)
+        (tmp_path / "grid.txt").write_text("seed = 1 ; top_k_ports = 16\n")
+        config = PipelineConfig(
+            flow_log=str(tmp_path / "flows.csv"),
+            scope=str(tmp_path / "scope.txt"),
+            ground_truth=str(tmp_path / "truth.csv"),
+            grid=str(tmp_path / "grid.txt"),
+            out_dir=str(tmp_path / "out"),
+            homogeneity_floor=0.95,
+        )
+        summary = run_tune(config)
+        assert summary["below_floor"]
+        rows = (tmp_path / "out" / "tune_report.csv").read_text().strip().split("\n")
+        assert rows[0].endswith(",below_floor")
+        assert rows[1].endswith(",1")
 
     def test_grid_line_parsing(self):
         base = PipelineConfig()
@@ -338,6 +410,38 @@ class TestCli:
     def test_usage_error_exit_one(self, capsys):
         assert main(["group"]) == 1  # --config required
         assert main(["nonsense"]) == 1
+
+    @pytest.mark.parametrize(
+        "command,artifact,content",
+        [
+            ("rules", "groups.json", "truncated"),
+            ("eval", "groups.json", '{"kind": "security_groups"}\n'),
+            (
+                "rules",
+                "groups.json",
+                '{"fingerprint": "x", "groups": {"0": 5}, "kind": "security_groups", '
+                '"suggested_qty": 1}\n',
+            ),
+            ("eval", "timing.json", "garbage\n"),
+            ("eval", "timing.json", "{}\n"),
+        ],
+        ids=[
+            "groups-truncated",
+            "groups-keys-missing",
+            "groups-wrong-type",
+            "timing-garbage",
+            "timing-empty",
+        ],
+    )
+    def test_corrupt_artifact_exit_two(self, tmp_path, command, artifact, content):
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        assert main(["group", "--config", str(run_cfg)]) == 0
+        path = tmp_path / "artifacts" / artifact
+        if content == "truncated":
+            content = path.read_text()[:40]
+        path.write_text(content)
+        assert main([command, "--config", str(run_cfg)]) == 2
 
     def test_data_error_exit_two(self, tmp_path):
         run_cfg = write_config(
