@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .features import SampleMatrix, encode_windows, standardize
+from .features import SampleMatrix, encode_windows, standardize, write_atomic
 from .flows import ClassifiedFlow
 from .metrics import EvalReport
 from .pca import PcaModel, fit_pca, project
@@ -418,7 +418,7 @@ def save_cluster_model(
         "config": config or {},
         "fingerprint": fingerprint,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    write_atomic(Path(path), json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_cluster_model(path: Union[str, Path]) -> ClusterModel:

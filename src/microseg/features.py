@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .flows import ClassifiedFlow
+from .flows import OBJECT, ClassifiedFlow
 
 OUTBOUND = "out"
 INBOUND = "in"
@@ -156,21 +158,26 @@ def encode(
     off_peer = 2 * p + 2 * q
     off_tail = off_peer + r
 
-    values = np.zeros(schema.dimension)
-    service_tuples: set[tuple] = set()
+    # Count contributions per service tuple (direction, protocol, port, far
+    # peer's object name or None for a member), then add each count to its
+    # slots once. Counts are integers, so the sums are exact in any order.
+    tally: Counter[tuple[str, str, int, str | None]] = Counter()
     total_bytes = 0
     for direction, rec in contributions:
         flow = rec.flow
-        pslot = _slot(flow.protocol, proto_idx)
-        tslot = _slot(flow.dst_port, port_idx)
         peer = rec.dst_class if direction == OUTBOUND else rec.src_class
-        peer_key = ("object", peer.value) if peer.is_object else ("member",)
-        values[pslot if direction == OUTBOUND else off_in_proto + pslot] += 1.0
-        values[(off_out_port if direction == OUTBOUND else off_in_port) + tslot] += 1.0
-        values[off_peer + (_slot(peer.value, peer_idx) if peer.is_object else r - 1)] += 1.0
-        service_tuples.add((direction, flow.protocol, flow.dst_port, peer_key))
+        obj = peer.value if peer.kind == OBJECT else None
+        tally[(direction, flow.protocol, flow.dst_port, obj)] += 1
         total_bytes += flow.byte_count
-    values[off_tail] = float(len(service_tuples))
+
+    values = np.zeros(schema.dimension)
+    for (direction, protocol, dst_port, obj), n in tally.items():
+        pslot = _slot(protocol, proto_idx)
+        tslot = _slot(dst_port, port_idx)
+        values[pslot if direction == OUTBOUND else off_in_proto + pslot] += n
+        values[(off_out_port if direction == OUTBOUND else off_in_port) + tslot] += n
+        values[off_peer + (r - 1 if obj is None else _slot(obj, peer_idx))] += n
+    values[off_tail] = float(len(tally))
     values[off_tail + 1] = float(len(contributions))
     values[off_tail + 2] = math.log1p(total_bytes)
     return values
@@ -227,3 +234,19 @@ def matrix_to_csv(matrix: SampleMatrix) -> str:
     for ep, w, row in zip(matrix.endpoints, matrix.windows, matrix.values):
         lines.append(f"{ep},{w}," + ",".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write a temp file beside ``path`` and rename it into place, so a
+    crash never leaves a half-written artifact.
+
+    Every artifact goes through here; it sits in this module because pca,
+    clustering and pipeline all import it.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

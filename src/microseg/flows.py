@@ -168,17 +168,29 @@ def _iter_lines(stream: Union[IO, Iterable[str], Iterable[bytes], str]) -> Itera
         yield raw
 
 
-def _parse_line(line: str) -> FlowRecord:
+def _canonical_addr(token: str, canon: dict[str, str]) -> str:
+    """Validate an address token and return its canonical string form.
+
+    ``canon`` remembers tokens already validated; a token that fails is not
+    remembered, so it raises ``ValueError`` again on every line it is on.
+    """
+    addr = canon.get(token)
+    if addr is None:
+        addr = canon[token] = str(ipaddress.IPv4Address(token))
+    return addr
+
+
+def _parse_line(line: str, canon: dict[str, str]) -> FlowRecord:
     fields = line.split(",")
     if len(fields) != 7:
         raise ValueError(f"expected 7 fields, got {len(fields)}")
-    ts, src, dst, proto, port, packets, nbytes = (f.strip() for f in fields)
+    ts, src, dst, proto, port, packets, nbytes = map(str.strip, fields)
     proto = proto.upper()
     if not proto:
         raise ValueError("empty protocol token")
     # Validates the addresses; the canonical string form is kept.
-    src = str(ipaddress.IPv4Address(src))
-    dst = str(ipaddress.IPv4Address(dst))
+    src = _canonical_addr(src, canon)
+    dst = _canonical_addr(dst, canon)
     return FlowRecord(
         timestamp=int(ts),
         src_addr=src,
@@ -204,6 +216,7 @@ def parse_flow_log(
     lines are malformed.
     """
     records: list[FlowRecord] = []
+    canon: dict[str, str] = {}
     malformed = 0
     content_lines = 0
     first_error = ""
@@ -219,7 +232,7 @@ def parse_flow_log(
                 continue  # header line
         content_lines += 1
         try:
-            records.append(_parse_line(line))
+            records.append(_parse_line(line, canon))
         except ValueError as exc:
             if strict:
                 raise DataError(f"line {lineno}: {exc}") from exc

@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .features import SampleMatrix
+from .features import SampleMatrix, write_atomic
 
 #: Most negative eigenvalue tolerated as numerical noise before clamping.
 EIG_NOISE_FLOOR = -1e-8
@@ -135,7 +135,7 @@ def save_pca(model: PcaModel, path: Union[str, Path]) -> None:
         "total_variance": model.total_variance,
         "schema_fingerprint": model.schema_fingerprint,
     }
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    write_atomic(Path(path), json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_pca(path: Union[str, Path]) -> PcaModel:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -25,7 +24,7 @@ from .clustering import (
     save_cluster_model,
     select_best,
 )
-from .features import matrix_to_csv
+from .features import matrix_to_csv, write_atomic
 from .flows import (
     DROP_UNKNOWN,
     POLICIES,
@@ -180,7 +179,7 @@ def _validate_config(config: PipelineConfig) -> None:
 def load_config(path: Union[str, Path]) -> PipelineConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -215,7 +214,7 @@ def _read_log_bytes(config: PipelineConfig) -> bytes:
 def _load_scope_file(config: PipelineConfig) -> MemberScope:
     try:
         text = Path(config.scope).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"ingest: cannot read scope {config.scope}: {exc}") from exc
     return load_scope(text)
 
@@ -242,18 +241,6 @@ class IngestOutput:
     fingerprint: str
     malformed: int
     report: object
-
-
-def _write(path: Path, text: str) -> None:
-    """Write a temp file beside ``path`` and rename it into place, so a
-    crash never leaves a half-written artifact."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def assignments_csv(assignments: list[GroupAssignment]) -> str:
@@ -337,11 +324,11 @@ def run_group(config: PipelineConfig) -> dict:
         config=config.semantic_dict(),
         fingerprint=fp,
     )
-    _write(out / "groups.json", groups_payload(result.groups, fp, config))
-    _write(out / "assignments.csv", assignments_csv(result.assignments))
-    _write(out / "mean_distances.csv", mean_distances_csv(result.assignments))
+    write_atomic(out / "groups.json", groups_payload(result.groups, fp, config))
+    write_atomic(out / "assignments.csv", assignments_csv(result.assignments))
+    write_atomic(out / "mean_distances.csv", mean_distances_csv(result.assignments))
     report = ingest_out.report
-    _write(
+    write_atomic(
         out / "ingest_report.json",
         json.dumps(
             {
@@ -357,8 +344,8 @@ def run_group(config: PipelineConfig) -> dict:
         + "\n",
     )
     if config.export_features:
-        _write(out / "features.csv", matrix_to_csv(result.matrix))
-    _write(
+        write_atomic(out / "features.csv", matrix_to_csv(result.matrix))
+    write_atomic(
         out / "timing.json",
         json.dumps({"grouping_seconds": elapsed}, sort_keys=True) + "\n",
     )
@@ -392,8 +379,8 @@ def run_rules(config: PipelineConfig) -> dict:
             "rules: synthesized ruleset failed structural guarantees "
             f"(any_to_any={len(hygiene.any_to_any)}, duplicates={len(hygiene.duplicates)})"
         )
-    _write(out / "ruleset.csv", ruleset_to_csv(ruleset))
-    _write(out / "hygiene.txt", hygiene.to_text())
+    write_atomic(out / "ruleset.csv", ruleset_to_csv(ruleset))
+    write_atomic(out / "hygiene.txt", hygiene.to_text())
     return {
         "rules": len(ruleset.rules),
         "any_to_any": len(hygiene.any_to_any),
@@ -406,7 +393,7 @@ def run_rules(config: PipelineConfig) -> dict:
 def load_ground_truth(path: Union[str, Path]) -> dict[str, str]:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"eval: cannot read ground truth {path}: {exc}") from exc
     truth: dict[str, str] = {}
     first_row = True
@@ -455,8 +442,8 @@ def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
         raise DataError("eval: timing.json has no numeric grouping_seconds") from exc
     report = evaluate(groups, truth, run_time_seconds=elapsed)
     row = report_row(report, config.dataset)
-    _write(out / "eval_report.csv", REPORT_HEADER + "\n" + row + "\n")
-    _write(
+    write_atomic(out / "eval_report.csv", REPORT_HEADER + "\n" + row + "\n")
+    write_atomic(
         out / "eval_report.json",
         json.dumps(
             {
@@ -492,7 +479,7 @@ def run_tune(config: PipelineConfig) -> dict:
     """Sweep the grid, write the winning config and the per-entry report."""
     try:
         grid_text = Path(config.grid).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"tune: cannot read grid {config.grid}: {exc}") from exc
     grid = parse_grid(grid_text, config)
     if not grid:
@@ -511,12 +498,12 @@ def run_tune(config: PipelineConfig) -> dict:
         reports.append(evaluate(result.groups, truth, run_time_seconds=elapsed))
     idx, below_floor = select_best(reports, config.homogeneity_floor)
     out = Path(config.out_dir)
-    _write(out / "best_config.txt", config_to_text(grid[idx]))
+    write_atomic(out / "best_config.txt", config_to_text(grid[idx]))
     rows = [REPORT_HEADER + ",below_floor"]
     for i, rep in enumerate(reports):
         flag = "1" if below_floor and i == idx else "0"
         rows.append(report_row(rep, f"{config.dataset}@{i}") + "," + flag)
-    _write(out / "tune_report.csv", "\n".join(rows) + "\n")
+    write_atomic(out / "tune_report.csv", "\n".join(rows) + "\n")
     return {
         "winner_index": idx,
         "below_floor": below_floor,
@@ -555,9 +542,9 @@ def run_synth(config: PipelineConfig) -> dict:
     except ValueError as exc:
         raise DataError(f"synth: {exc}") from exc
     out = Path(config.out_dir)
-    _write(out / "flows.csv", scenario.log_text)
-    _write(out / "scope.txt", scope_to_text(scenario.scope))
-    _write(out / "truth.csv", scenario.truth_csv)
+    write_atomic(out / "flows.csv", scenario.log_text)
+    write_atomic(out / "scope.txt", scope_to_text(scenario.scope))
+    write_atomic(out / "truth.csv", scenario.truth_csv)
     return {
         "flows": scenario.total_flows,
         "noise_flows": scenario.noise_flows,

@@ -9,11 +9,14 @@ to deduplication plus canonical ordering: one allow rule per distinct
 from __future__ import annotations
 
 import ipaddress
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .clustering import SecurityGroups
 from .flows import (
+    MEMBER,
+    OBJECT,
     ClassifiedFlow,
     DataError,
     FlowRecord,
@@ -116,33 +119,57 @@ def extract_service_flows(
 
     Member peers become their security group, external peers their network
     object. Grouping must have covered every member endpoint seen here.
+
+    Records are first counted per distinct raw tuple (peer kinds, values,
+    addresses and service); each distinct tuple is then resolved once, in
+    order of first appearance, so errors name the same record as a
+    per-record pass would.
     """
     endpoint_group = groups.endpoint_to_group()
     known_objects = scope.object_names
+    refs: dict[tuple[str, str, str], EntityRef] = {}
+    services: dict[tuple[str, int], ServiceTuple] = {}
 
-    def ref(peer, addr: str) -> EntityRef:
-        if peer.is_member:
+    def ref(peer: tuple[str, str, str]) -> EntityRef:
+        resolved = refs.get(peer)
+        if resolved is not None:
+            return resolved
+        kind, value, addr = peer
+        if kind == MEMBER:
             gid = endpoint_group.get(addr)
             if gid is None:
                 raise DataError(
                     f"member endpoint {addr} is not in any security group; "
                     "grouping must precede rule synthesis"
                 )
-            return EntityRef.group(gid)
-        if peer.is_object:
-            if peer.value not in known_objects:
-                raise DataError(f"network object {peer.value!r} not in scope")
-            return EntityRef.network_object(peer.value)
-        raise ValueError("records with unknown peers cannot produce rules")
+            resolved = EntityRef.group(gid)
+        elif kind == OBJECT:
+            if value not in known_objects:
+                raise DataError(f"network object {value!r} not in scope")
+            resolved = EntityRef.network_object(value)
+        else:
+            raise ValueError("records with unknown peers cannot produce rules")
+        refs[peer] = resolved
+        return resolved
 
-    counts: dict[tuple[EntityRef, EntityRef, ServiceTuple], int] = {}
-    for rec in records:
-        key = (
-            ref(rec.src_class, rec.flow.src_addr),
-            ref(rec.dst_class, rec.flow.dst_addr),
-            ServiceTuple(rec.flow.protocol, rec.flow.dst_port),
+    def service(svc: tuple[str, int]) -> ServiceTuple:
+        resolved = services.get(svc)
+        if resolved is None:
+            resolved = services[svc] = ServiceTuple(*svc)
+        return resolved
+
+    raw = Counter(
+        (
+            (rec.src_class.kind, rec.src_class.value, rec.flow.src_addr),
+            (rec.dst_class.kind, rec.dst_class.value, rec.flow.dst_addr),
+            (rec.flow.protocol, rec.flow.dst_port),
         )
-        counts[key] = counts.get(key, 0) + 1
+        for rec in records
+    )
+    counts: dict[tuple[EntityRef, EntityRef, ServiceTuple], int] = {}
+    for (src, dst, svc), n in raw.items():
+        key = (ref(src), ref(dst), service(svc))
+        counts[key] = counts.get(key, 0) + n
     return counts
 
 
@@ -356,7 +383,7 @@ def load_ruleset(path) -> RuleSet:
 
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read ruleset {path}: {exc}") from exc
     rules = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -378,4 +405,7 @@ def load_ruleset(path) -> RuleSet:
             )
         except ValueError as exc:
             raise DataError(f"ruleset line {lineno}: {exc}") from exc
-    return RuleSet.from_rules(rules)
+    try:
+        return RuleSet.from_rules(rules)
+    except ValueError as exc:
+        raise DataError(f"ruleset {path}: {exc}") from exc

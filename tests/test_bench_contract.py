@@ -7,7 +7,9 @@ import inspect
 from pathlib import Path
 
 from microseg.features import encode_windows
+from microseg.flows import filter_flows, parse_flow_log
 from microseg.pipeline import PipelineConfig
+from microseg.rules import extract_service_flows
 
 TRACE = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
 
@@ -19,3 +21,10 @@ def test_trace_module_imports_resolve():
     assert callable(module.main)
     # trace.py passes config.workers to encode_windows as the fourth positional.
     inspect.signature(encode_windows).bind(None, None, None, PipelineConfig().workers)
+
+
+def test_ingest_path_signatures_bind_trace_arguments():
+    # The calls trace.py makes on the ingest -> rules path, argument for argument.
+    inspect.signature(parse_flow_log).bind("", strict=False)
+    inspect.signature(filter_flows).bind([], None, PipelineConfig().unknown_policy)
+    inspect.signature(extract_service_flows).bind([], None, None)

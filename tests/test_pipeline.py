@@ -172,16 +172,19 @@ class TestRunGroup:
         config = synth_setup(tmp_path)
         run_group(config)
         out = Path(config.out_dir)
-        before = (out / "groups.json").read_bytes()
+        models = ("groups.json", "pca_model.json", "cluster_model.json")
+        before = {name: (out / name).read_bytes() for name in models}
 
         def fail_replace(src, dst):
             raise OSError("simulated crash")
 
         monkeypatch.setattr(os, "replace", fail_replace)
-        config.seed = 6  # the new groups.json would differ
+        # A new seed changes the centroids, a new PCA target the PCA model.
+        config.seed = 6
+        config.pca_target = 2
         with pytest.raises(OSError, match="simulated crash"):
             run_group(config)
-        assert (out / "groups.json").read_bytes() == before
+        assert {name: (out / name).read_bytes() for name in models} == before
         assert not list(out.glob(".*.tmp"))
 
 
@@ -442,6 +445,22 @@ class TestCli:
             content = path.read_text()[:40]
         path.write_text(content)
         assert main([command, "--config", str(run_cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, path, code",
+        [
+            ("group", "run.cfg", 1),
+            ("group", "data/scope.txt", 2),
+            ("eval", "data/truth.csv", 2),
+        ],
+        ids=["config", "scope", "ground-truth"],
+    )
+    def test_undecodable_input_file(self, tmp_path, command, path, code):
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        assert main(["group", "--config", str(run_cfg)]) == 0
+        (tmp_path / path).write_bytes(b"\xff\xfe not utf-8\n")
+        assert main([command, "--config", str(run_cfg)]) == code
 
     def test_data_error_exit_two(self, tmp_path):
         run_cfg = write_config(
