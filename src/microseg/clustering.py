@@ -74,9 +74,13 @@ def _as_array(samples: Union[SampleMatrix, np.ndarray]) -> np.ndarray:
     return values
 
 
-def _sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
+def _row_sq(X: np.ndarray) -> np.ndarray:
+    """Squared row norms as a column, (n_samples, 1)."""
+    return np.einsum("ij,ij->i", X, X)[:, None]
+
+
+def _sq_dists(X: np.ndarray, C: np.ndarray, xx: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, (n_samples, n_centroids), clipped at 0."""
-    xx = np.einsum("ij,ij->i", X, X)[:, None]
     cc = np.einsum("ij,ij->i", C, C)[None, :]
     return np.clip(xx + cc - 2.0 * (X @ C.T), 0.0, None)
 
@@ -85,17 +89,16 @@ def _distinct_rows(X: np.ndarray) -> int:
     return np.unique(X, axis=0).shape[0]
 
 
-def _pp_seed(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _pp_seed(
+    X: np.ndarray, k: int, rng: np.random.Generator, xx: np.ndarray
+) -> np.ndarray:
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
-    first = int(rng.integers(n))
-    centroids[0] = X[first]
-    d2 = _sq_dists(X, centroids[0:1])[:, 0]
+    centroids[0] = X[int(rng.integers(n))]
+    d2 = _sq_dists(X, centroids[0:1], xx)[:, 0]
     for i in range(1, k):
-        total = d2.sum()
-        nxt = int(rng.choice(n, p=d2 / total))
-        centroids[i] = X[nxt]
-        d2 = np.minimum(d2, _sq_dists(X, centroids[i : i + 1])[:, 0])
+        centroids[i] = X[int(rng.choice(n, p=d2 / d2.sum()))]
+        d2 = np.minimum(d2, _sq_dists(X, centroids[i : i + 1], xx)[:, 0])
     return centroids
 
 
@@ -108,7 +111,14 @@ def kmeans_pp_init(
         raise ValueError("k must be >= 1")
     if k > _distinct_rows(X):
         raise ValueError(f"k={k} exceeds the {_distinct_rows(X)} distinct sample rows")
-    return _pp_seed(X, k, np.random.default_rng(seed))
+    return _pp_seed(X, k, np.random.default_rng(seed), _row_sq(X))
+
+
+def _cluster_sums(X: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster row sums, (k, n_features); ``bincount`` adds in row order."""
+    return np.stack(
+        [np.bincount(labels, weights=col, minlength=k) for col in X.T], axis=1
+    )
 
 
 def _update_centroids(
@@ -116,8 +126,7 @@ def _update_centroids(
 ) -> np.ndarray:
     """Mean-update step. Empty clusters are reseeded at the sample currently
     farthest from its assigned centroid, lowest cluster index first."""
-    new_centroids = np.zeros((k, X.shape[1]))
-    np.add.at(new_centroids, labels, X)
+    new_centroids = _cluster_sums(X, labels, k)
     counts = np.bincount(labels, minlength=k)
     nonzero = counts > 0
     new_centroids[nonzero] /= counts[nonzero, None]
@@ -131,8 +140,8 @@ def _update_centroids(
 
 
 def _hartigan_polish(
-    X: np.ndarray, labels: np.ndarray, k: int, prev_centroids: np.ndarray,
-    max_rounds: int = 1000
+    X: np.ndarray, xx: np.ndarray, labels: np.ndarray, k: int,
+    prev_centroids: np.ndarray, max_rounds: int = 1000
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Single-sample refinement after Lloyd convergence.
 
@@ -145,18 +154,20 @@ def _hartigan_polish(
     every applied delta stays exact; every move strictly decreases the
     objective, so the refinement terminates. Clusters empty on entry keep
     their previous centroid position (a move into an empty cluster costs
-    nothing wherever it sits).
+    nothing wherever it sits). The distance and move-cost matrices persist
+    across rounds; a round recomputes only the columns it touched.
     """
     n = X.shape[0]
     labels = labels.copy()
     counts = np.bincount(labels, minlength=k).astype(np.float64)
-    centroids = np.zeros((k, X.shape[1]))
-    np.add.at(centroids, labels, X)
+    centroids = _cluster_sums(X, labels, k)
     nonzero = counts > 0
     centroids[nonzero] /= counts[nonzero, None]
     centroids[~nonzero] = prev_centroids[~nonzero]
-    D = _sq_dists(X, centroids)
+    D = _sq_dists(X, centroids, xx)
+    cost = counts / (counts + 1.0) * D
     rows = np.arange(n)
+    cost[rows, labels] = np.inf
     moves = 0
     for _ in range(max_rounds):
         own = D[rows, labels]
@@ -167,8 +178,6 @@ def _hartigan_polish(
             counts[labels] / np.maximum(counts[labels] - 1.0, 1.0) * own,
             -np.inf,
         )
-        cost = counts[None, :] / (counts[None, :] + 1.0) * D
-        cost[rows, labels] = np.inf
         # Per-row best target is enough: the row's gain term is constant,
         # and blocked rows get another chance next round.
         best_b = np.argmin(cost, axis=1)
@@ -191,13 +200,17 @@ def _hartigan_polish(
             counts[b] += 1.0
             labels[i] = b
             moves += 1
-        for c in np.flatnonzero(touched):
-            D[:, c] = _sq_dists(X, centroids[c : c + 1])[:, 0]
+        tc = np.flatnonzero(touched)
+        D[:, tc] = d_tc = _sq_dists(X, centroids[tc], xx)
+        cost[:, tc] = counts[tc] / (counts[tc] + 1.0) * d_tc
+        # A row whose own cluster was rewritten needs its move barred again.
+        own_tc = np.flatnonzero(touched[labels])
+        cost[own_tc, labels[own_tc]] = np.inf
     return centroids, labels, moves
 
 
 def _fit_restart(
-    X: np.ndarray, k: int, seed: int, tol: float, max_iter: int
+    X: np.ndarray, xx: np.ndarray, k: int, seed: int, tol: float, max_iter: int
 ) -> tuple[np.ndarray, float, int, list[float]]:
     """One restart: Lloyd iterations alternated with Hartigan polish.
 
@@ -208,14 +221,14 @@ def _fit_restart(
     a nearest-centroid assignment, so the recorded inertia is exactly the
     sum of squared sample-to-nearest-centroid distances.
     """
-    centroids = _pp_seed(X, k, np.random.default_rng(seed))
+    centroids = _pp_seed(X, k, np.random.default_rng(seed), xx)
     history: list[float] = []
     iterations = 0
     while True:
         converged = False
         while iterations < max_iter and not converged:
             iterations += 1
-            labels = np.argmin(_sq_dists(X, centroids), axis=1)
+            labels = np.argmin(_sq_dists(X, centroids, xx), axis=1)
             diffs = X - centroids[labels]
             point_sq = np.einsum("ij,ij->i", diffs, diffs)
             history.append(float(point_sq.sum()))
@@ -227,11 +240,11 @@ def _fit_restart(
             centroids = new_centroids
             if movement < tol:
                 converged = True
-        labels = np.argmin(_sq_dists(X, centroids), axis=1)
-        centroids, labels, moves = _hartigan_polish(X, labels, k, centroids)
+        labels = np.argmin(_sq_dists(X, centroids, xx), axis=1)
+        centroids, labels, moves = _hartigan_polish(X, xx, labels, k, centroids)
         if moves == 0 or iterations >= max_iter:
             break
-    labels = np.argmin(_sq_dists(X, centroids), axis=1)
+    labels = np.argmin(_sq_dists(X, centroids, xx), axis=1)
     diffs = X - centroids[labels]
     final = float(np.einsum("ij,ij->i", diffs, diffs).sum())
     history.append(final)
@@ -262,9 +275,10 @@ def kmeans_fit(
         raise ValueError(f"k={k} exceeds the {distinct} distinct sample rows")
     rng = np.random.default_rng(seed)
     sub_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=restarts)]
+    xx = _row_sq(X)
     best: tuple[np.ndarray, float, int, list[float]] | None = None
     for sub in sub_seeds:
-        run = _fit_restart(X, k, sub, tol, max_iter)
+        run = _fit_restart(X, xx, k, sub, tol, max_iter)
         if best is None or run[1] < best[1]:
             best = run
     centroids, inertia, iterations, history = best
@@ -287,7 +301,7 @@ def assign_endpoint(
     X = _as_array(endpoint_samples)
     if X.shape[0] < 1:
         raise ValueError(f"endpoint {endpoint} has no samples")
-    dists = np.sqrt(_sq_dists(X, model.centroids))
+    dists = np.sqrt(_sq_dists(X, model.centroids, _row_sq(X)))
     mean_distances = dists.mean(axis=0)
     return GroupAssignment(
         endpoint=endpoint,

@@ -161,7 +161,7 @@ def classify_peer(addr: str, scope: MemberScope) -> PeerClass:
 
 def _iter_lines(stream: Union[IO, Iterable[str], Iterable[bytes], str]) -> Iterator[str]:
     if isinstance(stream, str):
-        stream = stream.splitlines()
+        stream = stream.split("\n")
     for raw in stream:
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8", errors="replace")

@@ -123,7 +123,7 @@ def _parse_bool(value: str, key: str) -> bool:
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
     config = replace(base) if base is not None else PipelineConfig()
     valid = {f.name: f for f in fields(PipelineConfig)}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -397,7 +397,7 @@ def load_ground_truth(path: Union[str, Path]) -> dict[str, str]:
         raise DataError(f"eval: cannot read ground truth {path}: {exc}") from exc
     truth: dict[str, str] = {}
     first_row = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -466,7 +466,7 @@ def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
 def parse_grid(text: str, base: PipelineConfig) -> list[PipelineConfig]:
     """Grid file: one config per line, ';'-separated key = value overrides."""
     configs: list[PipelineConfig] = []
-    for raw in text.splitlines():
+    for raw in text.split("\n"):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -386,7 +386,7 @@ def load_ruleset(path) -> RuleSet:
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read ruleset {path}: {exc}") from exc
     rules = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line == RULESET_HEADER:
             continue

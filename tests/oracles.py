@@ -5,6 +5,9 @@ by direct probability sums, the optimal 2-means partition by exhaustive
 enumeration, and eigenpairs by power iteration with deflation. The flow
 parse, rule extraction and row encoding are the plain per-line, per-record
 and per-flow loops the memoized package versions must reproduce exactly.
+``reference_kmeans_fit`` is the straightforward k-means fit (sample norms
+recomputed per distance call, one distance call per polish-touched column,
+``np.add.at`` sums) that the package's fit must reproduce bit for bit.
 """
 
 import ipaddress
@@ -98,7 +101,7 @@ def reference_parse_flow_log(text, strict=False):
         return FlowRecord(int(ts), src, dst, proto, int(port), int(packets), int(nbytes))
 
     records, malformed, content, first_error, saw_first = [], 0, 0, "", False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -181,3 +184,119 @@ def reference_encode(contributions, schema):
     values[tail + 1] = float(len(contributions))
     values[tail + 2] = math.log1p(total_bytes)
     return values
+
+
+def _ref_sq_dists(X, C):
+    xx = np.einsum("ij,ij->i", X, X)[:, None]
+    cc = np.einsum("ij,ij->i", C, C)[None, :]
+    return np.clip(xx + cc - 2.0 * (X @ C.T), 0.0, None)
+
+
+def _ref_pp_seed(X, k, rng):
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = X[int(rng.integers(n))]
+    d2 = _ref_sq_dists(X, centroids[0:1])[:, 0]
+    for i in range(1, k):
+        centroids[i] = X[int(rng.choice(n, p=d2 / d2.sum()))]
+        d2 = np.minimum(d2, _ref_sq_dists(X, centroids[i : i + 1])[:, 0])
+    return centroids
+
+
+def _ref_update_centroids(X, labels, k, point_sq):
+    new_centroids = np.zeros((k, X.shape[1]))
+    np.add.at(new_centroids, labels, X)
+    counts = np.bincount(labels, minlength=k)
+    nonzero = counts > 0
+    new_centroids[nonzero] /= counts[nonzero, None]
+    far = point_sq.copy()
+    for j in np.flatnonzero(~nonzero):
+        idx = int(np.argmax(far))
+        new_centroids[j] = X[idx]
+        far[idx] = -1.0
+    return new_centroids
+
+
+def _ref_hartigan_polish(X, labels, k, prev_centroids, max_rounds=1000):
+    n = X.shape[0]
+    labels = labels.copy()
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    centroids = np.zeros((k, X.shape[1]))
+    np.add.at(centroids, labels, X)
+    nonzero = counts > 0
+    centroids[nonzero] /= counts[nonzero, None]
+    centroids[~nonzero] = prev_centroids[~nonzero]
+    D = _ref_sq_dists(X, centroids)
+    rows = np.arange(n)
+    moves = 0
+    for _ in range(max_rounds):
+        own = D[rows, labels]
+        gain = np.where(
+            counts[labels] > 1,
+            counts[labels] / np.maximum(counts[labels] - 1.0, 1.0) * own,
+            -np.inf,
+        )
+        cost = counts[None, :] / (counts[None, :] + 1.0) * D
+        cost[rows, labels] = np.inf
+        best_b = np.argmin(cost, axis=1)
+        delta = cost[rows, best_b] - gain
+        threshold = -1e-12 * max(1.0, float(own.sum()))
+        cand = np.flatnonzero(delta < threshold)
+        if cand.size == 0:
+            break
+        order = cand[np.argsort(delta[cand], kind="stable")]
+        touched = np.zeros(k, dtype=bool)
+        for i in order:
+            a, b = int(labels[i]), int(best_b[i])
+            if touched[a] or touched[b]:
+                continue
+            touched[a] = touched[b] = True
+            centroids[a] = (counts[a] * centroids[a] - X[i]) / (counts[a] - 1.0)
+            centroids[b] = (counts[b] * centroids[b] + X[i]) / (counts[b] + 1.0)
+            counts[a] -= 1.0
+            counts[b] += 1.0
+            labels[i] = b
+            moves += 1
+        for c in np.flatnonzero(touched):
+            D[:, c] = _ref_sq_dists(X, centroids[c : c + 1])[:, 0]
+    return centroids, labels, moves
+
+
+def _ref_fit_restart(X, k, seed, tol, max_iter):
+    centroids = _ref_pp_seed(X, k, np.random.default_rng(seed))
+    history = []
+    iterations = 0
+    while True:
+        converged = False
+        while iterations < max_iter and not converged:
+            iterations += 1
+            labels = np.argmin(_ref_sq_dists(X, centroids), axis=1)
+            diffs = X - centroids[labels]
+            point_sq = np.einsum("ij,ij->i", diffs, diffs)
+            history.append(float(point_sq.sum()))
+            new_centroids = _ref_update_centroids(X, labels, k, point_sq)
+            movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+            centroids = new_centroids
+            converged = movement < tol
+        labels = np.argmin(_ref_sq_dists(X, centroids), axis=1)
+        centroids, labels, moves = _ref_hartigan_polish(X, labels, k, centroids)
+        if moves == 0 or iterations >= max_iter:
+            break
+    labels = np.argmin(_ref_sq_dists(X, centroids), axis=1)
+    diffs = X - centroids[labels]
+    final = float(np.einsum("ij,ij->i", diffs, diffs).sum())
+    history.append(final)
+    return centroids, final, iterations, history
+
+
+def reference_kmeans_fit(X, k, seed, tol=1e-6, max_iter=300, restarts=4):
+    """Best-of-restarts k-means; returns (centroids, inertia, iterations,
+    inertia_history) of the winning restart. Ties keep the earliest."""
+    X = np.asarray(X, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    best = None
+    for sub in rng.integers(0, 2**63 - 1, size=restarts):
+        run = _ref_fit_restart(X, k, int(sub), tol, max_iter)
+        if best is None or run[1] < best[1]:
+            best = run
+    return best

@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from microseg.clustering import kmeans_fit, kmeans_pp_init
 from microseg.features import encode_windows
 from microseg.flows import filter_flows, parse_flow_log
 from microseg.pipeline import PipelineConfig
@@ -28,3 +29,13 @@ def test_ingest_path_signatures_bind_trace_arguments():
     inspect.signature(parse_flow_log).bind("", strict=False)
     inspect.signature(filter_flows).bind([], None, PipelineConfig().unknown_policy)
     inspect.signature(extract_service_flows).bind([], None, None)
+
+
+def test_kmeans_signatures_bind_trace_arguments():
+    # The group-stage fit and the probe.pp_init call, argument for argument.
+    params = PipelineConfig().grouping_params()
+    inspect.signature(kmeans_fit).bind(
+        None, 2, params.seed,
+        tol=params.tol, max_iter=params.max_iter, restarts=params.restarts,
+    )
+    inspect.signature(kmeans_pp_init).bind(None, 2, PipelineConfig().seed)

@@ -83,6 +83,24 @@ class TestParseFlowLog:
         )
         assert malformed == 1
 
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_newline_ends_a_line(self, sep):
+        # str.splitlines() would also break at sep, making line 2 two
+        # malformed lines: 3 of 5 malformed aborts the parse.
+        text = (
+            "10,10.0.0.1,10.0.0.2,TCP,443,1,80\n"
+            f"11,10.0.0.1,{sep}10.0.0.2,TCP,443,1,80\n"
+            "12,10.0.0.1,10.0.0.2,TCP,443,1,80\n"
+            "13,10.0.0.1,10.0.0.300,TCP,443,1,80\n"
+        )
+        records, malformed = parse_flow_log(text)
+        assert [r.timestamp for r in records] == [10, 11, 12]
+        assert malformed == 1
+        with pytest.raises(DataError, match="^line 4: "):
+            parse_flow_log(text, strict=True)
+
     def test_bytes_from_binary_stream(self):
         records, _ = parse_flow_log(b"10,10.0.0.1,10.0.0.2,TCP,443,1,80\n".splitlines())
         assert len(records) == 1

@@ -12,6 +12,8 @@ from microseg.flows import DataError, load_scope, parse_flow_log
 from microseg.pipeline import PipelineConfig, UsageError, parse_config_text
 from microseg.rules import load_ruleset
 
+from oracles import reference_parse_flow_log
+
 FUZZ = settings(max_examples=150, deadline=None)
 
 TOKENS = st.sampled_from(
@@ -21,6 +23,8 @@ TOKENS = st.sampled_from(
         "10.0.0.1", " 10.0.0.1 ", "10.0.0.300", "10.0.0.0/24", "10.0.0.1/24",
         "0.0.0.0/0", "::1", "TCP", "udp", "ICMP", "group:1", "group:x",
         "object:web", "object:", "allow", "deny", "#",
+        # Characters str.splitlines() breaks at; only "\n" ends a line.
+        "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
     ]
 )
 TOKEN = st.one_of(TOKENS, st.text(max_size=6))
@@ -36,10 +40,14 @@ FLOW_LINES = lines_of(st.lists(TOKEN, min_size=1, max_size=8).map(",".join))
 @FUZZ
 @given(FLOW_LINES, st.booleans())
 def test_parse_flow_log_text(text, strict):
-    try:
-        parse_flow_log(text, strict=strict)
-    except DataError:
-        pass
+    # Same records, counts and error messages as the per-line reference.
+    outcomes = []
+    for parse in (parse_flow_log, reference_parse_flow_log):
+        try:
+            outcomes.append(parse(text, strict=strict))
+        except DataError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @FUZZ

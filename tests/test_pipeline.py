@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import microseg
 from microseg.cli import main
 from microseg.flows import DataError, scope_to_text
 from microseg.pipeline import (
@@ -104,6 +105,14 @@ class TestConfigParsing:
     def test_comments_ignored(self):
         config = parse_config_text("# hello\nseed = 9  # trailing\n")
         assert config.seed == 9
+
+    def test_form_feed_stays_in_its_comment(self):
+        # Only "\n" ends a line; the form feed does not start a new one.
+        assert parse_config_text("seed = 5  # note\x0cseed = 9\n").seed == 5
+
+    def test_grid_line_not_split_at_form_feed(self):
+        configs = parse_grid("seed = 1  # a\x0cseed = 2\n", PipelineConfig())
+        assert [c.seed for c in configs] == [1]
 
     def test_round_trip_through_text(self):
         config = parse_config_text("seed = 3\nk = 0.5\npca_target = 12\nstrict = true")
@@ -290,6 +299,12 @@ class TestLoadGroundTruth:
         path = tmp_path / "truth.csv"
         path.write_text("# labels\nendpoint,true_group\n10.0.0.1,a\n10.0.0.1,b\n")
         with pytest.raises(DataError, match="duplicate endpoint 10.0.0.1"):
+            load_ground_truth(path)
+
+    def test_form_feed_does_not_split_a_line(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        path.write_text("endpoint,true_group\n10.0.0.1,a\x0c10.0.0.2,b\n")
+        with pytest.raises(DataError, match="line 2: expected endpoint,label"):
             load_ground_truth(path)
 
 
@@ -481,10 +496,15 @@ class TestCli:
 
     def test_subprocess_entry_point(self, tmp_path):
         synth_cfg, _ = self._write_cli_configs(tmp_path)
+        # The child imports the package this process imported, also when
+        # pytest put src on sys.path itself rather than through PYTHONPATH.
+        src = str(Path(microseg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "microseg", "synth", "--config", str(synth_cfg)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "flows" in proc.stdout

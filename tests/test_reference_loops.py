@@ -1,18 +1,22 @@
 """The memoized parse, rule extraction and row encoding against the plain
-per-line, per-record and per-flow loops in ``oracles``, by exact equality."""
+per-line, per-record and per-flow loops in ``oracles``, and the k-means fit
+against the straightforward fit there, by exact equality."""
 
 import numpy as np
 import pytest
 
-from microseg.clustering import SecurityGroups
-from microseg.features import build_schema, encode, encode_windows, windowize
+import microseg.clustering as clustering
+from microseg.clustering import SecurityGroups, kmeans_fit
+from microseg.features import build_schema, encode, encode_windows, standardize, windowize
 from microseg.flows import MAP_TO_OBJECTS, DataError, filter_flows, parse_flow_log
+from microseg.pca import fit_pca, project
 from microseg.rules import extract_service_flows
 from microseg.synth import generate, random_scenario
 
 from oracles import (
     reference_encode,
     reference_extract_service_flows,
+    reference_kmeans_fit,
     reference_parse_flow_log,
 )
 
@@ -121,3 +125,66 @@ class TestEncode:
         buckets = windowize(kept, 3600)
         want = np.stack([reference_encode(buckets[key], schema) for key in sorted(buckets)])
         assert np.array_equal(matrix.values, want)
+
+
+def assert_same_fit(X, k, seed, **kwargs):
+    model = kmeans_fit(X, k, seed, **kwargs)
+    centroids, inertia, iterations, history = reference_kmeans_fit(X, k, seed, **kwargs)
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert model.inertia == inertia
+    assert model.iterations_run == iterations
+    assert model.inertia_history == tuple(history)
+
+
+class TestKmeans:
+    def test_projected_scenario_matches_reference(self, kept):
+        matrix, _ = encode_windows(kept, 3600, 8)
+        std = standardize(matrix)
+        projected = project(fit_pca(std, 0.95), std.values)
+        k = len(set(std.endpoints))
+        for seed in range(4):
+            assert_same_fit(projected, k, seed, restarts=2)
+
+    def test_duplicate_rows_and_tied_distances(self):
+        # A 4x4 integer grid: repeated rows, and centroids equidistant from
+        # many samples, so every argmin tie must break the same way.
+        X = np.random.default_rng(3).integers(0, 4, size=(60, 2)).astype(float)
+        for seed in range(5):
+            assert_same_fit(X, 6, seed, restarts=2)
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        seen = {"reseeds": 0, "polish_moves": []}
+        update, polish = clustering._update_centroids, clustering._hartigan_polish
+
+        def update_spy(X, labels, k, point_sq):
+            seen["reseeds"] += int(np.bincount(labels, minlength=k).min() == 0)
+            return update(X, labels, k, point_sq)
+
+        def polish_spy(*args, **kwargs):
+            result = polish(*args, **kwargs)
+            seen["polish_moves"].append(result[2])
+            return result
+
+        monkeypatch.setattr(clustering, "_update_centroids", update_spy)
+        monkeypatch.setattr(clustering, "_hartigan_polish", polish_spy)
+        return seen
+
+    def test_empty_cluster_reseed_matches_reference(self, spy):
+        X = np.random.default_rng(11).normal(size=(12, 1))
+        reseeded = []
+        for seed in range(10):
+            spy["reseeds"] = 0
+            assert_same_fit(X, 5, seed, restarts=1)
+            reseeded.append(spy["reseeds"] > 0)
+        assert any(reseeded)
+
+    def test_polish_moves_then_lloyd_again_matches_reference(self, spy):
+        X = np.random.default_rng(0).normal(size=(12, 1))
+        rerun = []
+        for seed in range(10):
+            spy["polish_moves"] = []
+            assert_same_fit(X, 5, seed, restarts=1)
+            moves = spy["polish_moves"]
+            rerun.append(len(moves) >= 2 and moves[0] > 0)
+        assert any(rerun)

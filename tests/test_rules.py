@@ -275,6 +275,15 @@ class TestRulesetCsv:
         loaded = load_ruleset(path)
         assert loaded == ruleset
 
+    def test_form_feed_does_not_split_a_line(self, tmp_path):
+        records = [member_flow("10.0.0.1", "10.0.0.2")]
+        t = extract_service_flows(records, two_groups(), scope_with())
+        header, rule = ruleset_to_csv(generalize(t)).strip().split("\n")
+        path = tmp_path / "rules.csv"
+        path.write_text(f"{header}\n{rule}\x0c{rule}\n")
+        with pytest.raises(DataError, match="line 2: expected 6 fields"):
+            load_ruleset(path)
+
     def test_byte_identical_export(self):
         records = [member_flow("10.0.0.1", "10.0.0.2")]
         t = extract_service_flows(records, two_groups(), scope_with())
