@@ -14,11 +14,8 @@ from .clustering import (
 from .features import (
     FeatureSchema,
     SampleMatrix,
-    build_schema,
-    encode,
     encode_windows,
     standardize,
-    windowize,
 )
 from .flows import (
     ClassifiedFlow,

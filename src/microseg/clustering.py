@@ -344,9 +344,7 @@ class GroupingParams:
 
 @dataclass
 class GroupingResult:
-    schema_fingerprint: str
     matrix: SampleMatrix
-    projected: np.ndarray
     pca_model: PcaModel
     cluster_model: ClusterModel
     assignments: list[GroupAssignment]
@@ -371,9 +369,7 @@ def fit_groups(
     """Run encode -> standardize -> project -> cluster -> assign -> group."""
     matrix, schema = encode_windows(records, params.window_seconds, params.top_k_ports)
     std = standardize(matrix)
-    pca_model = fit_pca(
-        std, params.pca_target, schema_fingerprint=schema.fingerprint()
-    )
+    pca_model = fit_pca(std, params.pca_target, schema_fingerprint=schema.fingerprint())
     projected = project(pca_model, std.values)
 
     endpoints = sorted(set(std.endpoints))
@@ -394,9 +390,7 @@ def fit_groups(
         assign_endpoint(ep, projected[rows_of[ep]], cluster_model) for ep in endpoints
     ]
     return GroupingResult(
-        schema_fingerprint=schema.fingerprint(),
         matrix=std,
-        projected=projected,
         pca_model=pca_model,
         cluster_model=cluster_model,
         assignments=assignments,

@@ -12,17 +12,14 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .flows import OBJECT, ClassifiedFlow
-
-OUTBOUND = "out"
-INBOUND = "in"
+from .flows import ClassifiedFlow
 
 #: Columns with standard deviation below this are treated as constant.
 CONST_EPS = 1e-12
@@ -78,124 +75,91 @@ class SampleMatrix:
         return self.values.shape[1]
 
 
-def build_schema(records: Sequence[ClassifiedFlow], top_k_ports: int) -> FeatureSchema:
-    """Discover vocabularies from classified records.
-
-    The port vocabulary keeps the ``top_k_ports`` most frequent destination
-    ports (ties broken by ascending port number); protocols and object
-    names keep everything observed. All vocabularies are sorted, so the
-    schema is identical for any ordering of the same records.
-    """
-    if not records:
-        raise ValueError("cannot build a schema from zero records")
-    if top_k_ports < 1:
-        raise ValueError("top_k_ports must be >= 1")
-    protocols: set[str] = set()
-    ports: Counter[int] = Counter()
-    peers: set[str] = set()
-    for rec in records:
-        protocols.add(rec.flow.protocol)
-        ports[rec.flow.dst_port] += 1
-        for pc in (rec.src_class, rec.dst_class):
-            if pc.is_object:
-                peers.add(pc.value)
-    ranked = sorted(ports.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept_ports = sorted(port for port, _ in ranked[:top_k_ports])
-    return FeatureSchema(
-        protocol_vocab=tuple(sorted(protocols)),
-        port_vocab=tuple(kept_ports),
-        peer_vocab=tuple(sorted(peers)),
-    )
-
-
-def _slot(value, index: dict) -> int:
-    return index.get(value, len(index))
-
-
-def windowize(
-    records: Sequence[ClassifiedFlow], window_seconds: int
-) -> dict[tuple[str, int], list[tuple[str, ClassifiedFlow]]]:
-    """Bucket records per (member endpoint, window index) with direction.
-
-    Window indices count from the earliest timestamp in the batch. A record
-    contributes to its source endpoint as outbound and to its destination
-    endpoint as inbound, in each case only when that side is a member.
-    """
-    if window_seconds < 1:
-        raise ValueError("window_seconds must be >= 1")
-    if not records:
-        return {}
-    t0 = min(rec.flow.timestamp for rec in records)
-    buckets: dict[tuple[str, int], list[tuple[str, ClassifiedFlow]]] = {}
-    for rec in records:
-        w = (rec.flow.timestamp - t0) // window_seconds
-        if rec.src_class.is_member:
-            buckets.setdefault((rec.flow.src_addr, w), []).append((OUTBOUND, rec))
-        if rec.dst_class.is_member:
-            buckets.setdefault((rec.flow.dst_addr, w), []).append((INBOUND, rec))
-    return buckets
-
-
-def encode(
-    contributions: Sequence[tuple[str, ClassifiedFlow]], schema: FeatureSchema
-) -> np.ndarray:
-    """Encode one endpoint-window bucket into a raw sample row.
-
-    Layout: outbound protocol counts, inbound protocol counts, outbound
-    port counts, inbound port counts, peer-class counts, then the three
-    numerical features. Permutation-invariant over the contribution list.
-    """
-    p = len(schema.protocol_vocab) + 1
-    q = len(schema.port_vocab) + 1
-    r = len(schema.peer_vocab) + 1
-    proto_idx = {v: i for i, v in enumerate(schema.protocol_vocab)}
-    port_idx = {v: i for i, v in enumerate(schema.port_vocab)}
-    peer_idx = {v: i for i, v in enumerate(schema.peer_vocab)}
-
-    off_in_proto = p
-    off_out_port = 2 * p
-    off_in_port = 2 * p + q
-    off_peer = 2 * p + 2 * q
-    off_tail = off_peer + r
-
-    # Count contributions per service tuple (direction, protocol, port, far
-    # peer's object name or None for a member), then add each count to its
-    # slots once. Counts are integers, so the sums are exact in any order.
-    tally: Counter[tuple[str, str, int, str | None]] = Counter()
-    total_bytes = 0
-    for direction, rec in contributions:
-        flow = rec.flow
-        peer = rec.dst_class if direction == OUTBOUND else rec.src_class
-        obj = peer.value if peer.kind == OBJECT else None
-        tally[(direction, flow.protocol, flow.dst_port, obj)] += 1
-        total_bytes += flow.byte_count
-
-    values = np.zeros(schema.dimension)
-    for (direction, protocol, dst_port, obj), n in tally.items():
-        pslot = _slot(protocol, proto_idx)
-        tslot = _slot(dst_port, port_idx)
-        values[pslot if direction == OUTBOUND else off_in_proto + pslot] += n
-        values[(off_out_port if direction == OUTBOUND else off_in_port) + tslot] += n
-        values[off_peer + (r - 1 if obj is None else _slot(obj, peer_idx))] += n
-    values[off_tail] = float(len(tally))
-    values[off_tail + 1] = float(len(contributions))
-    values[off_tail + 2] = math.log1p(total_bytes)
-    return values
-
-
 def encode_windows(
     records: Sequence[ClassifiedFlow],
     window_seconds: int,
     top_k_ports: int,
     workers: int = 1,
 ) -> tuple[SampleMatrix, FeatureSchema]:
-    """Full raw-encoding pass: schema discovery, windowing, one row per
-    (endpoint, window) key in sorted key order. ``workers`` is accepted and
-    has no effect."""
-    schema = build_schema(records, top_k_ports)
-    buckets = windowize(records, window_seconds)
-    keys = sorted(buckets)
-    values = np.stack([encode(buckets[key], schema) for key in keys])
+    """Count the records into one raw row per (member endpoint, window)
+    key, in sorted key order, and return the rows with the schema found.
+    ``workers`` is accepted and has no effect.
+
+    Windows count from the earliest timestamp. A record adds to its
+    source's row as outbound and to its destination's as inbound, each only
+    when that side is a member. The port vocabulary keeps the
+    ``top_k_ports`` most frequent destination ports (ties to the lower
+    port); protocols and object names keep everything observed. Row layout:
+    outbound and inbound protocol counts, outbound and inbound port counts,
+    peer-class counts, then the three numerical features.
+
+    Records are counted once per distinct (window, peers, addresses,
+    service, bytes), and every later step works on those integer counts, so
+    every sum is exact and the result does not depend on record order.
+    """
+    if not records:
+        raise ValueError("cannot build a schema from zero records")
+    if top_k_ports < 1:
+        raise ValueError("top_k_ports must be >= 1")
+    if window_seconds < 1:
+        raise ValueError("window_seconds must be >= 1")
+    t0 = min(rec.flow.timestamp for rec in records)
+    distinct = Counter(
+        (
+            (rec.flow.timestamp - t0) // window_seconds,
+            rec.src_class,
+            rec.dst_class,
+            rec.flow.src_addr,
+            rec.flow.dst_addr,
+            rec.flow.protocol,
+            rec.flow.dst_port,
+            rec.flow.byte_count,
+        )
+        for rec in records
+    )
+
+    # Per (endpoint, window): flows per service tuple (inbound?, protocol,
+    # port, far peer's object name or None for a member), and total bytes.
+    ports: Counter[int] = Counter()
+    peers: set[str] = set()
+    tallies: defaultdict[tuple[str, int], Counter] = defaultdict(Counter)
+    total_bytes: Counter[tuple[str, int]] = Counter()
+    for (w, src, dst, src_addr, dst_addr, protocol, port, nbytes), n in distinct.items():
+        ports[port] += n
+        for endpoint, inbound, near, far in (
+            (src_addr, False, src, dst),
+            (dst_addr, True, dst, src),
+        ):
+            if far.is_object:
+                peers.add(far.value)
+            if near.is_member:
+                obj = far.value if far.is_object else None
+                tallies[endpoint, w][inbound, protocol, port, obj] += n
+                total_bytes[endpoint, w] += n * nbytes
+
+    ranked = sorted(ports.items(), key=lambda kv: (-kv[1], kv[0]))
+    schema = FeatureSchema(
+        protocol_vocab=tuple(sorted({key[5] for key in distinct})),
+        port_vocab=tuple(sorted(port for port, _ in ranked[:top_k_ports])),
+        peer_vocab=tuple(sorted(peers)),
+    )
+    p = len(schema.protocol_vocab) + 1
+    q = len(schema.port_vocab) + 1
+    r = len(schema.peer_vocab) + 1
+    proto_col = {v: i for i, v in enumerate(schema.protocol_vocab)}
+    port_col = {v: i for i, v in enumerate(schema.port_vocab)}
+    peer_col = {v: i for i, v in enumerate(schema.peer_vocab)}
+
+    keys = sorted(tallies)
+    values = np.zeros((len(keys), schema.dimension))
+    for i, key in enumerate(keys):
+        tally = tallies[key]
+        row = [0] * (2 * p + 2 * q + r)
+        for (inbound, protocol, port, obj), n in tally.items():
+            row[proto_col.get(protocol, p - 1) + (p if inbound else 0)] += n
+            row[2 * p + port_col.get(port, q - 1) + (q if inbound else 0)] += n
+            row[2 * p + 2 * q + peer_col.get(obj, r - 1)] += n
+        values[i] = row + [len(tally), sum(tally.values()), math.log1p(total_bytes[key])]
     matrix = SampleMatrix(
         endpoints=tuple(ep for ep, _ in keys),
         windows=tuple(w for _, w in keys),
@@ -219,12 +183,6 @@ def standardize(matrix: SampleMatrix) -> SampleMatrix:
     return replace(
         matrix, values=(matrix.values - mean) / scale, mean=mean, scale=scale
     )
-
-
-def destandardize(matrix: SampleMatrix) -> np.ndarray:
-    if matrix.mean is None or matrix.scale is None:
-        raise ValueError("matrix is not standardized")
-    return matrix.values * matrix.scale + matrix.mean
 
 
 def matrix_to_csv(matrix: SampleMatrix) -> str:

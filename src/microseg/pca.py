@@ -117,10 +117,6 @@ def project(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
     return (V - model.mean) @ model.components.T
 
 
-def reconstruct(model: PcaModel, projected: np.ndarray) -> np.ndarray:
-    return np.asarray(projected) @ model.components + model.mean
-
-
 def explained_variance(model: PcaModel) -> np.ndarray:
     """Retained eigenvalues normalized by the full-spectrum total."""
     return model.eigenvalues / model.total_variance

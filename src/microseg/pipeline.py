@@ -1,7 +1,7 @@
 """Batch pipeline wiring: configuration, artifact persistence, stages.
 
-Every persisted artifact embeds a fingerprint hashing the input flow log
-together with the semantic configuration (window, vocab, projection,
+The grouping artifacts embed a fingerprint hashing the input flow log, the
+scope and the semantic configuration (window, vocab, projection,
 clustering and policy settings; execution controls and paths are excluded).
 Measured wall time is a side file, not a fingerprinted artifact, so reruns
 stay byte-identical.
@@ -197,8 +197,12 @@ def config_to_text(config: PipelineConfig) -> str:
 
 
 def fingerprint(log_bytes: bytes, config: PipelineConfig) -> str:
+    """Hash of the log, the canonical text of the scope file named by the
+    config, and the semantic config."""
     digest = hashlib.sha256()
     digest.update(log_bytes)
+    digest.update(b"\n--scope--\n")
+    digest.update(scope_to_text(_load_scope_file(config)).encode())
     digest.update(b"\n--config--\n")
     digest.update(json.dumps(config.semantic_dict(), sort_keys=True).encode())
     return digest.hexdigest()
@@ -365,7 +369,7 @@ def run_rules(config: PipelineConfig) -> dict:
     kept, ingest_out = ingest(config)
     if ingest_out.fingerprint != stored_fp:
         raise DataError(
-            "rules: grouping artifacts are stale (input or config fingerprint "
+            "rules: grouping artifacts are stale (input, scope or config fingerprint "
             "mismatch); rerun the group stage"
         )
     try:
@@ -426,7 +430,7 @@ def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
     log_bytes = _read_log_bytes(config)
     if fingerprint(log_bytes, config) != stored_fp:
         raise DataError(
-            "eval: grouping artifacts are stale (input or config fingerprint "
+            "eval: grouping artifacts are stale (input, scope or config fingerprint "
             "mismatch); rerun the group stage"
         )
     truth = load_ground_truth(config.ground_truth)

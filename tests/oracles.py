@@ -3,8 +3,9 @@
 These deliberately avoid the package's own code paths: metrics are computed
 by direct probability sums, the optimal 2-means partition by exhaustive
 enumeration, and eigenpairs by power iteration with deflation. The flow
-parse, rule extraction and row encoding are the plain per-line, per-record
-and per-flow loops the memoized package versions must reproduce exactly.
+parse, rule extraction, vocabulary discovery, windowing and row encoding
+are the plain per-line, per-record and per-flow loops the package versions
+must reproduce exactly.
 ``reference_kmeans_fit`` is the straightforward k-means fit (sample norms
 recomputed per distance call, one distance call per polish-touched column,
 ``np.add.at`` sums) that the package's fit must reproduce bit for bit.
@@ -12,9 +13,11 @@ recomputed per distance call, one distance call per polish-touched column,
 
 import ipaddress
 import math
+from collections import Counter
 
 import numpy as np
 
+from microseg.features import FeatureSchema
 from microseg.flows import MALFORMED_LIMIT, DataError, FlowRecord
 from microseg.rules import EntityRef, ServiceTuple
 
@@ -155,6 +158,39 @@ def reference_extract_service_flows(records, groups, scope):
     return counts
 
 
+def reference_schema(records, top_k_ports):
+    """Per-record vocabulary discovery: the ``top_k_ports`` most frequent
+    ports (ties to the lower port), every protocol and object name."""
+    protocols, ports, peers = set(), Counter(), set()
+    for rec in records:
+        protocols.add(rec.flow.protocol)
+        ports[rec.flow.dst_port] += 1
+        for pc in (rec.src_class, rec.dst_class):
+            if pc.is_object:
+                peers.add(pc.value)
+    ranked = sorted(ports.items(), key=lambda kv: (-kv[1], kv[0]))
+    return FeatureSchema(
+        protocol_vocab=tuple(sorted(protocols)),
+        port_vocab=tuple(sorted(port for port, _ in ranked[:top_k_ports])),
+        peer_vocab=tuple(sorted(peers)),
+    )
+
+
+def reference_windowize(records, window_seconds):
+    """Per-record bucketing: a record adds ("out", record) to its source's
+    (endpoint, window) bucket and ("in", record) to its destination's, each
+    only when that side is a member. Windows count from the first timestamp."""
+    t0 = min(rec.flow.timestamp for rec in records)
+    buckets = {}
+    for rec in records:
+        w = (rec.flow.timestamp - t0) // window_seconds
+        if rec.src_class.is_member:
+            buckets.setdefault((rec.flow.src_addr, w), []).append(("out", rec))
+        if rec.dst_class.is_member:
+            buckets.setdefault((rec.flow.dst_addr, w), []).append(("in", rec))
+    return buckets
+
+
 def reference_encode(contributions, schema):
     """Per-flow row encoding: every contribution adds 1.0 to three slots."""
     p = len(schema.protocol_vocab) + 1
@@ -184,6 +220,24 @@ def reference_encode(contributions, schema):
     values[tail + 1] = float(len(contributions))
     values[tail + 2] = math.log1p(total_bytes)
     return values
+
+
+def reference_encode_windows(records, window_seconds, top_k_ports):
+    """(sorted bucket keys, stacked rows, schema) from the three loops above."""
+    schema = reference_schema(records, top_k_ports)
+    buckets = reference_windowize(records, window_seconds)
+    keys = sorted(buckets)
+    return keys, np.stack([reference_encode(buckets[key], schema) for key in keys]), schema
+
+
+def destandardize(matrix):
+    """Undo ``standardize`` from the mean and scale stored on the matrix."""
+    return matrix.values * matrix.scale + matrix.mean
+
+
+def reconstruct(model, projected):
+    """Map PCA signatures back to the input space."""
+    return np.asarray(projected) @ model.components + model.mean
 
 
 def _ref_sq_dists(X, C):

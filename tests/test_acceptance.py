@@ -18,7 +18,7 @@ import pytest
 from microseg.clustering import kmeans_fit
 from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS
 from microseg.metrics import completeness, contingency, homogeneity, v_measure
-from microseg.pca import fit_pca, project, reconstruct
+from microseg.pca import fit_pca, project
 from microseg.pipeline import (
     PipelineConfig,
     fingerprint,
@@ -31,7 +31,12 @@ from microseg.pipeline import (
 )
 from microseg.rules import extract_service_flows, generalize, load_ruleset
 from microseg.pipeline import load_groups
-from oracles import brute_force_two_means, oracle_scores, power_iteration_spectrum
+from oracles import (
+    brute_force_two_means,
+    oracle_scores,
+    power_iteration_spectrum,
+    reconstruct,
+)
 
 BASELINE_PATH = Path(__file__).parent / "data" / "baseline_metrics.json"
 

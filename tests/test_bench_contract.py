@@ -9,7 +9,8 @@ from pathlib import Path
 from microseg.clustering import kmeans_fit, kmeans_pp_init
 from microseg.features import encode_windows
 from microseg.flows import filter_flows, parse_flow_log
-from microseg.pipeline import PipelineConfig
+from microseg.pca import fit_pca
+from microseg.pipeline import PipelineConfig, fingerprint, ingest
 from microseg.rules import extract_service_flows
 
 TRACE = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
@@ -22,6 +23,7 @@ def test_trace_module_imports_resolve():
     assert callable(module.main)
     # trace.py passes config.workers to encode_windows as the fourth positional.
     inspect.signature(encode_windows).bind(None, None, None, PipelineConfig().workers)
+    inspect.signature(fit_pca).bind(None, 0.95, schema_fingerprint="")
 
 
 def test_ingest_path_signatures_bind_trace_arguments():
@@ -29,6 +31,9 @@ def test_ingest_path_signatures_bind_trace_arguments():
     inspect.signature(parse_flow_log).bind("", strict=False)
     inspect.signature(filter_flows).bind([], None, PipelineConfig().unknown_policy)
     inspect.signature(extract_service_flows).bind([], None, None)
+    inspect.signature(ingest).bind(PipelineConfig())
+    # Every stage hashes (log bytes, config), positionally.
+    inspect.signature(fingerprint).bind(b"", PipelineConfig())
 
 
 def test_kmeans_signatures_bind_trace_arguments():

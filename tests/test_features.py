@@ -5,17 +5,14 @@ import pytest
 
 from microseg.features import (
     SampleMatrix,
-    build_schema,
-    destandardize,
-    encode,
     encode_windows,
     matrix_to_csv,
     standardize,
-    windowize,
 )
 from microseg.flows import ClassifiedFlow, PeerClass
 
 from conftest import flow
+from oracles import destandardize, reference_schema, reference_windowize
 
 
 def classified(src, dst, dst_is_member=True, dst_object="internet", **kwargs):
@@ -26,6 +23,22 @@ def classified(src, dst, dst_is_member=True, dst_object="internet", **kwargs):
     return ClassifiedFlow(rec, PeerClass.member(src), dst_class)
 
 
+def schema_of(records, top_k_ports):
+    """The schema ``encode_windows`` discovers, checked against the oracle."""
+    _, schema = encode_windows(records, 60, top_k_ports)
+    assert schema == reference_schema(records, top_k_ports)
+    return schema
+
+
+def rows_of(records, window_seconds=60, top_k_ports=8):
+    """{(endpoint, window): row} from ``encode_windows``, whose keys must be
+    the oracle's buckets, plus the schema."""
+    matrix, schema = encode_windows(records, window_seconds, top_k_ports)
+    keys = list(zip(matrix.endpoints, matrix.windows))
+    assert keys == sorted(reference_windowize(records, window_seconds))
+    return dict(zip(keys, matrix.values)), schema
+
+
 class TestBuildSchema:
     def test_frequency_ranked_ports(self):
         records = (
@@ -33,13 +46,13 @@ class TestBuildSchema:
             + [classified("10.0.0.1", "10.0.0.2", dst_port=53, protocol="UDP") for _ in range(5)]
             + [classified("10.0.0.1", "10.0.0.2", dst_port=8080)]
         )
-        schema = build_schema(records, top_k_ports=2)
+        schema = schema_of(records, top_k_ports=2)
         assert schema.protocol_vocab == ("TCP", "UDP")
         assert schema.port_vocab == (53, 443)
 
     def test_singleton(self):
         records = [classified("10.0.0.1", "8.8.8.8", dst_is_member=False)]
-        schema = build_schema(records, top_k_ports=8)
+        schema = schema_of(records, top_k_ports=8)
         assert schema.protocol_vocab == ("TCP",)
         assert schema.port_vocab == (443,)
         assert schema.peer_vocab == ("internet",)
@@ -49,25 +62,27 @@ class TestBuildSchema:
             classified("10.0.0.1", "10.0.0.2", dst_port=8080),
             classified("10.0.0.1", "10.0.0.2", dst_port=80),
         ]
-        schema = build_schema(records, top_k_ports=1)
+        schema = schema_of(records, top_k_ports=1)
         assert schema.port_vocab == (80,)
 
     def test_empty_records_error(self):
         with pytest.raises(ValueError):
-            build_schema([], top_k_ports=4)
+            encode_windows([], 60, 4)
+        with pytest.raises(ValueError):
+            encode_windows([classified("10.0.0.1", "10.0.0.2")], 60, 0)
 
     def test_order_invariant(self):
         records = [
             classified("10.0.0.1", "10.0.0.2", dst_port=p, protocol=proto)
             for p, proto in [(443, "TCP"), (53, "UDP"), (22, "TCP"), (443, "TCP")]
         ]
-        schema1 = build_schema(records, top_k_ports=2)
-        schema2 = build_schema(list(reversed(records)), top_k_ports=2)
+        schema1 = schema_of(records, top_k_ports=2)
+        schema2 = schema_of(list(reversed(records)), top_k_ports=2)
         assert schema1 == schema2
 
     def test_dimension_formula(self):
         records = [classified("10.0.0.1", "8.8.8.8", dst_is_member=False)]
-        schema = build_schema(records, top_k_ports=8)
+        schema = schema_of(records, top_k_ports=8)
         # 2*(1+1) + 2*(1+1) + (1+1) + 3
         assert schema.dimension == 13
 
@@ -75,33 +90,33 @@ class TestBuildSchema:
 class TestWindowize:
     def test_single_window(self):
         records = [classified("10.0.0.1", "10.0.0.2", timestamp=t) for t in range(60)]
-        buckets = windowize(records, 60)
-        assert set(w for _, w in buckets) == {0}
+        rows, _ = rows_of(records, 60)
+        assert set(w for _, w in rows) == {0}
 
     def test_boundary(self):
         records = [
             classified("10.0.0.1", "10.0.0.2", timestamp=0),
             classified("10.0.0.1", "10.0.0.2", timestamp=60),
         ]
-        buckets = windowize(records, 60)
-        assert ("10.0.0.1", 0) in buckets and ("10.0.0.1", 1) in buckets
+        rows, _ = rows_of(records, 60)
+        assert ("10.0.0.1", 0) in rows and ("10.0.0.1", 1) in rows
 
     def test_dual_attribution(self):
         records = [classified("10.0.0.1", "10.0.0.2", timestamp=5)]
-        buckets = windowize(records, 60)
-        assert ("10.0.0.1", 0) in buckets  # outbound
-        assert ("10.0.0.2", 0) in buckets  # inbound
-        assert buckets[("10.0.0.1", 0)][0][0] == "out"
-        assert buckets[("10.0.0.2", 0)][0][0] == "in"
+        rows, schema = rows_of(records, 60)
+        p = len(schema.protocol_vocab) + 1
+        out_row, in_row = rows[("10.0.0.1", 0)], rows[("10.0.0.2", 0)]
+        assert (out_row[0], out_row[p]) == (1.0, 0.0)  # outbound TCP
+        assert (in_row[0], in_row[p]) == (0.0, 1.0)  # inbound TCP
 
     def test_object_side_gets_no_bucket(self):
         records = [classified("10.0.0.1", "8.8.8.8", dst_is_member=False)]
-        buckets = windowize(records, 60)
-        assert list(buckets) == [("10.0.0.1", 0)]
+        rows, _ = rows_of(records, 60)
+        assert list(rows) == [("10.0.0.1", 0)]
 
     def test_bad_window_size(self):
         with pytest.raises(ValueError):
-            windowize([], 0)
+            encode_windows([classified("10.0.0.1", "10.0.0.2")], 0, 4)
 
 
 class TestEncode:
@@ -113,53 +128,40 @@ class TestEncode:
         records = [
             classified("10.0.0.1", "10.0.0.2", nbytes=1000) for _ in range(3)
         ]
-        schema = build_schema(records, top_k_ports=4)
-        contributions = [("out", r) for r in records]
-        vec = encode(contributions, schema)
+        rows, _ = rows_of(records, top_k_ports=4)
         expected = [3, 0, 0, 0, 3, 0, 0, 0, 3, 1, 3, math.log1p(3000)]
-        assert vec.tolist() == pytest.approx(expected)
-
-    def test_empty_contributions_all_zero(self):
-        schema = build_schema([classified("10.0.0.1", "10.0.0.2")], top_k_ports=4)
-        vec = encode([], schema)
-        assert vec.tolist() == [0.0] * schema.dimension
+        assert rows[("10.0.0.1", 0)].tolist() == pytest.approx(expected)
 
     def test_unique_tuples_distinguish_ports(self):
         records = [
             classified("10.0.0.1", "10.0.0.2", dst_port=443),
             classified("10.0.0.1", "10.0.0.2", dst_port=53, protocol="UDP"),
         ]
-        schema = build_schema(records, top_k_ports=4)
-        vec = encode([("out", r) for r in records], schema)
+        rows, schema = rows_of(records, top_k_ports=4)
         uniq_index = schema.dimension - 3
-        assert vec[uniq_index] == 2.0
+        assert rows[("10.0.0.1", 0)][uniq_index] == 2.0
 
     def test_permutation_invariant(self):
         records = [
             classified("10.0.0.1", "10.0.0.2", dst_port=p, nbytes=b)
             for p, b in [(443, 100), (53, 200), (443, 300), (22, 400)]
         ]
-        schema = build_schema(records, top_k_ports=4)
-        contributions = [("out", r) for r in records]
-        vec1 = encode(contributions, schema)
-        vec2 = encode(list(reversed(contributions)), schema)
-        assert np.array_equal(vec1, vec2)
+        m1, _ = encode_windows(records, 60, 4)
+        m2, _ = encode_windows(list(reversed(records)), 60, 4)
+        assert m1.values.tobytes() == m2.values.tobytes()
 
     def test_protocol_block_sums_equal_flow_counts(self):
         out = [classified("10.0.0.1", "10.0.0.2", dst_port=p) for p in (443, 80, 22)]
         inbound = [classified("10.0.0.9", "10.0.0.1", dst_port=53, protocol="UDP")]
-        schema = build_schema(out + inbound, top_k_ports=8)
-        contributions = [("out", r) for r in out] + [("in", r) for r in inbound]
-        vec = encode(contributions, schema)
+        rows, schema = rows_of(out + inbound, top_k_ports=8)
+        vec = rows[("10.0.0.1", 0)]
         p = len(schema.protocol_vocab) + 1
         assert vec[:p].sum() == len(out)
         assert vec[p : 2 * p].sum() == len(inbound)
 
     def test_raw_values_non_negative(self):
-        records = [classified("10.0.0.1", "10.0.0.2")]
-        schema = build_schema(records, top_k_ports=2)
-        vec = encode([("out", records[0])], schema)
-        assert (vec >= 0).all()
+        matrix, _ = encode_windows([classified("10.0.0.1", "10.0.0.2")], 60, 2)
+        assert (matrix.values >= 0).all()
 
 
 class TestStandardize:

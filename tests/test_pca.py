@@ -10,12 +10,11 @@ from microseg.pca import (
     fit_pca,
     load_pca,
     project,
-    reconstruct,
     save_pca,
 )
 
 
-from oracles import power_iteration_spectrum
+from oracles import power_iteration_spectrum, reconstruct
 
 
 class TestFitPca:

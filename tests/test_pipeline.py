@@ -125,17 +125,36 @@ class TestConfigParsing:
 
 
 class TestFingerprint:
-    def test_sensitive_to_log_and_semantic_config(self):
-        config = PipelineConfig()
+    SCOPE = "member 10.0.0.0/24\nobject 8.8.8.0/24 dns\nobject 1.1.1.0/24 cdn\n"
+
+    def scope_file(self, tmp_path, text=SCOPE, name="scope.txt"):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    def test_sensitive_to_log_and_semantic_config(self, tmp_path):
+        scope = self.scope_file(tmp_path)
+        config = PipelineConfig(scope=scope)
         base = fingerprint(b"log", config)
         assert fingerprint(b"log2", config) != base
-        changed = PipelineConfig(seed=1)
+        changed = PipelineConfig(scope=scope, seed=1)
         assert fingerprint(b"log", changed) != base
 
-    def test_insensitive_to_workers_and_paths(self):
-        a = PipelineConfig(workers=1, out_dir="x")
-        b = PipelineConfig(workers=8, out_dir="y")
+    def test_insensitive_to_workers_and_paths(self, tmp_path):
+        a = PipelineConfig(workers=1, out_dir="x", scope=self.scope_file(tmp_path))
+        b = PipelineConfig(workers=8, out_dir="y", scope=self.scope_file(tmp_path, name="s2"))
         assert fingerprint(b"log", a) == fingerprint(b"log", b)
+
+    def test_sensitive_to_scope_content_not_its_layout(self, tmp_path):
+        base = fingerprint(b"log", PipelineConfig(scope=self.scope_file(tmp_path)))
+        fewer = self.scope_file(tmp_path, "member 10.0.0.0/24\nobject 8.8.8.0/24 dns\n", "a")
+        assert fingerprint(b"log", PipelineConfig(scope=fewer)) != base
+        relaid = self.scope_file(tmp_path, "# comment\n\n" + self.SCOPE.replace(" ", "   "), "b")
+        assert fingerprint(b"log", PipelineConfig(scope=relaid)) == base
+
+    def test_unreadable_scope_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="scope"):
+            fingerprint(b"log", PipelineConfig(scope=str(tmp_path / "missing.txt")))
 
 
 class TestRunGroup:
@@ -476,6 +495,24 @@ class TestCli:
         assert main(["group", "--config", str(run_cfg)]) == 0
         (tmp_path / path).write_bytes(b"\xff\xfe not utf-8\n")
         assert main([command, "--config", str(run_cfg)]) == code
+
+    def test_edited_scope_makes_groups_stale(self, tmp_path):
+        # Groups learned under one scope must not pass as current after the
+        # scope loses two of its objects.
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        with synth_cfg.open("a") as f:
+            f.write("synth_external_fraction = 0.3\nsynth_object_count = 3\n")
+        with run_cfg.open("a") as f:
+            f.write("unknown_policy = map_to_objects\n")
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        assert main(["group", "--config", str(run_cfg)]) == 0
+        scope = tmp_path / "data" / "scope.txt"
+        lines = scope.read_text().split("\n")
+        objects = [i for i, line in enumerate(lines) if line.startswith("object ")]
+        assert len(objects) == 3
+        scope.write_text("\n".join(l for i, l in enumerate(lines) if i not in objects[:2]))
+        assert main(["rules", "--config", str(run_cfg)]) == 2
+        assert main(["eval", "--config", str(run_cfg)]) == 2
 
     def test_data_error_exit_two(self, tmp_path):
         run_cfg = write_config(

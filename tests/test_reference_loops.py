@@ -1,13 +1,14 @@
-"""The memoized parse, rule extraction and row encoding against the plain
-per-line, per-record and per-flow loops in ``oracles``, and the k-means fit
-against the straightforward fit there, by exact equality."""
+"""The memoized parse and rule extraction and the tallied sample matrix
+against the plain per-line, per-record and per-flow loops in ``oracles``,
+and the k-means fit against the straightforward fit there, by exact
+equality."""
 
 import numpy as np
 import pytest
 
 import microseg.clustering as clustering
 from microseg.clustering import SecurityGroups, kmeans_fit
-from microseg.features import build_schema, encode, encode_windows, standardize, windowize
+from microseg.features import encode_windows, standardize
 from microseg.flows import MAP_TO_OBJECTS, DataError, filter_flows, parse_flow_log
 from microseg.pca import fit_pca, project
 from microseg.rules import extract_service_flows
@@ -15,9 +16,12 @@ from microseg.synth import generate, random_scenario
 
 from oracles import (
     reference_encode,
+    reference_encode_windows,
     reference_extract_service_flows,
     reference_kmeans_fit,
     reference_parse_flow_log,
+    reference_schema,
+    reference_windowize,
 )
 
 BAD_ADDRESS = "3600,10.0.0.300,10.0.0.1,TCP,443,1,100"
@@ -110,21 +114,26 @@ class TestExtract:
 
 class TestEncode:
     def test_every_row_matches_reference(self, kept):
-        schema = build_schema(kept, top_k_ports=8)
-        buckets = windowize(kept, 3600)
+        matrix, schema = encode_windows(kept, 3600, 8)
+        assert schema == reference_schema(kept, top_k_ports=8)
+        buckets = reference_windowize(kept, 3600)
         assert any(
             rec.src_class.is_object or rec.dst_class.is_object
             for bucket in buckets.values()
             for _, rec in bucket
         )
-        for bucket in buckets.values():
-            assert np.array_equal(encode(bucket, schema), reference_encode(bucket, schema))
+        keys = list(zip(matrix.endpoints, matrix.windows))
+        assert keys == sorted(buckets)
+        for key, row in zip(keys, matrix.values):
+            assert row.tobytes() == reference_encode(buckets[key], schema).tobytes()
 
     def test_encode_windows_matches_reference(self, kept):
-        matrix, schema = encode_windows(kept, 3600, 8)
-        buckets = windowize(kept, 3600)
-        want = np.stack([reference_encode(buckets[key], schema) for key in sorted(buckets)])
-        assert np.array_equal(matrix.values, want)
+        keys, want, schema = reference_encode_windows(kept, 3600, 8)
+        for records in (kept, kept[::-1]):
+            matrix, got_schema = encode_windows(records, 3600, 8)
+            assert list(zip(matrix.endpoints, matrix.windows)) == keys
+            assert matrix.values.tobytes() == want.tobytes()
+            assert got_schema == schema
 
 
 def assert_same_fit(X, k, seed, **kwargs):
