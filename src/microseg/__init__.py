@@ -47,7 +47,6 @@ from .rules import (
     check_ruleset,
     extract_service_flows,
     generalize,
-    match,
 )
 from .synth import GeneratedScenario, ScenarioSpec, ServiceTemplate, generate, random_scenario
 

@@ -199,10 +199,14 @@ def config_to_text(config: PipelineConfig) -> str:
 def fingerprint(log_bytes: bytes, config: PipelineConfig) -> str:
     """Hash of the log, the canonical text of the scope file named by the
     config, and the semantic config."""
+    return _fingerprint(log_bytes, _load_scope_file(config), config)
+
+
+def _fingerprint(log_bytes: bytes, scope: MemberScope, config: PipelineConfig) -> str:
     digest = hashlib.sha256()
     digest.update(log_bytes)
     digest.update(b"\n--scope--\n")
-    digest.update(scope_to_text(_load_scope_file(config)).encode())
+    digest.update(scope_to_text(scope).encode())
     digest.update(b"\n--config--\n")
     digest.update(json.dumps(config.semantic_dict(), sort_keys=True).encode())
     return digest.hexdigest()
@@ -233,7 +237,7 @@ def ingest(config: PipelineConfig) -> tuple[list[ClassifiedFlow], "IngestOutput"
     kept, report = filter_flows(records, scope, config.unknown_policy)
     return kept, IngestOutput(
         scope=scope,
-        fingerprint=fingerprint(log_bytes, config),
+        fingerprint=_fingerprint(log_bytes, scope, config),
         malformed=malformed,
         report=report,
     )
@@ -295,6 +299,13 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
         and isinstance(fp, str)
     ):
         raise DataError(f"{path}: malformed security-groups artifact")
+    owner: dict[str, str] = {}
+    for gid, members in raw.items():
+        for ep in members:
+            if owner.setdefault(ep, gid) != gid:
+                raise DataError(
+                    f"{path}: endpoint {ep} is in groups {owner[ep]} and {gid}"
+                )
     groups = {int(gid): frozenset(members) for gid, members in raw.items()}
     return SecurityGroups(groups=groups, suggested_qty=qty), fp
 
@@ -488,14 +499,16 @@ def run_tune(config: PipelineConfig) -> dict:
     grid = parse_grid(grid_text, config)
     if not grid:
         raise DataError(f"tune: grid {config.grid} contains no configurations")
-    kept, _ = ingest(config)
+    kept = {config.unknown_policy: ingest(config)[0]}
     truth = load_ground_truth(config.ground_truth)
 
     reports: list[EvalReport] = []
     for entry in grid:
+        if entry.unknown_policy not in kept:
+            kept[entry.unknown_policy] = ingest(entry)[0]
         t0 = time.perf_counter()
         try:
-            result = fit_groups(kept_for(entry, config, kept), entry.grouping_params())
+            result = fit_groups(kept[entry.unknown_policy], entry.grouping_params())
         except ValueError as exc:
             raise DataError(f"tune: {exc}") from exc
         elapsed = time.perf_counter() - t0
@@ -514,16 +527,6 @@ def run_tune(config: PipelineConfig) -> dict:
         "homogeneity": reports[idx].homogeneity,
         "v_measure": reports[idx].v_measure,
     }
-
-
-def kept_for(
-    entry: PipelineConfig, base: PipelineConfig, base_kept: list[ClassifiedFlow]
-) -> list[ClassifiedFlow]:
-    """Re-ingest only when a grid entry changes the filtering policy."""
-    if entry.unknown_policy == base.unknown_policy:
-        return base_kept
-    entry_kept, _ = ingest(entry)
-    return entry_kept
 
 
 def run_synth(config: PipelineConfig) -> dict:

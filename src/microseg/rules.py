@@ -185,41 +185,36 @@ def generalize(
     )
 
 
-def _object_networks(scope: MemberScope) -> dict[str, list[ipaddress.IPv4Network]]:
-    nets: dict[str, list[ipaddress.IPv4Network]] = {}
+def _address_sets(
+    refs: set[EntityRef], groups: SecurityGroups, scope: MemberScope
+) -> dict[EntityRef, list[ipaddress.IPv4Network]]:
+    """Each ref's addresses as networks: a group's members as /32s, an
+    object's scope CIDRs in table order (none for an unknown ref)."""
+    obj_nets: dict[str, list[ipaddress.IPv4Network]] = {}
     for cidr, name in scope.object_table:
-        nets.setdefault(name, []).append(cidr)
-    return nets
+        obj_nets.setdefault(name, []).append(cidr)
+    return {
+        ref: [
+            ipaddress.IPv4Network(ipaddress.IPv4Address(ep))
+            for ep in sorted(groups.groups.get(ref.group_id, ()))
+        ]
+        if ref.kind == GROUP
+        else obj_nets.get(ref.name, [])
+        for ref in refs
+    }
 
 
-def _ref_contains(
-    a: EntityRef,
-    b: EntityRef,
-    groups: SecurityGroups,
-    obj_nets: dict[str, list[ipaddress.IPv4Network]],
+def _contains(
+    a: EntityRef, b: EntityRef, nets: dict[EntityRef, list[ipaddress.IPv4Network]]
 ) -> bool:
-    """Whether the address set of ``a`` contains the address set of ``b``."""
-    if a.kind == GROUP and b.kind == GROUP:
-        return a.group_id == b.group_id
-    if a.kind == OBJ and b.kind == OBJ:
-        a_nets = obj_nets.get(a.name, [])
-        return all(
-            any(b_net == a_net or b_net.subnet_of(a_net) for a_net in a_nets)
-            for b_net in obj_nets.get(b.name, [])
-        )
-    if a.kind == OBJ and b.kind == GROUP:
-        a_nets = obj_nets.get(a.name, [])
-        members = groups.groups.get(b.group_id, frozenset())
-        return bool(members) and all(
-            any(ipaddress.IPv4Address(ep) in net for net in a_nets) for ep in members
-        )
-    # group contains object: only when every object CIDR is a /32 whose
-    # address is a group member.
-    members = groups.groups.get(a.group_id, frozenset())
-    return all(
-        net.prefixlen == 32 and str(net.network_address) in members
-        for net in obj_nets.get(b.name, [])
-    )
+    """Whether the address set of ``a`` contains the address set of ``b``.
+
+    Groups are disjoint, so the only group that contains group ``b`` is
+    ``b``, and an empty group is contained by no ref but itself.
+    """
+    if b.kind == GROUP and (a.kind == GROUP or not nets[b]):
+        return a == b
+    return all(any(b_net.subnet_of(a_net) for a_net in nets[a]) for b_net in nets[b])
 
 
 @dataclass
@@ -263,46 +258,42 @@ def check_ruleset(
     Flags rules whose two sides both resolve to the universal address set
     (the any-to-any failure mode), duplicate keys, references to groups
     with no members, and rules strictly contained by a wider rule for the
-    same service (object-CIDR containment).
+    same service (address-set containment, see ``_contains``).
     """
     report = HygieneReport()
-    obj_nets = _object_networks(scope)
-
-    def universal(ref: EntityRef) -> bool:
-        return ref.kind == OBJ and any(
-            net == UNIVERSE for net in obj_nets.get(ref.name, [])
-        )
+    rules = ruleset.rules
+    refs = {ref for rule in rules for ref in (rule.src, rule.dst)}
+    nets = _address_sets(refs, groups, scope)
 
     seen_keys: set[tuple] = set()
-    for rule in ruleset.rules:
-        if universal(rule.src) and universal(rule.dst):
+    for rule in rules:
+        if UNIVERSE in nets[rule.src] and UNIVERSE in nets[rule.dst]:
             report.any_to_any.append(rule)
         if rule.key() in seen_keys:
             report.duplicates.append(rule)
         seen_keys.add(rule.key())
-        for ref in (rule.src, rule.dst):
-            if ref.kind == GROUP and not groups.groups.get(ref.group_id):
-                report.empty_group_refs.append(rule)
-                break
+        if any(ref.kind == GROUP and not nets[ref] for ref in (rule.src, rule.dst)):
+            report.empty_group_refs.append(rule)
 
-    by_service: dict[ServiceTuple, list[FirewallRule]] = {}
-    for rule in ruleset.rules:
-        by_service.setdefault(rule.service, []).append(rule)
-    for service_rules in by_service.values():
-        for a in service_rules:
-            for b in service_rules:
-                if a is b:
-                    continue
-                a_covers_b = _ref_contains(
-                    a.src, b.src, groups, obj_nets
-                ) and _ref_contains(a.dst, b.dst, groups, obj_nets)
-                if not a_covers_b:
-                    continue
-                b_covers_a = _ref_contains(
-                    b.src, a.src, groups, obj_nets
-                ) and _ref_contains(b.dst, a.dst, groups, obj_nets)
-                if not b_covers_a:
-                    report.redundant.append((b, a))
+    # Rule a covers rule b when a's sides contain b's, so only the rules keyed
+    # by (b's service, a container of b.src, a container of b.dst) can; b is
+    # redundant unless it covers a too. Pairs sort into pairwise-scan order:
+    # service by first position, then a, then b.
+    containers = {x: {y for y in refs if _contains(y, x, nets)} for x in refs}
+    at: dict[tuple, list[int]] = {}
+    first_of_service: dict[ServiceTuple, int] = {}
+    for i, rule in enumerate(rules):
+        at.setdefault((rule.service, rule.src, rule.dst), []).append(i)
+        first_of_service.setdefault(rule.service, i)
+    found = []
+    for j, b in enumerate(rules):
+        for src in containers[b.src]:
+            for dst in containers[b.dst]:
+                for i in at.get((b.service, src, dst), ()):
+                    a = rules[i]
+                    if not (b.src in containers[a.src] and b.dst in containers[a.dst]):
+                        found.append((first_of_service[b.service], i, j))
+    report.redundant = [(rules[j], rules[i]) for _, i, j in sorted(found)]
     return report
 
 
@@ -343,13 +334,6 @@ def make_matcher(
         return ALLOW if key in allowed else DENY
 
     return matcher
-
-
-def match(
-    ruleset: RuleSet, groups: SecurityGroups, scope: MemberScope, flow: FlowRecord
-) -> str:
-    """Allow iff the flow's (src ref, dst ref, service) has a rule."""
-    return make_matcher(ruleset, groups, scope)(flow)
 
 
 def format_rule(rule: FirewallRule) -> str:

@@ -9,6 +9,9 @@ must reproduce exactly.
 ``reference_kmeans_fit`` is the straightforward k-means fit (sample norms
 recomputed per distance call, one distance call per polish-touched column,
 ``np.add.at`` sums) that the package's fit must reproduce bit for bit.
+``reference_check_ruleset`` is the ruleset hygiene pass that compares every
+ordered pair of rules within a service, with one containment branch per
+(group | object) pair of sides.
 """
 
 import ipaddress
@@ -17,9 +20,18 @@ from collections import Counter
 
 import numpy as np
 
+from microseg.clustering import SecurityGroups
 from microseg.features import FeatureSchema
-from microseg.flows import MALFORMED_LIMIT, DataError, FlowRecord
-from microseg.rules import EntityRef, ServiceTuple
+from microseg.flows import MALFORMED_LIMIT, DataError, FlowRecord, MemberScope
+from microseg.rules import (
+    GROUP,
+    OBJ,
+    UNIVERSE,
+    EntityRef,
+    FirewallRule,
+    HygieneReport,
+    ServiceTuple,
+)
 
 
 def oracle_scores(true_labels, pred_labels):
@@ -354,3 +366,83 @@ def reference_kmeans_fit(X, k, seed, tol=1e-6, max_iter=300, restarts=4):
         if best is None or run[1] < best[1]:
             best = run
     return best
+
+
+def _object_networks(scope: MemberScope) -> dict[str, list[ipaddress.IPv4Network]]:
+    nets: dict[str, list[ipaddress.IPv4Network]] = {}
+    for cidr, name in scope.object_table:
+        nets.setdefault(name, []).append(cidr)
+    return nets
+
+
+def _ref_contains(
+    a: EntityRef,
+    b: EntityRef,
+    groups: SecurityGroups,
+    obj_nets: dict[str, list[ipaddress.IPv4Network]],
+) -> bool:
+    """Whether the address set of ``a`` contains the address set of ``b``."""
+    if a.kind == GROUP and b.kind == GROUP:
+        return a.group_id == b.group_id
+    if a.kind == OBJ and b.kind == OBJ:
+        a_nets = obj_nets.get(a.name, [])
+        return all(
+            any(b_net == a_net or b_net.subnet_of(a_net) for a_net in a_nets)
+            for b_net in obj_nets.get(b.name, [])
+        )
+    if a.kind == OBJ and b.kind == GROUP:
+        a_nets = obj_nets.get(a.name, [])
+        members = groups.groups.get(b.group_id, frozenset())
+        return bool(members) and all(
+            any(ipaddress.IPv4Address(ep) in net for net in a_nets) for ep in members
+        )
+    # group contains object: only when every object CIDR is a /32 whose
+    # address is a group member.
+    members = groups.groups.get(a.group_id, frozenset())
+    return all(
+        net.prefixlen == 32 and str(net.network_address) in members
+        for net in obj_nets.get(b.name, [])
+    )
+
+
+def reference_check_ruleset(ruleset, groups, scope):
+    """Hygiene by comparing every ordered pair of rules within a service."""
+    report = HygieneReport()
+    obj_nets = _object_networks(scope)
+
+    def universal(ref: EntityRef) -> bool:
+        return ref.kind == OBJ and any(
+            net == UNIVERSE for net in obj_nets.get(ref.name, [])
+        )
+
+    seen_keys: set[tuple] = set()
+    for rule in ruleset.rules:
+        if universal(rule.src) and universal(rule.dst):
+            report.any_to_any.append(rule)
+        if rule.key() in seen_keys:
+            report.duplicates.append(rule)
+        seen_keys.add(rule.key())
+        for ref in (rule.src, rule.dst):
+            if ref.kind == GROUP and not groups.groups.get(ref.group_id):
+                report.empty_group_refs.append(rule)
+                break
+
+    by_service: dict[ServiceTuple, list[FirewallRule]] = {}
+    for rule in ruleset.rules:
+        by_service.setdefault(rule.service, []).append(rule)
+    for service_rules in by_service.values():
+        for a in service_rules:
+            for b in service_rules:
+                if a is b:
+                    continue
+                a_covers_b = _ref_contains(
+                    a.src, b.src, groups, obj_nets
+                ) and _ref_contains(a.dst, b.dst, groups, obj_nets)
+                if not a_covers_b:
+                    continue
+                b_covers_a = _ref_contains(
+                    b.src, a.src, groups, obj_nets
+                ) and _ref_contains(b.dst, a.dst, groups, obj_nets)
+                if not b_covers_a:
+                    report.redundant.append((b, a))
+    return report

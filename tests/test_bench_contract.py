@@ -1,6 +1,8 @@
 """The benchmark's traced run (bench/trace.py) imports microseg layer
-functions directly. Loading it here makes a deleted or renamed name fail
-the suite instead of only the traced benchmark run."""
+functions directly, and bench/run.py's completeness check imports two more
+in a child process. Loading trace.py and binding the calls both files make
+here makes a deleted or renamed name fail the suite instead of only the
+benchmark run."""
 
 import importlib.util
 import inspect
@@ -10,8 +12,14 @@ from microseg.clustering import kmeans_fit, kmeans_pp_init
 from microseg.features import encode_windows
 from microseg.flows import filter_flows, parse_flow_log
 from microseg.pca import fit_pca
-from microseg.pipeline import PipelineConfig, fingerprint, ingest
-from microseg.rules import extract_service_flows
+from microseg.pipeline import (
+    PipelineConfig,
+    fingerprint,
+    ingest,
+    load_config,
+    verify_ruleset_completeness,
+)
+from microseg.rules import check_ruleset, extract_service_flows, generalize, make_matcher
 
 TRACE = Path(__file__).resolve().parents[1] / "bench" / "trace.py"
 
@@ -31,6 +39,9 @@ def test_ingest_path_signatures_bind_trace_arguments():
     inspect.signature(parse_flow_log).bind("", strict=False)
     inspect.signature(filter_flows).bind([], None, PipelineConfig().unknown_policy)
     inspect.signature(extract_service_flows).bind([], None, None)
+    inspect.signature(generalize).bind({})
+    inspect.signature(check_ruleset).bind(None, None, None)
+    inspect.signature(make_matcher).bind(None, None, None)  # also probe.match
     inspect.signature(ingest).bind(PipelineConfig())
     # Every stage hashes (log bytes, config), positionally.
     inspect.signature(fingerprint).bind(b"", PipelineConfig())
@@ -44,3 +55,10 @@ def test_kmeans_signatures_bind_trace_arguments():
         tol=params.tol, max_iter=params.max_iter, restarts=params.restarts,
     )
     inspect.signature(kmeans_pp_init).bind(None, 2, PipelineConfig().seed)
+
+
+def test_completeness_check_signatures_bind_run_arguments():
+    # bench/run.py imports these inside the code string it runs in a child
+    # process, so loading trace.py does not cover them.
+    inspect.signature(load_config).bind("run.cfg")
+    inspect.signature(verify_ruleset_completeness).bind(PipelineConfig())

@@ -2,18 +2,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import microseg
+import microseg.pipeline as pipeline
 from microseg.cli import main
-from microseg.flows import DataError, scope_to_text
+from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, DataError, scope_to_text
 from microseg.pipeline import (
     PipelineConfig,
     UsageError,
     config_to_text,
     fingerprint,
+    ingest,
     load_config,
     load_ground_truth,
     load_groups,
@@ -55,6 +58,7 @@ def synth_setup(tmp_path: Path, **synth_overrides) -> PipelineConfig:
     synth_config.synth_services_per_group = synth_overrides.pop("services", 1)
     synth_config.synth_port_pool = synth_overrides.pop("port_pool", 32)
     synth_config.synth_noise_rate = synth_overrides.pop("noise", 0.0)
+    synth_config.synth_external_fraction = synth_overrides.pop("external_fraction", 0.0)
     assert not synth_overrides, synth_overrides
     run_synth(synth_config)
     config = PipelineConfig(
@@ -155,6 +159,19 @@ class TestFingerprint:
     def test_unreadable_scope_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="scope"):
             fingerprint(b"log", PipelineConfig(scope=str(tmp_path / "missing.txt")))
+
+    def test_ingest_hashes_the_scope_it_parsed(self, tmp_path, monkeypatch):
+        # One read of the scope file per ingest, so the fingerprint always
+        # describes the scope the records were classified with.
+        config = synth_setup(tmp_path)
+        parsed = []
+        real = pipeline.load_scope
+        monkeypatch.setattr(
+            pipeline, "load_scope", lambda text: parsed.append(text) or real(text)
+        )
+        _, out = ingest(config)
+        assert len(parsed) == 1
+        assert out.fingerprint == fingerprint(Path(config.flow_log).read_bytes(), config)
 
 
 class TestRunGroup:
@@ -401,6 +418,54 @@ class TestRunTune:
         assert rows[0].endswith(",below_floor")
         assert rows[1].endswith(",1")
 
+    def test_other_policy_ingested_once(self, tmp_path, monkeypatch):
+        # Three entries under the policy the base config does not use: one
+        # ingest per policy, and the same fits, report and winner as a run
+        # whose base config already uses that policy.
+        config = synth_setup(tmp_path, external_fraction=0.3)
+        config.grid = str(tmp_path / "grid.txt")
+        entries = ["pca_target = 0.9", "pca_target = 0.99 ; k = 0.5", "top_k_ports = 8"]
+        ingested, fitted = [], []
+        real_ingest, real_fit = pipeline.ingest, pipeline.fit_groups
+
+        def spy_ingest(c):
+            ingested.append(c.unknown_policy)
+            return real_ingest(c)
+
+        def spy_fit(kept, params):
+            fitted.append(len(kept))
+            return real_fit(kept, params)
+
+        monkeypatch.setattr(pipeline, "ingest", spy_ingest)
+        monkeypatch.setattr(pipeline, "fit_groups", spy_fit)
+
+        def tune(base_policy, prefix):
+            ingested.clear()
+            fitted.clear()
+            Path(config.grid).write_text("".join(prefix + e + "\n" for e in entries))
+            config.unknown_policy = base_policy
+            run_tune(config)
+            out = Path(config.out_dir)
+            # The runtime column (5th) is a measurement.
+            report = [
+                row.split(",")[:4] + row.split(",")[5:]
+                for row in (out / "tune_report.csv").read_text().split("\n")
+            ]
+            best = (out / "best_config.txt").read_text()
+            return list(ingested), list(fitted), report, best
+
+        mixed = tune(DROP_UNKNOWN, "unknown_policy = map_to_objects ; ")
+        plain = tune(MAP_TO_OBJECTS, "")
+        assert mixed[0] == [DROP_UNKNOWN, MAP_TO_OBJECTS]
+        assert plain[0] == [MAP_TO_OBJECTS]
+        assert mixed[1:] == plain[1:]
+        kept = {
+            p: len(real_ingest(replace(config, unknown_policy=p))[0])
+            for p in (DROP_UNKNOWN, MAP_TO_OBJECTS)
+        }
+        assert kept[DROP_UNKNOWN] < kept[MAP_TO_OBJECTS]
+        assert mixed[1] == [kept[MAP_TO_OBJECTS]] * 3
+
     def test_grid_line_parsing(self):
         base = PipelineConfig()
         configs = parse_grid("k = 3 ; seed = 7\n\n# comment\ntol = 1e-4\n", base)
@@ -459,6 +524,9 @@ class TestCli:
                 '{"fingerprint": "x", "groups": {"0": 5}, "kind": "security_groups", '
                 '"suggested_qty": 1}\n',
             ),
+            ("rules", "groups.json", "endpoint in two groups"),
+            ("eval", "groups.json", "endpoint in two groups"),
+            ("rules", "groups.json", "member not an address"),
             ("eval", "timing.json", "garbage\n"),
             ("eval", "timing.json", "{}\n"),
         ],
@@ -466,6 +534,9 @@ class TestCli:
             "groups-truncated",
             "groups-keys-missing",
             "groups-wrong-type",
+            "groups-endpoint-twice-rules",
+            "groups-endpoint-twice-eval",
+            "groups-member-not-ipv4",
             "timing-garbage",
             "timing-empty",
         ],
@@ -477,6 +548,12 @@ class TestCli:
         path = tmp_path / "artifacts" / artifact
         if content == "truncated":
             content = path.read_text()[:40]
+        elif content in ("endpoint in two groups", "member not an address"):
+            # Edit the real artifact, so its fingerprint still matches.
+            payload = json.loads(path.read_text())
+            first, second = list(payload["groups"].values())[:2]
+            second.append("not-an-address" if content.startswith("member") else first[0])
+            content = json.dumps(payload)
         path.write_text(content)
         assert main([command, "--config", str(run_cfg)]) == 2
 

@@ -1,20 +1,39 @@
 """The memoized parse and rule extraction and the tallied sample matrix
 against the plain per-line, per-record and per-flow loops in ``oracles``,
-and the k-means fit against the straightforward fit there, by exact
-equality."""
+the k-means fit against the straightforward fit there, and the ruleset
+hygiene lookup against the pairwise check, by exact equality."""
+
+import ipaddress
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import microseg.clustering as clustering
 from microseg.clustering import SecurityGroups, kmeans_fit
 from microseg.features import encode_windows, standardize
-from microseg.flows import MAP_TO_OBJECTS, DataError, filter_flows, parse_flow_log
+from microseg.flows import (
+    MAP_TO_OBJECTS,
+    DataError,
+    MemberScope,
+    filter_flows,
+    parse_flow_log,
+)
 from microseg.pca import fit_pca, project
-from microseg.rules import extract_service_flows
+from microseg.rules import (
+    EntityRef,
+    FirewallRule,
+    RuleSet,
+    ServiceTuple,
+    check_ruleset,
+    extract_service_flows,
+    generalize,
+)
 from microseg.synth import generate, random_scenario
 
 from oracles import (
+    reference_check_ruleset,
     reference_encode,
     reference_encode_windows,
     reference_extract_service_flows,
@@ -197,3 +216,92 @@ class TestKmeans:
             moves = spy["polish_moves"]
             rerun.append(len(moves) >= 2 and moves[0] > 0)
         assert any(rerun)
+
+
+MEMBERS = [f"10.0.0.{i}" for i in range(8)]
+# Object CIDRs: /32s equal to member addresses, nested and overlapping blocks
+# around them, the universe, and blocks outside the member range.
+CIDRS = (
+    [f"{ep}/32" for ep in MEMBERS]
+    + ["10.0.0.0/30", "10.0.0.2/31", "10.0.0.4/30", "10.0.0.0/29", "10.0.0.0/24"]
+    + ["0.0.0.0/0", "192.168.1.0/24", "192.168.0.0/16"]
+)
+SERVICES = [ServiceTuple("TCP", 22), ServiceTuple("TCP", 443), ServiceTuple("UDP", 53)]
+
+
+@st.composite
+def hygiene_cases(draw):
+    """A scope, groups and ruleset. Groups may be empty, missing (referenced
+    but absent) or, unlike learned groups, overlapping or nested; objects
+    may have several CIDRs or none in the scope; one rule may appear
+    twice."""
+    disjoint = draw(st.booleans())
+    groups, used = {}, set()
+    for gid in range(draw(st.integers(1, 4))):
+        members = draw(st.frozensets(st.sampled_from(MEMBERS), max_size=3))
+        if disjoint:
+            members -= used
+        elif gid and draw(st.booleans()):
+            members |= groups[gid - 1]
+        groups[gid] = members
+        used |= members
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(CIDRS).map(ipaddress.IPv4Network),
+                st.sampled_from(["o0", "o1", "o2", "o3"]),
+            ),
+            max_size=8,
+        )
+    )
+    # Narrowest first, so no entry shadows a later one.
+    scope = MemberScope(
+        (ipaddress.IPv4Network("10.0.0.0/24"),),
+        tuple(sorted(entries, key=lambda entry: -entry[0].prefixlen)),
+    )
+    refs = st.one_of(
+        st.integers(0, len(groups)).map(EntityRef.group),
+        st.sampled_from(["o0", "o1", "o2", "o3", "o4"]).map(EntityRef.network_object),
+    )
+    keys = draw(st.sets(st.tuples(refs, refs, st.sampled_from(SERVICES)), max_size=24))
+    rules = RuleSet.from_rules(
+        [FirewallRule(src, dst, svc, evidence_count=1) for src, dst, svc in keys]
+    ).rules
+    if rules and draw(st.booleans()):
+        i = draw(st.integers(0, len(rules) - 1))
+        rules = rules[: i + 1] + rules[i:]
+    return RuleSet(rules=rules), SecurityGroups(groups=groups, suggested_qty=0), scope
+
+
+def assert_same_hygiene(ruleset, groups, scope):
+    got = check_ruleset(ruleset, groups, scope)
+    want = reference_check_ruleset(ruleset, groups, scope)
+    assert got.any_to_any == want.any_to_any
+    assert got.duplicates == want.duplicates
+    assert got.empty_group_refs == want.empty_group_refs
+    assert got.redundant == want.redundant
+    assert got.to_text() == want.to_text()
+    return got
+
+
+class TestCheckRuleset:
+    def test_scenario_matches_reference(self, scenario, kept):
+        # The learned rules plus, for every service, one rule from group 0
+        # to an object that covers every external object.
+        groups = truth_groups(scenario)
+        tuples = extract_service_flows(kept, groups, scenario.scope)
+        wide = EntityRef.network_object("wide")
+        for _, _, svc in list(tuples):
+            tuples[(EntityRef.group(0), wide, svc)] = 1
+        scope = MemberScope(
+            scenario.scope.member_cidrs,
+            scenario.scope.object_table
+            + ((ipaddress.IPv4Network("198.51.100.0/24"), "wide"),),
+        )
+        report = assert_same_hygiene(generalize(tuples), groups, scope)
+        assert len(report.redundant) > 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(hygiene_cases())
+    def test_generated_rulesets_match_reference(self, case):
+        assert_same_hygiene(*case)

@@ -24,7 +24,6 @@ from microseg.rules import (
     generalize,
     load_ruleset,
     make_matcher,
-    match,
     ruleset_to_csv,
 )
 
@@ -202,21 +201,25 @@ class TestMatch:
 
     def test_existing_rule_allows(self):
         ruleset, groups, scope = self._setup()
-        assert match(ruleset, groups, scope, flow("10.0.0.1", "10.0.0.2")) == ALLOW
+        matcher = make_matcher(ruleset, groups, scope)
+        assert matcher(flow("10.0.0.1", "10.0.0.2")) == ALLOW
 
     def test_default_deny_between_grouped_members(self):
         ruleset, groups, scope = self._setup()
-        assert match(ruleset, groups, scope, flow("10.0.0.2", "10.0.0.1")) == DENY
+        matcher = make_matcher(ruleset, groups, scope)
+        assert matcher(flow("10.0.0.2", "10.0.0.1")) == DENY
 
     def test_unknown_peer_denied(self):
         scope = scope_with()  # no objects: externals are unknown
         records = [member_flow("10.0.0.1", "10.0.0.2")]
         ruleset = generalize(extract_service_flows(records, two_groups(), scope))
-        assert match(ruleset, two_groups(), scope, flow("10.0.0.1", "8.8.8.8")) == DENY
+        matcher = make_matcher(ruleset, two_groups(), scope)
+        assert matcher(flow("10.0.0.1", "8.8.8.8")) == DENY
 
     def test_service_must_match(self):
         ruleset, groups, scope = self._setup()
-        assert match(ruleset, groups, scope, flow("10.0.0.1", "10.0.0.2", dst_port=80)) == DENY
+        matcher = make_matcher(ruleset, groups, scope)
+        assert matcher(flow("10.0.0.1", "10.0.0.2", dst_port=80)) == DENY
 
 
 class TestRuleSetInvariants:
