@@ -15,6 +15,7 @@ from .pipeline import (
     GROUP_SUMMARY_HEADER,
     PipelineConfig,
     UsageError,
+    _validate_config,
     load_config,
     run_eval,
     run_group,
@@ -47,7 +48,6 @@ def build_parser() -> _Parser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to key = value config")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
         cmd.add_argument("--strict", action="store_true", help="fail on any malformed line")
     return parser
 
@@ -56,10 +56,9 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    if args.workers is not None:
-        config.workers = args.workers
     if args.strict:
         config.strict = True
+    _validate_config(config)
     return config
 
 

@@ -33,22 +33,24 @@ class ClusterModel:
     """
 
     centroids: np.ndarray
-    k: int
     inertia: float
     iterations_run: int
     seed: int
     inertia_history: tuple[float, ...] = ()
 
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
+
 
 @dataclass(frozen=True)
 class GroupAssignment:
     endpoint: str
-    group_id: int
     mean_distances: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.group_id != int(np.argmin(self.mean_distances)):
-            raise ValueError("group_id must be the argmin of mean_distances")
+    @property
+    def group_id(self) -> int:
+        return int(np.argmin(self.mean_distances))
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,10 @@ class SecurityGroups:
     """Partition of endpoints into non-empty groups keyed by centroid index."""
 
     groups: dict[int, frozenset[str]]
-    suggested_qty: int
+
+    @property
+    def suggested_qty(self) -> int:
+        return len(self.groups)
 
     def endpoint_to_group(self) -> dict[str, int]:
         return {ep: gid for gid, members in self.groups.items() for ep in members}
@@ -64,14 +69,6 @@ class SecurityGroups:
     @property
     def endpoints(self) -> frozenset[str]:
         return frozenset(ep for members in self.groups.values() for ep in members)
-
-
-def _as_array(samples: Union[SampleMatrix, np.ndarray]) -> np.ndarray:
-    values = samples.values if isinstance(samples, SampleMatrix) else np.asarray(samples)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        values = values[:, None]
-    return values
 
 
 def _row_sq(X: np.ndarray) -> np.ndarray:
@@ -102,11 +99,9 @@ def _pp_seed(
     return centroids
 
 
-def kmeans_pp_init(
-    samples: Union[SampleMatrix, np.ndarray], k: int, seed: int
-) -> np.ndarray:
+def kmeans_pp_init(samples: np.ndarray, k: int, seed: int) -> np.ndarray:
     """k-means++ seeding: squared-distance-weighted draws, deterministic per seed."""
-    X = _as_array(samples)
+    X = np.asarray(samples, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > _distinct_rows(X):
@@ -252,7 +247,7 @@ def _fit_restart(
 
 
 def kmeans_fit(
-    samples: Union[SampleMatrix, np.ndarray],
+    samples: np.ndarray,
     k: int,
     seed: int,
     tol: float = 1e-6,
@@ -267,7 +262,7 @@ def kmeans_fit(
     single-sample refinement pass. Ties on final inertia keep the earliest
     restart, so results are bit-reproducible for a fixed seed.
     """
-    X = _as_array(samples)
+    X = np.asarray(samples, dtype=np.float64)
     if k < 1 or tol <= 0 or max_iter < 1 or restarts < 1:
         raise ValueError("require k >= 1, tol > 0, max_iter >= 1, restarts >= 1")
     distinct = _distinct_rows(X)
@@ -284,7 +279,6 @@ def kmeans_fit(
     centroids, inertia, iterations, history = best
     return ClusterModel(
         centroids=centroids,
-        k=k,
         inertia=inertia,
         iterations_run=iterations,
         seed=seed,
@@ -294,20 +288,15 @@ def kmeans_fit(
 
 def assign_endpoint(
     endpoint: str,
-    endpoint_samples: Union[SampleMatrix, np.ndarray],
+    endpoint_samples: np.ndarray,
     model: ClusterModel,
 ) -> GroupAssignment:
     """Assign an endpoint to the centroid minimizing its mean sample distance."""
-    X = _as_array(endpoint_samples)
+    X = np.asarray(endpoint_samples, dtype=np.float64)
     if X.shape[0] < 1:
         raise ValueError(f"endpoint {endpoint} has no samples")
     dists = np.sqrt(_sq_dists(X, model.centroids, _row_sq(X)))
-    mean_distances = dists.mean(axis=0)
-    return GroupAssignment(
-        endpoint=endpoint,
-        group_id=int(np.argmin(mean_distances)),
-        mean_distances=mean_distances,
-    )
+    return GroupAssignment(endpoint=endpoint, mean_distances=dists.mean(axis=0))
 
 
 def derive_groups(assignments: Sequence[GroupAssignment]) -> SecurityGroups:
@@ -320,7 +309,7 @@ def derive_groups(assignments: Sequence[GroupAssignment]) -> SecurityGroups:
         seen.add(a.endpoint)
         buckets.setdefault(a.group_id, set()).add(a.endpoint)
     groups = {gid: frozenset(members) for gid, members in sorted(buckets.items())}
-    return SecurityGroups(groups=groups, suggested_qty=len(groups))
+    return SecurityGroups(groups=groups)
 
 
 @dataclass(frozen=True)
@@ -435,7 +424,6 @@ def load_cluster_model(path: Union[str, Path]) -> ClusterModel:
         raise ValueError(f"{path} is not a cluster model file")
     return ClusterModel(
         centroids=np.array(payload["centroids"], dtype=np.float64),
-        k=int(payload["k"]),
         inertia=float(payload["inertia"]),
         iterations_run=int(payload["iterations_run"]),
         seed=int(payload["seed"]),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Union
 
 PORTED_PROTOCOLS = frozenset({"TCP", "UDP"})
 
@@ -138,9 +137,12 @@ class ClassifiedFlow:
 class IngestReport:
     records_read: int = 0
     records_kept: int = 0
-    records_dropped_unknown: int = 0
     records_mapped_to_objects: int = 0
     distinct_endpoints: int = 0
+
+    @property
+    def records_dropped_unknown(self) -> int:
+        return self.records_read - self.records_kept
 
 
 def classify_peer(addr: str, scope: MemberScope) -> PeerClass:
@@ -157,15 +159,6 @@ def classify_peer(addr: str, scope: MemberScope) -> PeerClass:
         if ip in cidr:
             return PeerClass.network_object(name)
     return PeerClass.unknown()
-
-
-def _iter_lines(stream: Union[IO, Iterable[str], Iterable[bytes], str]) -> Iterator[str]:
-    if isinstance(stream, str):
-        stream = stream.split("\n")
-    for raw in stream:
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
-        yield raw
 
 
 def _canonical_addr(token: str, canon: dict[str, str]) -> str:
@@ -202,11 +195,7 @@ def _parse_line(line: str, canon: dict[str, str]) -> FlowRecord:
     )
 
 
-def parse_flow_log(
-    stream: Union[IO, Iterable[str], Iterable[bytes], str],
-    *,
-    strict: bool = False,
-) -> tuple[list[FlowRecord], int]:
+def parse_flow_log(text: str, *, strict: bool = False) -> tuple[list[FlowRecord], int]:
     """Parse a flow log into records, in input order.
 
     Returns ``(records, malformed_count)``. An optional header line is
@@ -221,7 +210,7 @@ def parse_flow_log(
     content_lines = 0
     first_error = ""
     saw_first = False
-    for lineno, raw in enumerate(_iter_lines(stream), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -281,7 +270,6 @@ def filter_flows(
         else:
             keep = (s.is_member or d.is_member) and s.kind != UNKNOWN and d.kind != UNKNOWN
         if not keep:
-            report.records_dropped_unknown += 1
             continue
         kept.append(ClassifiedFlow(rec, s, d))
         if s.is_object or d.is_object:
@@ -295,11 +283,11 @@ def filter_flows(
     return kept, report
 
 
-def load_scope(stream: Union[IO, Iterable[str], str]) -> MemberScope:
+def load_scope(text: str) -> MemberScope:
     """Parse a scope file: ``member <CIDR>`` and ``object <CIDR> <name>`` lines."""
     members: list[ipaddress.IPv4Network] = []
     objects: list[tuple[ipaddress.IPv4Network, str]] = []
-    for lineno, raw in enumerate(_iter_lines(stream), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

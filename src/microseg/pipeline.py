@@ -42,6 +42,7 @@ from .rules import (
     check_ruleset,
     extract_service_flows,
     generalize,
+    load_ruleset,
     make_matcher,
     ruleset_to_csv,
 )
@@ -77,7 +78,7 @@ class PipelineConfig:
     restarts: int = 4
     homogeneity_floor: float = 0.95
     # execution controls (not part of artifact identity)
-    workers: int = 1  # accepted; has no effect
+    workers: int = 1  # accepted; has no effect (bench/trace.py reads it)
     strict: bool = False
     export_features: bool = False
     # synthetic scenario knobs
@@ -170,6 +171,14 @@ def _validate_config(config: PipelineConfig) -> None:
         raise UsageError("pca_target fraction must be in (0, 1]")
     if isinstance(config.pca_target, int) and config.pca_target < 1:
         raise UsageError("pca_target dimension must be >= 1")
+    if isinstance(config.k, float) and not 0.0 < config.k <= 1.0:
+        raise UsageError("fractional k must be in (0, 1]")
+    if isinstance(config.k, int) and config.k < 1:
+        raise UsageError("k must be >= 1")
+    if not config.tol > 0:
+        raise UsageError("tol must be > 0")
+    if config.max_iter < 1 or config.restarts < 1:
+        raise UsageError("max_iter and restarts must be >= 1")
     if config.seed < 0:
         raise UsageError("seed must be >= 0")
     if config.workers < 1:
@@ -290,7 +299,7 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
     fp = payload.get("fingerprint")
     if not (
         isinstance(raw, dict)
-        and all(gid.isdecimal() for gid in raw)
+        and all(gid.isdecimal() and gid == str(int(gid)) for gid in raw)
         and all(
             isinstance(members, list) and all(isinstance(ep, str) for ep in members)
             for members in raw.values()
@@ -299,6 +308,8 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
         and isinstance(fp, str)
     ):
         raise DataError(f"{path}: malformed security-groups artifact")
+    if qty != len(raw):
+        raise DataError(f"{path}: suggested_qty {qty} but {len(raw)} groups listed")
     owner: dict[str, str] = {}
     for gid, members in raw.items():
         for ep in members:
@@ -307,7 +318,15 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
                     f"{path}: endpoint {ep} is in groups {owner[ep]} and {gid}"
                 )
     groups = {int(gid): frozenset(members) for gid, members in raw.items()}
-    return SecurityGroups(groups=groups, suggested_qty=qty), fp
+    return SecurityGroups(groups=groups), fp
+
+
+def _require_fresh(stage: str, fp: str, stored_fp: str) -> None:
+    if fp != stored_fp:
+        raise DataError(
+            f"{stage}: grouping artifacts are stale (input, scope or config "
+            "fingerprint mismatch); rerun the group stage"
+        )
 
 
 GROUP_SUMMARY_HEADER = "dataset,asset_qty,suggested_group_qty,runtime_s"
@@ -378,11 +397,7 @@ def run_rules(config: PipelineConfig) -> dict:
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
     kept, ingest_out = ingest(config)
-    if ingest_out.fingerprint != stored_fp:
-        raise DataError(
-            "rules: grouping artifacts are stale (input, scope or config fingerprint "
-            "mismatch); rerun the group stage"
-        )
+    _require_fresh("rules", ingest_out.fingerprint, stored_fp)
     try:
         tuples = extract_service_flows(kept, groups, ingest_out.scope)
         ruleset = generalize(tuples)
@@ -438,12 +453,7 @@ def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
     """Score the persisted groups against ground truth; emit the report row."""
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
-    log_bytes = _read_log_bytes(config)
-    if fingerprint(log_bytes, config) != stored_fp:
-        raise DataError(
-            "eval: grouping artifacts are stale (input, scope or config fingerprint "
-            "mismatch); rerun the group stage"
-        )
+    _require_fresh("eval", fingerprint(_read_log_bytes(config), config), stored_fp)
     truth = load_ground_truth(config.ground_truth)
     try:
         timing = json.loads((out / "timing.json").read_text())
@@ -563,11 +573,10 @@ def run_synth(config: PipelineConfig) -> dict:
 def verify_ruleset_completeness(config: PipelineConfig) -> tuple[int, int]:
     """Count (allowed, total) over the records a persisted ruleset was built
     from; used by the acceptance checks."""
-    from .rules import load_ruleset
-
     out = Path(config.out_dir)
-    groups, _ = load_groups(out / "groups.json")
+    groups, stored_fp = load_groups(out / "groups.json")
     kept, ingest_out = ingest(config)
+    _require_fresh("verify", ingest_out.fingerprint, stored_fp)
     ruleset = load_ruleset(out / "ruleset.csv")
     matcher = make_matcher(ruleset, groups, ingest_out.scope)
     allowed = sum(1 for rec in kept if matcher(rec.flow) == "allow")

@@ -79,7 +79,6 @@ class FirewallRule:
     dst: EntityRef
     service: ServiceTuple
     evidence_count: int
-    action: str = ALLOW
 
     def __post_init__(self) -> None:
         if self.evidence_count < 1:
@@ -99,7 +98,6 @@ class RuleSet:
     """Canonically ordered allow rules over an implicit default deny."""
 
     rules: tuple[FirewallRule, ...]
-    default_action: str = DENY
 
     @classmethod
     def from_rules(cls, rules: Sequence[FirewallRule]) -> "RuleSet":
@@ -339,7 +337,7 @@ def make_matcher(
 def format_rule(rule: FirewallRule) -> str:
     return (
         f"{rule.src},{rule.dst},{rule.service.protocol},{rule.service.dst_port},"
-        f"{rule.action},{rule.evidence_count}"
+        f"{ALLOW},{rule.evidence_count}"
     )
 
 
@@ -377,6 +375,8 @@ def load_ruleset(path) -> RuleSet:
         parts = line.split(",")
         if len(parts) != 6:
             raise DataError(f"ruleset line {lineno}: expected 6 fields")
+        if parts[4] != ALLOW:
+            raise DataError(f"ruleset line {lineno}: action {parts[4]!r} is not {ALLOW}")
         try:
             rules.append(
                 FirewallRule(
@@ -384,7 +384,6 @@ def load_ruleset(path) -> RuleSet:
                     dst=_parse_ref(parts[1]),
                     service=ServiceTuple(parts[2], int(parts[3])),
                     evidence_count=int(parts[5]),
-                    action=parts[4],
                 )
             )
         except ValueError as exc:

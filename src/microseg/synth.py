@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class ServiceTemplate:
 @dataclass(frozen=True)
 class ScenarioSpec:
     group_count: int
-    endpoints_per_group: Union[int, tuple[int, ...]]
+    endpoints_per_group: int
     windows: int
     flows_per_endpoint_window: int
     profiles: dict[int, tuple[ServiceTemplate, ...]]
@@ -76,21 +76,17 @@ class ScenarioSpec:
                 else:
                     raise ValueError(f"unknown peer kind {t.peer_kind!r}")
 
-    def group_sizes(self) -> tuple[int, ...]:
-        if isinstance(self.endpoints_per_group, int):
-            return (self.endpoints_per_group,) * self.group_count
-        if len(self.endpoints_per_group) != self.group_count:
-            raise ValueError("endpoints_per_group list length must equal group_count")
-        return tuple(self.endpoints_per_group)
-
 
 @dataclass
 class GeneratedScenario:
     log_lines: list[str]
     truth: dict[str, int]
     scope: MemberScope
-    total_flows: int
     noise_flows: int
+
+    @property
+    def total_flows(self) -> int:
+        return len(self.log_lines)
 
     @property
     def log_text(self) -> str:
@@ -120,14 +116,13 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
     inbound traffic spreads evenly; noise replaces a flow with a uniform
     draw over (all endpoints + declared objects, protocol, port).
     """
-    sizes = spec.group_sizes()
+    size = spec.endpoints_per_group
     base = int(ipaddress.IPv4Address(MEMBER_CIDR.split("/")[0])) + 1
     group_members: list[list[str]] = []
     truth: dict[str, int] = {}
-    idx = 0
-    for gid, size in enumerate(sizes):
-        members = [str(ipaddress.IPv4Address(base + idx + i)) for i in range(size)]
-        idx += size
+    for gid in range(spec.group_count):
+        first = base + gid * size
+        members = [str(ipaddress.IPv4Address(first + i)) for i in range(size)]
         group_members.append(members)
         for ep in members:
             truth[ep] = gid
@@ -189,14 +184,13 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
         log_lines=lines,
         truth=truth,
         scope=scope,
-        total_flows=len(lines),
         noise_flows=noise_count,
     )
 
 
 def random_scenario(
     group_count: int,
-    endpoints_per_group: Union[int, Sequence[int]],
+    endpoints_per_group: int,
     windows: int,
     flows_per_endpoint_window: int,
     *,
@@ -266,11 +260,7 @@ def random_scenario(
         profiles[gid] = tuple(templates)
     return ScenarioSpec(
         group_count=group_count,
-        endpoints_per_group=(
-            endpoints_per_group
-            if isinstance(endpoints_per_group, int)
-            else tuple(endpoints_per_group)
-        ),
+        endpoints_per_group=endpoints_per_group,
         windows=windows,
         flows_per_endpoint_window=flows_per_endpoint_window,
         profiles=profiles,

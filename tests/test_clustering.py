@@ -150,24 +150,20 @@ class TestAssignEndpoint:
         with pytest.raises(ValueError):
             assign_endpoint("e", np.empty((0, 1)), _model([[0.0]]))
 
-    def test_group_assignment_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            GroupAssignment("e", 1, np.array([1.0, 9.0]))
-
 
 def _model(centroids):
     from microseg.clustering import ClusterModel
 
     C = np.array(centroids, dtype=float)
-    return ClusterModel(centroids=C, k=len(C), inertia=0.0, iterations_run=0, seed=0)
+    return ClusterModel(centroids=C, inertia=0.0, iterations_run=0, seed=0)
 
 
 class TestDeriveGroups:
     def test_bucketing(self):
         assignments = [
-            GroupAssignment("e1", 1, np.array([1.0, 0.0])),
-            GroupAssignment("e2", 1, np.array([2.0, 0.0])),
-            GroupAssignment("e3", 0, np.array([0.0, 5.0])),
+            GroupAssignment("e1", np.array([1.0, 0.0])),
+            GroupAssignment("e2", np.array([2.0, 0.0])),
+            GroupAssignment("e3", np.array([0.0, 5.0])),
         ]
         groups = derive_groups(assignments)
         assert groups.groups == {0: frozenset({"e3"}), 1: frozenset({"e1", "e2"})}
@@ -175,14 +171,14 @@ class TestDeriveGroups:
 
     def test_single_group(self):
         assignments = [
-            GroupAssignment(f"e{i}", 0, np.array([0.0, 1.0])) for i in range(4)
+            GroupAssignment(f"e{i}", np.array([0.0, 1.0])) for i in range(4)
         ]
         assert derive_groups(assignments).suggested_qty == 1
 
     def test_duplicate_endpoint_rejected(self):
         assignments = [
-            GroupAssignment("e1", 0, np.array([0.0, 1.0])),
-            GroupAssignment("e1", 1, np.array([1.0, 0.0])),
+            GroupAssignment("e1", np.array([0.0, 1.0])),
+            GroupAssignment("e1", np.array([1.0, 0.0])),
         ]
         with pytest.raises(ValueError, match="duplicate"):
             derive_groups(assignments)
@@ -192,7 +188,7 @@ class TestDeriveGroups:
         assignments = []
         for i in range(30):
             d = rng.uniform(1, 5, size=6)
-            assignments.append(GroupAssignment(f"e{i}", int(np.argmin(d)), d))
+            assignments.append(GroupAssignment(f"e{i}", d))
         groups = derive_groups(assignments)
         all_endpoints = [ep for members in groups.groups.values() for ep in members]
         assert len(all_endpoints) == 30

@@ -101,10 +101,6 @@ class TestParseFlowLog:
         with pytest.raises(DataError, match="^line 4: "):
             parse_flow_log(text, strict=True)
 
-    def test_bytes_from_binary_stream(self):
-        records, _ = parse_flow_log(b"10,10.0.0.1,10.0.0.2,TCP,443,1,80\n".splitlines())
-        assert len(records) == 1
-
 
 class TestFlowRecordInvariants:
     def test_port_out_of_range(self):

@@ -90,8 +90,7 @@ def _groups(mapping):
     for ep, gid in mapping.items():
         buckets.setdefault(gid, set()).add(ep)
     return SecurityGroups(
-        groups={g: frozenset(m) for g, m in sorted(buckets.items())},
-        suggested_qty=len(buckets),
+        groups={g: frozenset(m) for g, m in sorted(buckets.items())}
     )
 
 

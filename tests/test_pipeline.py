@@ -275,6 +275,19 @@ class TestRunRules:
         with pytest.raises(DataError, match="stale"):
             run_rules(config)
 
+    def test_completeness_check_rejects_edited_log(self, tmp_path):
+        config = synth_setup(tmp_path)
+        run_group(config)
+        run_rules(config)
+        log = Path(config.flow_log)
+        lines = log.read_text().split("\n")
+        fields = lines[0].split(",")
+        fields[-1] = str(int(fields[-1]) + 1)
+        lines[0] = ",".join(fields)
+        log.write_text("\n".join(lines))
+        with pytest.raises(DataError, match="stale"):
+            verify_ruleset_completeness(config)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         config = synth_setup(tmp_path)
         run_group(config)
@@ -529,6 +542,10 @@ class TestCli:
             ("rules", "groups.json", "member not an address"),
             ("eval", "timing.json", "garbage\n"),
             ("eval", "timing.json", "{}\n"),
+            ("rules", "groups.json", "suggested_qty off"),
+            ("eval", "groups.json", "suggested_qty off"),
+            ("eval", "groups.json", "padded id"),
+            ("verify", "ruleset.csv", "deny"),
         ],
         ids=[
             "groups-truncated",
@@ -539,23 +556,72 @@ class TestCli:
             "groups-member-not-ipv4",
             "timing-garbage",
             "timing-empty",
+            "groups-suggested-qty-mismatch-rules",
+            "groups-suggested-qty-mismatch-eval",
+            "groups-padded-id",
+            "ruleset-deny-action",
         ],
     )
     def test_corrupt_artifact_exit_two(self, tmp_path, command, artifact, content):
         synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
         assert main(["synth", "--config", str(synth_cfg)]) == 0
         assert main(["group", "--config", str(run_cfg)]) == 0
+        if command == "verify":
+            assert main(["rules", "--config", str(run_cfg)]) == 0
         path = tmp_path / "artifacts" / artifact
         if content == "truncated":
             content = path.read_text()[:40]
-        elif content in ("endpoint in two groups", "member not an address"):
+        elif content == "deny":
+            content = path.read_text().replace(",allow,", ",deny,", 1)
+        elif content in (
+            "endpoint in two groups", "member not an address", "suggested_qty off",
+            "padded id",
+        ):
             # Edit the real artifact, so its fingerprint still matches.
             payload = json.loads(path.read_text())
-            first, second = list(payload["groups"].values())[:2]
-            second.append("not-an-address" if content.startswith("member") else first[0])
+            groups = payload["groups"]
+            first, second = list(groups.values())[:2]
+            if content == "endpoint in two groups":
+                second.append(first[0])
+            elif content == "member not an address":
+                second.append("not-an-address")
+            elif content == "suggested_qty off":
+                payload["suggested_qty"] = 99
+            else:
+                # "0<id>" after "<id>" names the same int; its empty list
+                # would replace the group.
+                groups["0" + next(iter(groups))] = []
+                payload["suggested_qty"] = len(groups)
             content = json.dumps(payload)
         path.write_text(content)
-        assert main([command, "--config", str(run_cfg)]) == 2
+        if command == "verify":
+            with pytest.raises(DataError):
+                verify_ruleset_completeness(load_config(run_cfg))
+        else:
+            assert main([command, "--config", str(run_cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "command,setting",
+        [
+            ("group", "--seed -1"),
+            ("synth", "--seed -1"),
+            ("group", "restarts = 0"),
+            ("group", "max_iter = 0"),
+            ("group", "k = 1.5"),
+            ("group", "k = 0"),
+            ("group", "tol = 0"),
+            ("group", "tol = nan"),
+        ],
+    )
+    def test_bad_config_value_exit_one(self, tmp_path, command, setting):
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        cfg = synth_cfg if command == "synth" else run_cfg
+        flags = setting.split() if setting.startswith("--") else []
+        if not flags:
+            with cfg.open("a") as f:
+                f.write(setting + "\n")
+        assert main([command, "--config", str(cfg), *flags]) == 1
 
     @pytest.mark.parametrize(
         "command, path, code",
@@ -622,14 +688,3 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "flows" in proc.stdout
-
-    def test_workers_flag_does_not_change_artifacts(self, tmp_path):
-        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
-        main(["synth", "--config", str(synth_cfg)])
-        blobs = {}
-        for workers in ("1", "2"):
-            assert main(["group", "--config", str(run_cfg), "--workers", workers]) == 0
-            blobs[workers] = {
-                name: (tmp_path / "artifacts" / name).read_bytes() for name in ARTIFACTS
-            }
-        assert blobs["1"] == blobs["2"]

@@ -72,8 +72,7 @@ def truth_groups(scenario):
     for endpoint, gid in scenario.truth.items():
         groups.setdefault(gid, set()).add(endpoint)
     return SecurityGroups(
-        groups={gid: frozenset(members) for gid, members in groups.items()},
-        suggested_qty=len(groups),
+        groups={gid: frozenset(members) for gid, members in groups.items()}
     )
 
 
@@ -121,8 +120,7 @@ class TestExtract:
         missing = kept[len(kept) // 2].flow.src_addr
         assert sum(rec.flow.src_addr == missing for rec in kept) > 1
         partial = SecurityGroups(
-            groups={gid: members - {missing} for gid, members in groups.groups.items()},
-            suggested_qty=groups.suggested_qty,
+            groups={gid: members - {missing} for gid, members in groups.groups.items()}
         )
         with pytest.raises(DataError, match=f"member endpoint {missing} ") as got:
             extract_service_flows(kept, partial, scenario.scope)
@@ -270,7 +268,7 @@ def hygiene_cases(draw):
     if rules and draw(st.booleans()):
         i = draw(st.integers(0, len(rules) - 1))
         rules = rules[: i + 1] + rules[i:]
-    return RuleSet(rules=rules), SecurityGroups(groups=groups, suggested_qty=0), scope
+    return RuleSet(rules=rules), SecurityGroups(groups=groups), scope
 
 
 def assert_same_hygiene(ruleset, groups, scope):

@@ -42,8 +42,7 @@ def object_flow(src, dst, name, **kwargs):
 
 def two_groups():
     return SecurityGroups(
-        groups={1: frozenset({"10.0.0.1"}), 2: frozenset({"10.0.0.2"})},
-        suggested_qty=2,
+        groups={1: frozenset({"10.0.0.1"}), 2: frozenset({"10.0.0.2"})}
     )
 
 
@@ -105,12 +104,10 @@ class TestGeneralize:
             extract_service_flows(records, two_groups(), scope_with())
         )
         assert len(ruleset.rules) == 2
-        assert ruleset.default_action == DENY
 
     def test_empty(self):
         ruleset = generalize({})
         assert ruleset.rules == ()
-        assert ruleset.default_action == DENY
 
     def test_all_pairs_of_two_groups(self):
         records = [
