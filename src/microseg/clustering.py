@@ -20,7 +20,7 @@ import numpy as np
 from .features import SampleMatrix, encode_windows, standardize, write_atomic
 from .flows import ClassifiedFlow
 from .metrics import EvalReport
-from .pca import PcaModel, fit_pca, project
+from .pca import fit_pca, project
 
 
 @dataclass(frozen=True)
@@ -334,8 +334,6 @@ class GroupingParams:
 @dataclass
 class GroupingResult:
     matrix: SampleMatrix
-    pca_model: PcaModel
-    cluster_model: ClusterModel
     assignments: list[GroupAssignment]
     groups: SecurityGroups
 
@@ -356,9 +354,9 @@ def fit_groups(
     records: Sequence[ClassifiedFlow], params: GroupingParams
 ) -> GroupingResult:
     """Run encode -> standardize -> project -> cluster -> assign -> group."""
-    matrix, schema = encode_windows(records, params.window_seconds, params.top_k_ports)
+    matrix, _ = encode_windows(records, params.window_seconds, params.top_k_ports)
     std = standardize(matrix)
-    pca_model = fit_pca(std, params.pca_target, schema_fingerprint=schema.fingerprint())
+    pca_model = fit_pca(std, params.pca_target)
     projected = project(pca_model, std.values)
 
     endpoints = sorted(set(std.endpoints))
@@ -380,8 +378,6 @@ def fit_groups(
     ]
     return GroupingResult(
         matrix=std,
-        pca_model=pca_model,
-        cluster_model=cluster_model,
         assignments=assignments,
         groups=derive_groups(assignments),
     )
@@ -417,14 +413,3 @@ def save_cluster_model(
     }
     write_atomic(Path(path), json.dumps(payload, sort_keys=True) + "\n")
 
-
-def load_cluster_model(path: Union[str, Path]) -> ClusterModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("kind") != "cluster_model":
-        raise ValueError(f"{path} is not a cluster model file")
-    return ClusterModel(
-        centroids=np.array(payload["centroids"], dtype=np.float64),
-        inertia=float(payload["inertia"]),
-        iterations_run=int(payload["iterations_run"]),
-        seed=int(payload["seed"]),
-    )

@@ -133,15 +133,3 @@ def save_pca(model: PcaModel, path: Union[str, Path]) -> None:
     }
     write_atomic(Path(path), json.dumps(payload, sort_keys=True) + "\n")
 
-
-def load_pca(path: Union[str, Path]) -> PcaModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("kind") != "pca_model":
-        raise ValueError(f"{path} is not a PCA model file")
-    return PcaModel(
-        mean=np.array(payload["mean"], dtype=np.float64),
-        components=np.array(payload["components"], dtype=np.float64),
-        eigenvalues=np.array(payload["eigenvalues"], dtype=np.float64),
-        total_variance=float(payload["total_variance"]),
-        schema_fingerprint=payload["schema_fingerprint"],
-    )

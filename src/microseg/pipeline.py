@@ -1,6 +1,6 @@
 """Batch pipeline wiring: configuration, artifact persistence, stages.
 
-The grouping artifacts embed a fingerprint hashing the input flow log, the
+The groups artifact embeds a fingerprint hashing the input flow log, the
 scope and the semantic configuration (window, vocab, projection,
 clustering and policy settings; execution controls and paths are excluded).
 Measured wall time is a side file, not a fingerprinted artifact, so reruns
@@ -21,7 +21,6 @@ from .clustering import (
     GroupingParams,
     SecurityGroups,
     fit_groups,
-    save_cluster_model,
     select_best,
 )
 from .features import matrix_to_csv, write_atomic
@@ -37,7 +36,6 @@ from .flows import (
     scope_to_text,
 )
 from .metrics import REPORT_HEADER, EvalReport, evaluate, report_row
-from .pca import save_pca
 from .rules import (
     check_ruleset,
     extract_service_flows,
@@ -183,6 +181,16 @@ def _validate_config(config: PipelineConfig) -> None:
         raise UsageError("seed must be >= 0")
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
+    for name in ("group_count", "endpoints_per_group", "windows",
+                 "flows_per_endpoint_window", "services_per_group", "port_pool"):
+        if getattr(config, f"synth_{name}") < 1:
+            raise UsageError(f"synth_{name} must be >= 1")
+    if not 0.0 <= config.synth_noise_rate < 1.0:
+        raise UsageError("synth_noise_rate must be in [0, 1)")
+    if not 0.0 <= config.synth_external_fraction <= 1.0:
+        raise UsageError("synth_external_fraction must be in [0, 1]")
+    if config.synth_object_count < (1 if config.synth_external_fraction > 0 else 0):
+        raise UsageError("synth_object_count must be >= 0 (>= 1 with external traffic)")
 
 
 def load_config(path: Union[str, Path]) -> PipelineConfig:
@@ -310,6 +318,8 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
         raise DataError(f"{path}: malformed security-groups artifact")
     if qty != len(raw):
         raise DataError(f"{path}: suggested_qty {qty} but {len(raw)} groups listed")
+    if not raw or not all(raw.values()):
+        raise DataError(f"{path}: lists no groups, or a group with no members")
     owner: dict[str, str] = {}
     for gid, members in raw.items():
         for ep in members:
@@ -351,13 +361,6 @@ def run_group(config: PipelineConfig) -> dict:
 
     fp = ingest_out.fingerprint
     out.mkdir(parents=True, exist_ok=True)
-    save_pca(result.pca_model, out / "pca_model.json")
-    save_cluster_model(
-        result.cluster_model,
-        out / "cluster_model.json",
-        config=config.semantic_dict(),
-        fingerprint=fp,
-    )
     write_atomic(out / "groups.json", groups_payload(result.groups, fp, config))
     write_atomic(out / "assignments.csv", assignments_csv(result.assignments))
     write_atomic(out / "mean_distances.csv", mean_distances_csv(result.assignments))
@@ -489,14 +492,18 @@ def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
 
 
 def parse_grid(text: str, base: PipelineConfig) -> list[PipelineConfig]:
-    """Grid file: one config per line, ';'-separated key = value overrides."""
+    """Grid file: one config per line, ';'-separated key = value overrides
+    of the semantic keys (the others are read from the base config)."""
     configs: list[PipelineConfig] = []
-    for raw in text.split("\n"):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        overrides = "\n".join(part.strip() for part in line.split(";") if part.strip())
-        configs.append(parse_config_text(overrides, base=base))
+        parts = [part.strip() for part in line.split(";") if part.strip()]
+        for key in (part.partition("=")[0].strip() for part in parts):
+            if key not in SEMANTIC_FIELDS:
+                raise UsageError(f"grid line {lineno}: {key!r} is not in {SEMANTIC_FIELDS}")
+        configs.append(parse_config_text("\n".join(parts), base=base))
     return configs
 
 

@@ -222,12 +222,6 @@ class HygieneReport:
     empty_group_refs: list[FirewallRule] = field(default_factory=list)
     redundant: list[tuple[FirewallRule, FirewallRule]] = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        return not (
-            self.any_to_any or self.duplicates or self.empty_group_refs or self.redundant
-        )
-
     def to_text(self) -> str:
         lines = [
             f"any_to_any: {len(self.any_to_any)}",

@@ -259,8 +259,6 @@ DETERMINISM_SCENARIO = dict(
 )
 
 DETERMINISTIC_ARTIFACTS = [
-    "pca_model.json",
-    "cluster_model.json",
     "groups.json",
     "assignments.csv",
     "mean_distances.csv",

@@ -100,5 +100,9 @@ def test_traced_run_matches_cli_artifacts(tmp_path):
     traced = tmp_path / "trace"
     argv = [str(cfg), str(traced), str(tmp_path / "trace.json"), "contract"]
     assert _load_trace().main(argv) == 0
-    for name in ("groups.json", "assignments.csv", "ruleset.csv"):
-        assert (traced / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+    # Every file both write, except the measured timing.json.
+    for name in (
+        "groups.json", "assignments.csv", "mean_distances.csv", "ingest_report.json",
+        "ruleset.csv", "hygiene.txt",
+    ):
+        assert (traced / name).read_bytes() == (tmp_path / "cli" / name).read_bytes(), name

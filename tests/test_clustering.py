@@ -10,9 +10,7 @@ from microseg.clustering import (
     fit_groups,
     kmeans_fit,
     kmeans_pp_init,
-    load_cluster_model,
     resolve_k,
-    save_cluster_model,
     select_best,
 )
 from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, filter_flows, parse_flow_log
@@ -262,7 +260,8 @@ class TestFitGroups:
         _, kept = _scenario_records(_ring_spec())
         result = fit_groups(kept, GroupingParams(seed=1, top_k_ports=16))
         n_endpoints = len(result.assignments)
-        assert result.groups.suggested_qty <= result.cluster_model.k <= n_endpoints
+        k = len(result.assignments[0].mean_distances)
+        assert result.groups.suggested_qty <= k <= n_endpoints
 
 
 class TestRetrain:
@@ -339,15 +338,3 @@ class TestSelectBest:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             select_best([], 0.95)
-
-
-class TestClusterModelPersistence:
-    def test_round_trip(self, tmp_path):
-        X = np.random.default_rng(7).normal(size=(20, 3))
-        model = kmeans_fit(X, 3, seed=11)
-        path = tmp_path / "cluster.json"
-        save_cluster_model(model, path, config={"k": 3}, fingerprint="fp")
-        loaded = load_cluster_model(path)
-        assert np.array_equal(loaded.centroids, model.centroids)
-        assert loaded.inertia == model.inertia
-        assert loaded.seed == model.seed

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ from microseg.pca import (
     PcaModel,
     explained_variance,
     fit_pca,
-    load_pca,
     project,
     save_pca,
 )
@@ -174,28 +172,9 @@ class TestPcaProperties:
 
 
 class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(41)
-        X = rng.normal(size=(12, 5))
-        model = fit_pca(X, 0.99, schema_fingerprint="abc123")
-        path = tmp_path / "model.json"
-        save_pca(model, path)
-        loaded = load_pca(path)
-        assert np.array_equal(loaded.mean, model.mean)
-        assert np.array_equal(loaded.components, model.components)
-        assert np.array_equal(loaded.eigenvalues, model.eigenvalues)
-        assert loaded.total_variance == model.total_variance
-        assert loaded.schema_fingerprint == "abc123"
-
     def test_save_is_deterministic(self, tmp_path):
         X = np.random.default_rng(43).normal(size=(8, 3))
         model = fit_pca(X, 0.9)
         save_pca(model, tmp_path / "a.json")
         save_pca(model, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-    def test_rejects_wrong_kind(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"kind": "something_else"}))
-        with pytest.raises(ValueError):
-            load_pca(path)

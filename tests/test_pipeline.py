@@ -32,8 +32,6 @@ from microseg.pipeline import (
 from microseg.synth import ScenarioSpec, ServiceTemplate, generate
 
 ARTIFACTS = [
-    "pca_model.json",
-    "cluster_model.json",
     "groups.json",
     "assignments.csv",
     "mean_distances.csv",
@@ -181,8 +179,7 @@ class TestRunGroup:
         assert summary["asset_qty"] == 12
         assert summary["suggested_group_qty"] == 4
         out = Path(config.out_dir)
-        for name in ARTIFACTS + ["timing.json"]:
-            assert (out / name).exists(), name
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS + ["timing.json"])
         assignments = (out / "assignments.csv").read_text().strip().split("\n")
         assert assignments[0] == "endpoint,group_id"
         assert len(assignments) == 13
@@ -217,19 +214,20 @@ class TestRunGroup:
         config = synth_setup(tmp_path)
         run_group(config)
         out = Path(config.out_dir)
-        models = ("groups.json", "pca_model.json", "cluster_model.json")
-        before = {name: (out / name).read_bytes() for name in models}
+        names = ("groups.json", "assignments.csv", "mean_distances.csv")
+        before = {name: (out / name).read_bytes() for name in names}
+        # A new seed and PCA target change what the rerun would write.
+        rerun = replace(config, seed=6, pca_target=2, out_dir=str(tmp_path / "rerun"))
+        run_group(rerun)
+        assert {name: (tmp_path / "rerun" / name).read_bytes() for name in names} != before
 
         def fail_replace(src, dst):
             raise OSError("simulated crash")
 
         monkeypatch.setattr(os, "replace", fail_replace)
-        # A new seed changes the centroids, a new PCA target the PCA model.
-        config.seed = 6
-        config.pca_target = 2
         with pytest.raises(OSError, match="simulated crash"):
-            run_group(config)
-        assert {name: (out / name).read_bytes() for name in models} == before
+            run_group(replace(rerun, out_dir=config.out_dir))
+        assert {name: (out / name).read_bytes() for name in names} == before
         assert not list(out.glob(".*.tmp"))
 
 
@@ -479,6 +477,24 @@ class TestRunTune:
         assert kept[DROP_UNKNOWN] < kept[MAP_TO_OBJECTS]
         assert mixed[1] == [kept[MAP_TO_OBJECTS]] * 3
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "flow_log = d2/flows.csv ; scope = d2/scope.txt",
+            "homogeneity_floor = 0.99",
+            "out_dir = elsewhere",
+        ],
+    )
+    def test_grid_key_tune_ignores_rejected(self, tmp_path, entry):
+        # tune reads these from the base config, so a grid line must not set them.
+        config = synth_setup(tmp_path)
+        config.grid = str(tmp_path / "grid.txt")
+        Path(config.grid).write_text("pca_target = 0.9\n" + entry + "\n")
+        key = entry.split("=")[0].strip()
+        with pytest.raises(UsageError, match=f"grid line 2: '{key}'"):
+            run_tune(config)
+        assert not Path(config.out_dir).exists()
+
     def test_grid_line_parsing(self):
         base = PipelineConfig()
         configs = parse_grid("k = 3 ; seed = 7\n\n# comment\ntol = 1e-4\n", base)
@@ -545,6 +561,8 @@ class TestCli:
             ("rules", "groups.json", "suggested_qty off"),
             ("eval", "groups.json", "suggested_qty off"),
             ("eval", "groups.json", "padded id"),
+            ("eval", "groups.json", "no groups"),
+            ("eval", "groups.json", "empty group"),
             ("verify", "ruleset.csv", "deny"),
         ],
         ids=[
@@ -559,6 +577,8 @@ class TestCli:
             "groups-suggested-qty-mismatch-rules",
             "groups-suggested-qty-mismatch-eval",
             "groups-padded-id",
+            "groups-none",
+            "groups-empty-group",
             "ruleset-deny-action",
         ],
     )
@@ -575,7 +595,7 @@ class TestCli:
             content = path.read_text().replace(",allow,", ",deny,", 1)
         elif content in (
             "endpoint in two groups", "member not an address", "suggested_qty off",
-            "padded id",
+            "padded id", "no groups", "empty group",
         ):
             # Edit the real artifact, so its fingerprint still matches.
             payload = json.loads(path.read_text())
@@ -587,10 +607,18 @@ class TestCli:
                 second.append("not-an-address")
             elif content == "suggested_qty off":
                 payload["suggested_qty"] = 99
+            elif content == "no groups":
+                groups.clear()
+                payload["suggested_qty"] = 0
+            elif content == "empty group":
+                groups["999"] = []
+                payload["suggested_qty"] = len(groups)
             else:
-                # "0<id>" after "<id>" names the same int; its empty list
-                # would replace the group.
-                groups["0" + next(iter(groups))] = []
+                # "0<id>" after "<id>" names the same int and would replace
+                # that group; only the id check catches it, because the
+                # padded group takes a member moved out of a larger group.
+                donor = next(m for m in groups.values() if len(m) > 1)
+                groups["0" + next(iter(groups))] = [donor.pop()]
                 payload["suggested_qty"] = len(groups)
             content = json.dumps(payload)
         path.write_text(content)
@@ -611,6 +639,18 @@ class TestCli:
             ("group", "k = 0"),
             ("group", "tol = 0"),
             ("group", "tol = nan"),
+            ("synth", "synth_endpoints_per_group = 0"),
+            ("synth", "synth_windows = 0"),
+            ("synth", "synth_flows_per_endpoint_window = 0"),
+            ("synth", "synth_external_fraction = 2.0"),
+            ("synth", "synth_external_fraction = -1"),
+            ("synth", "synth_external_fraction = nan"),
+            ("synth", "synth_noise_rate = 1.0"),
+            ("synth", "synth_group_count = 0"),
+            ("synth", "synth_services_per_group = 0"),
+            ("synth", "synth_port_pool = 0"),
+            ("synth", "synth_object_count = -1"),
+            ("synth", "synth_object_count = 0\nsynth_external_fraction = 0.5"),
         ],
     )
     def test_bad_config_value_exit_one(self, tmp_path, command, setting):

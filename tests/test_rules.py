@@ -152,7 +152,8 @@ class TestCheckRuleset:
             extract_service_flows(records, two_groups(), scope_with())
         )
         report = check_ruleset(ruleset, two_groups(), scope_with())
-        assert report.clean
+        assert report.any_to_any == report.duplicates == []
+        assert report.empty_group_refs == report.redundant == []
 
     def test_cidr_containment_redundancy(self):
         scope = scope_with(("10.1.0.0/16", "narrow"), ("10.0.0.0/8", "wide"))
