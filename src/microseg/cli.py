@@ -82,9 +82,7 @@ def _dispatch(args: argparse.Namespace) -> None:
         summary = run_rules(config)
         print(
             f"rules: {summary['rules']} rules; any_to_any={summary['any_to_any']} "
-            f"duplicates={summary['duplicates']} "
-            f"empty_group_refs={summary['empty_group_refs']} "
-            f"redundant_pairs={summary['redundant_pairs']}"
+            f"duplicates={summary['duplicates']} redundant={summary['redundant']}"
         )
     elif args.command == "eval":
         _, row = run_eval(config)

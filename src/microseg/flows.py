@@ -102,7 +102,7 @@ class MemberScope:
     """Network membership definition plus the named-externals table.
 
     ``object_table`` entries are consulted in order and the first match
-    wins; tables where an earlier entry strictly contains a later one are
+    wins; tables where an earlier entry contains or equals a later one are
     rejected because the later entry could never match.
     """
 
@@ -114,7 +114,7 @@ class MemberScope:
             raise ValueError("member_cidrs must be non-empty")
         for i, (early, _) in enumerate(self.object_table):
             for late, _ in self.object_table[i + 1 :]:
-                if early != late and late.subnet_of(early):
+                if late.subnet_of(early):
                     raise ValueError(
                         f"object table entry {early} shadows later entry {late}"
                     )

@@ -10,6 +10,7 @@ stay byte-identical.
 from __future__ import annotations
 
 import hashlib
+import ipaddress
 import json
 import time
 from dataclasses import dataclass, fields, replace
@@ -275,6 +276,8 @@ def assignments_csv(assignments: list[GroupAssignment]) -> str:
 
 
 def mean_distances_csv(assignments: list[GroupAssignment]) -> str:
+    """Every endpoint's mean distance to each centroid. No stage writes it;
+    ``bench/trace.py`` does."""
     k = len(assignments[0].mean_distances) if assignments else 0
     lines = ["endpoint," + ",".join(f"d{i}" for i in range(k))]
     for a in assignments:
@@ -323,6 +326,12 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
     owner: dict[str, str] = {}
     for gid, members in raw.items():
         for ep in members:
+            try:
+                ipaddress.IPv4Address(ep)
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}: group {gid} member {ep!r} is not an IPv4 address"
+                ) from exc
             if owner.setdefault(ep, gid) != gid:
                 raise DataError(
                     f"{path}: endpoint {ep} is in groups {owner[ep]} and {gid}"
@@ -363,7 +372,6 @@ def run_group(config: PipelineConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "groups.json", groups_payload(result.groups, fp, config))
     write_atomic(out / "assignments.csv", assignments_csv(result.assignments))
-    write_atomic(out / "mean_distances.csv", mean_distances_csv(result.assignments))
     report = ingest_out.report
     write_atomic(
         out / "ingest_report.json",
@@ -418,8 +426,7 @@ def run_rules(config: PipelineConfig) -> dict:
         "rules": len(ruleset.rules),
         "any_to_any": len(hygiene.any_to_any),
         "duplicates": len(hygiene.duplicates),
-        "empty_group_refs": len(hygiene.empty_group_refs),
-        "redundant_pairs": len(hygiene.redundant),
+        "redundant": len(hygiene.redundant),
     }
 
 

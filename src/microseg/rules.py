@@ -183,118 +183,14 @@ def generalize(
     )
 
 
-def _address_sets(
-    refs: set[EntityRef], groups: SecurityGroups, scope: MemberScope
-) -> dict[EntityRef, list[ipaddress.IPv4Network]]:
-    """Each ref's addresses as networks: a group's members as /32s, an
-    object's scope CIDRs in table order (none for an unknown ref)."""
-    obj_nets: dict[str, list[ipaddress.IPv4Network]] = {}
-    for cidr, name in scope.object_table:
-        obj_nets.setdefault(name, []).append(cidr)
-    return {
-        ref: [
-            ipaddress.IPv4Network(ipaddress.IPv4Address(ep))
-            for ep in sorted(groups.groups.get(ref.group_id, ()))
-        ]
-        if ref.kind == GROUP
-        else obj_nets.get(ref.name, [])
-        for ref in refs
-    }
-
-
-def _contains(
-    a: EntityRef, b: EntityRef, nets: dict[EntityRef, list[ipaddress.IPv4Network]]
-) -> bool:
-    """Whether the address set of ``a`` contains the address set of ``b``.
-
-    Groups are disjoint, so the only group that contains group ``b`` is
-    ``b``, and an empty group is contained by no ref but itself.
-    """
-    if b.kind == GROUP and (a.kind == GROUP or not nets[b]):
-        return a == b
-    return all(any(b_net.subnet_of(a_net) for a_net in nets[a]) for b_net in nets[b])
-
-
-@dataclass
-class HygieneReport:
-    any_to_any: list[FirewallRule] = field(default_factory=list)
-    duplicates: list[FirewallRule] = field(default_factory=list)
-    empty_group_refs: list[FirewallRule] = field(default_factory=list)
-    redundant: list[tuple[FirewallRule, FirewallRule]] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        lines = [
-            f"any_to_any: {len(self.any_to_any)}",
-            f"duplicates: {len(self.duplicates)}",
-            f"empty_group_refs: {len(self.empty_group_refs)}",
-            f"redundant_pairs: {len(self.redundant)}",
-        ]
-        for rule in self.any_to_any:
-            lines.append(f"  any-to-any: {format_rule(rule)}")
-        for rule in self.duplicates:
-            lines.append(f"  duplicate: {format_rule(rule)}")
-        for rule in self.empty_group_refs:
-            lines.append(f"  empty group ref: {format_rule(rule)}")
-        for shadowed, covering in self.redundant:
-            lines.append(
-                f"  redundant: {format_rule(shadowed)} covered by {format_rule(covering)}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def check_ruleset(
-    ruleset: RuleSet, groups: SecurityGroups, scope: MemberScope
-) -> HygieneReport:
-    """Report-only hygiene pass over a ruleset.
-
-    Flags rules whose two sides both resolve to the universal address set
-    (the any-to-any failure mode), duplicate keys, references to groups
-    with no members, and rules strictly contained by a wider rule for the
-    same service (address-set containment, see ``_contains``).
-    """
-    report = HygieneReport()
-    rules = ruleset.rules
-    refs = {ref for rule in rules for ref in (rule.src, rule.dst)}
-    nets = _address_sets(refs, groups, scope)
-
-    seen_keys: set[tuple] = set()
-    for rule in rules:
-        if UNIVERSE in nets[rule.src] and UNIVERSE in nets[rule.dst]:
-            report.any_to_any.append(rule)
-        if rule.key() in seen_keys:
-            report.duplicates.append(rule)
-        seen_keys.add(rule.key())
-        if any(ref.kind == GROUP and not nets[ref] for ref in (rule.src, rule.dst)):
-            report.empty_group_refs.append(rule)
-
-    # Rule a covers rule b when a's sides contain b's, so only the rules keyed
-    # by (b's service, a container of b.src, a container of b.dst) can; b is
-    # redundant unless it covers a too. Pairs sort into pairwise-scan order:
-    # service by first position, then a, then b.
-    containers = {x: {y for y in refs if _contains(y, x, nets)} for x in refs}
-    at: dict[tuple, list[int]] = {}
-    first_of_service: dict[ServiceTuple, int] = {}
-    for i, rule in enumerate(rules):
-        at.setdefault((rule.service, rule.src, rule.dst), []).append(i)
-        first_of_service.setdefault(rule.service, i)
-    found = []
-    for j, b in enumerate(rules):
-        for src in containers[b.src]:
-            for dst in containers[b.dst]:
-                for i in at.get((b.service, src, dst), ()):
-                    a = rules[i]
-                    if not (b.src in containers[a.src] and b.dst in containers[a.dst]):
-                        found.append((first_of_service[b.service], i, j))
-    report.redundant = [(rules[j], rules[i]) for _, i, j in sorted(found)]
-    return report
-
-
-def make_matcher(
-    ruleset: RuleSet, groups: SecurityGroups, scope: MemberScope
-) -> Callable[[FlowRecord], str]:
-    """Precompiled matcher mapping a flow to allow or deny."""
+def _resolver(
+    groups: SecurityGroups, scope: MemberScope
+) -> Callable[[str], EntityRef | None]:
+    """The one ref a rule names an address by: a member address resolves to
+    its security group, any other address to the first object-table entry
+    holding it, and an address matching neither (or an ungrouped member) to
+    nothing."""
     endpoint_group = groups.endpoint_to_group()
-    allowed = {rule.key() for rule in ruleset.rules}
     cache: dict[str, EntityRef | None] = {}
 
     def resolve(addr: str) -> EntityRef | None:
@@ -311,6 +207,88 @@ def make_matcher(
             ref = None
         cache[addr] = ref
         return ref
+
+    return resolve
+
+
+@dataclass
+class HygieneReport:
+    any_to_any: list[FirewallRule] = field(default_factory=list)
+    duplicates: list[FirewallRule] = field(default_factory=list)
+    redundant: list[FirewallRule] = field(default_factory=list)
+    #: Refs named by the ruleset that no address resolves to.
+    dead: set[EntityRef] = field(default_factory=set)
+
+    def to_text(self) -> str:
+        lines = [
+            f"any_to_any: {len(self.any_to_any)}",
+            f"duplicates: {len(self.duplicates)}",
+            f"redundant: {len(self.redundant)}",
+        ]
+        for rule in self.any_to_any:
+            lines.append(f"  any-to-any: {format_rule(rule)}")
+        for rule in self.duplicates:
+            lines.append(f"  duplicate: {format_rule(rule)}")
+        for rule in self.redundant:
+            sides = [
+                f"{side} {ref}"
+                for side, ref in (("src", rule.src), ("dst", rule.dst))
+                if ref in self.dead
+            ]
+            lines.append(
+                f"  redundant: {format_rule(rule)} (no address resolves to "
+                f"{', '.join(sides)})"
+            )
+        return "\n".join(lines) + "\n"
+
+
+def check_ruleset(
+    ruleset: RuleSet, groups: SecurityGroups, scope: MemberScope
+) -> HygieneReport:
+    """Report-only hygiene pass over a ruleset.
+
+    Flags rules whose two sides are both objects holding 0.0.0.0/0 (the
+    any-to-any failure mode), duplicate keys, and redundant rules: those
+    with a side that no address resolves to under ``make_matcher``'s
+    first-match resolution. That resolution gives every address at most one
+    ref, so distinct refs match disjoint addresses and no rule covers
+    another; removing a rule changes no verdict exactly when it is dead.
+    """
+    report = HygieneReport()
+    resolve = _resolver(groups, scope)
+    # A group is live when one of its members resolves to it. An object is
+    # live when one of its entries holds an address outside the member CIDRs
+    # and every earlier entry.
+    live = {resolve(ep) for ep in groups.endpoints}
+    universal: set[EntityRef] = set()
+    taken = list(scope.member_cidrs)
+    for cidr, name in scope.object_table:
+        if not any(cidr.subnet_of(net) for net in ipaddress.collapse_addresses(taken)):
+            live.add(EntityRef.network_object(name))
+        if cidr == UNIVERSE:
+            universal.add(EntityRef.network_object(name))
+        taken.append(cidr)
+
+    seen_keys: set[tuple] = set()
+    for rule in ruleset.rules:
+        if rule.src in universal and rule.dst in universal:
+            report.any_to_any.append(rule)
+        if rule.key() in seen_keys:
+            report.duplicates.append(rule)
+        seen_keys.add(rule.key())
+        dead = {rule.src, rule.dst} - live
+        if dead:
+            report.redundant.append(rule)
+            report.dead |= dead
+    return report
+
+
+def make_matcher(
+    ruleset: RuleSet, groups: SecurityGroups, scope: MemberScope
+) -> Callable[[FlowRecord], str]:
+    """Precompiled matcher mapping a flow to allow or deny."""
+    resolve = _resolver(groups, scope)
+    allowed = {rule.key() for rule in ruleset.rules}
 
     def matcher(flow: FlowRecord) -> str:
         src = resolve(flow.src_addr)

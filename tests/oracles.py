@@ -9,9 +9,8 @@ must reproduce exactly.
 ``reference_kmeans_fit`` is the straightforward k-means fit (sample norms
 recomputed per distance call, one distance call per polish-touched column,
 ``np.add.at`` sums) that the package's fit must reproduce bit for bit.
-``reference_check_ruleset`` is the ruleset hygiene pass that compares every
-ordered pair of rules within a service, with one containment branch per
-(group | object) pair of sides.
+``semantic_redundant_rules`` finds redundant rules by removing each rule in
+turn and comparing the matcher's verdicts over a set of addresses.
 """
 
 import ipaddress
@@ -20,18 +19,9 @@ from collections import Counter
 
 import numpy as np
 
-from microseg.clustering import SecurityGroups
 from microseg.features import FeatureSchema
-from microseg.flows import MALFORMED_LIMIT, DataError, FlowRecord, MemberScope
-from microseg.rules import (
-    GROUP,
-    OBJ,
-    UNIVERSE,
-    EntityRef,
-    FirewallRule,
-    HygieneReport,
-    ServiceTuple,
-)
+from microseg.flows import MALFORMED_LIMIT, DataError, FlowRecord
+from microseg.rules import EntityRef, RuleSet, ServiceTuple, make_matcher
 
 
 def oracle_scores(true_labels, pred_labels):
@@ -368,81 +358,31 @@ def reference_kmeans_fit(X, k, seed, tol=1e-6, max_iter=300, restarts=4):
     return best
 
 
-def _object_networks(scope: MemberScope) -> dict[str, list[ipaddress.IPv4Network]]:
-    nets: dict[str, list[ipaddress.IPv4Network]] = {}
-    for cidr, name in scope.object_table:
-        nets.setdefault(name, []).append(cidr)
-    return nets
+def semantic_redundant_rules(ruleset, groups, scope, addresses):
+    """The rules whose removal changes no ``make_matcher`` verdict, in ruleset
+    order. A rule is removed with every copy of its key, and verdicts are
+    compared for every (src, dst) pair of ``addresses`` at the rule's
+    service; the caller picks ``addresses`` to hold one address of every set
+    that the scope and the groups resolve alike."""
 
+    flows = {}
 
-def _ref_contains(
-    a: EntityRef,
-    b: EntityRef,
-    groups: SecurityGroups,
-    obj_nets: dict[str, list[ipaddress.IPv4Network]],
-) -> bool:
-    """Whether the address set of ``a`` contains the address set of ``b``."""
-    if a.kind == GROUP and b.kind == GROUP:
-        return a.group_id == b.group_id
-    if a.kind == OBJ and b.kind == OBJ:
-        a_nets = obj_nets.get(a.name, [])
-        return all(
-            any(b_net == a_net or b_net.subnet_of(a_net) for a_net in a_nets)
-            for b_net in obj_nets.get(b.name, [])
-        )
-    if a.kind == OBJ and b.kind == GROUP:
-        a_nets = obj_nets.get(a.name, [])
-        members = groups.groups.get(b.group_id, frozenset())
-        return bool(members) and all(
-            any(ipaddress.IPv4Address(ep) in net for net in a_nets) for ep in members
-        )
-    # group contains object: only when every object CIDR is a /32 whose
-    # address is a group member.
-    members = groups.groups.get(a.group_id, frozenset())
-    return all(
-        net.prefixlen == 32 and str(net.network_address) in members
-        for net in obj_nets.get(b.name, [])
-    )
+    def verdicts(rules, service):
+        if service not in flows:
+            flows[service] = [
+                FlowRecord(0, src, dst, service.protocol, service.dst_port, 1, 0)
+                for src in addresses
+                for dst in addresses
+            ]
+        matcher = make_matcher(RuleSet(rules=tuple(rules)), groups, scope)
+        return [matcher(flow) for flow in flows[service]]
 
-
-def reference_check_ruleset(ruleset, groups, scope):
-    """Hygiene by comparing every ordered pair of rules within a service."""
-    report = HygieneReport()
-    obj_nets = _object_networks(scope)
-
-    def universal(ref: EntityRef) -> bool:
-        return ref.kind == OBJ and any(
-            net == UNIVERSE for net in obj_nets.get(ref.name, [])
-        )
-
-    seen_keys: set[tuple] = set()
+    full = {}
+    redundant = []
     for rule in ruleset.rules:
-        if universal(rule.src) and universal(rule.dst):
-            report.any_to_any.append(rule)
-        if rule.key() in seen_keys:
-            report.duplicates.append(rule)
-        seen_keys.add(rule.key())
-        for ref in (rule.src, rule.dst):
-            if ref.kind == GROUP and not groups.groups.get(ref.group_id):
-                report.empty_group_refs.append(rule)
-                break
-
-    by_service: dict[ServiceTuple, list[FirewallRule]] = {}
-    for rule in ruleset.rules:
-        by_service.setdefault(rule.service, []).append(rule)
-    for service_rules in by_service.values():
-        for a in service_rules:
-            for b in service_rules:
-                if a is b:
-                    continue
-                a_covers_b = _ref_contains(
-                    a.src, b.src, groups, obj_nets
-                ) and _ref_contains(a.dst, b.dst, groups, obj_nets)
-                if not a_covers_b:
-                    continue
-                b_covers_a = _ref_contains(
-                    b.src, a.src, groups, obj_nets
-                ) and _ref_contains(b.dst, a.dst, groups, obj_nets)
-                if not b_covers_a:
-                    report.redundant.append((b, a))
-    return report
+        if rule.service not in full:
+            full[rule.service] = verdicts(ruleset.rules, rule.service)
+        rest = [other for other in ruleset.rules if other.key() != rule.key()]
+        if verdicts(rest, rule.service) == full[rule.service]:
+            redundant.append(rule)
+    return redundant

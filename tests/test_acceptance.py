@@ -261,7 +261,6 @@ DETERMINISM_SCENARIO = dict(
 DETERMINISTIC_ARTIFACTS = [
     "groups.json",
     "assignments.csv",
-    "mean_distances.csv",
     "ingest_report.json",
     "ruleset.csv",
     "hygiene.txt",

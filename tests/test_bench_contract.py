@@ -102,7 +102,7 @@ def test_traced_run_matches_cli_artifacts(tmp_path):
     assert _load_trace().main(argv) == 0
     # Every file both write, except the measured timing.json.
     for name in (
-        "groups.json", "assignments.csv", "mean_distances.csv", "ingest_report.json",
-        "ruleset.csv", "hygiene.txt",
+        "groups.json", "assignments.csv", "ingest_report.json", "ruleset.csv",
+        "hygiene.txt",
     ):
         assert (traced / name).read_bytes() == (tmp_path / "cli" / name).read_bytes(), name

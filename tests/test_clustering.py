@@ -263,6 +263,20 @@ class TestFitGroups:
         k = len(result.assignments[0].mean_distances)
         assert result.groups.suggested_qty <= k <= n_endpoints
 
+    def test_mean_distances_bit_equal_across_calls(self):
+        # Full-precision distances pin standardize, PCA and k-means.
+        spec = random_scenario(
+            6, 3, 4, 20, services_per_group=4, port_pool=32, noise_rate=0.05, seed=11
+        )
+        _, kept = _scenario_records(spec)
+        params = GroupingParams(seed=3, top_k_ports=16)
+        first, second = fit_groups(kept, params), fit_groups(kept, params)
+        assert [a.endpoint for a in first.assignments] == [
+            a.endpoint for a in second.assignments
+        ]
+        for a, b in zip(first.assignments, second.assignments):
+            assert a.mean_distances.tobytes() == b.mean_distances.tobytes()
+
 
 class TestRetrain:
     """Retraining is a fresh fit on the union of old and new records."""

@@ -159,6 +159,17 @@ class TestMemberScope:
                 ),
             )
 
+    def test_equal_later_entry_rejected(self):
+        # "b" could never match: the first entry wins every address.
+        with pytest.raises(ValueError, match="shadows"):
+            MemberScope(
+                member_cidrs=(ipaddress.IPv4Network("10.0.0.0/24"),),
+                object_table=(
+                    (ipaddress.IPv4Network("198.51.100.0/24"), "a"),
+                    (ipaddress.IPv4Network("198.51.100.0/24"), "b"),
+                ),
+            )
+
     def test_narrow_before_wide_is_valid(self):
         scope = MemberScope(
             member_cidrs=(ipaddress.IPv4Network("10.0.0.0/24"),),

@@ -34,7 +34,6 @@ from microseg.synth import ScenarioSpec, ServiceTemplate, generate
 ARTIFACTS = [
     "groups.json",
     "assignments.csv",
-    "mean_distances.csv",
     "ingest_report.json",
 ]
 
@@ -180,6 +179,7 @@ class TestRunGroup:
         assert summary["suggested_group_qty"] == 4
         out = Path(config.out_dir)
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS + ["timing.json"])
+        assert not (out / "mean_distances.csv").exists()
         assignments = (out / "assignments.csv").read_text().strip().split("\n")
         assert assignments[0] == "endpoint,group_id"
         assert len(assignments) == 13
@@ -214,7 +214,7 @@ class TestRunGroup:
         config = synth_setup(tmp_path)
         run_group(config)
         out = Path(config.out_dir)
-        names = ("groups.json", "assignments.csv", "mean_distances.csv")
+        names = ("groups.json", "assignments.csv")
         before = {name: (out / name).read_bytes() for name in names}
         # A new seed and PCA target change what the rerun would write.
         rerun = replace(config, seed=6, pca_target=2, out_dir=str(tmp_path / "rerun"))
@@ -556,6 +556,8 @@ class TestCli:
             ("rules", "groups.json", "endpoint in two groups"),
             ("eval", "groups.json", "endpoint in two groups"),
             ("rules", "groups.json", "member not an address"),
+            ("rules", "groups.json", "unreferenced member not an address"),
+            ("eval", "groups.json", "unreferenced member not an address"),
             ("eval", "timing.json", "garbage\n"),
             ("eval", "timing.json", "{}\n"),
             ("rules", "groups.json", "suggested_qty off"),
@@ -572,6 +574,8 @@ class TestCli:
             "groups-endpoint-twice-rules",
             "groups-endpoint-twice-eval",
             "groups-member-not-ipv4",
+            "groups-unreferenced-member-not-ipv4-rules",
+            "groups-unreferenced-member-not-ipv4-eval",
             "timing-garbage",
             "timing-empty",
             "groups-suggested-qty-mismatch-rules",
@@ -595,7 +599,7 @@ class TestCli:
             content = path.read_text().replace(",allow,", ",deny,", 1)
         elif content in (
             "endpoint in two groups", "member not an address", "suggested_qty off",
-            "padded id", "no groups", "empty group",
+            "padded id", "no groups", "empty group", "unreferenced member not an address",
         ):
             # Edit the real artifact, so its fingerprint still matches.
             payload = json.loads(path.read_text())
@@ -612,6 +616,10 @@ class TestCli:
                 payload["suggested_qty"] = 0
             elif content == "empty group":
                 groups["999"] = []
+                payload["suggested_qty"] = len(groups)
+            elif content == "unreferenced member not an address":
+                # No rule names a new group, so only load_groups can see it.
+                groups["999"] = ["not-an-ip"]
                 payload["suggested_qty"] = len(groups)
             else:
                 # "0<id>" after "<id>" names the same int and would replace

@@ -134,17 +134,21 @@ class TestGeneralize:
         assert ports == ["80", "443", "22"]  # src group 1 rules first
 
 
+def rule(src, dst, port=443):
+    return FirewallRule(src, dst, ServiceTuple("TCP", port), evidence_count=1)
+
+
+def verdict(ruleset, scope, src, dst, port=443):
+    return make_matcher(ruleset, two_groups(), scope)(flow(src, dst, dst_port=port))
+
+
 class TestCheckRuleset:
     def test_any_to_any_flagged(self):
         scope = scope_with(("0.0.0.0/0", "internet"))
-        rule = FirewallRule(
-            src=EntityRef.network_object("internet"),
-            dst=EntityRef.network_object("internet"),
-            service=ServiceTuple("TCP", 80),
-            evidence_count=1,
-        )
-        report = check_ruleset(RuleSet.from_rules([rule]), two_groups(), scope)
-        assert report.any_to_any == [rule]
+        internet = EntityRef.network_object("internet")
+        any_rule = rule(internet, internet, port=80)
+        report = check_ruleset(RuleSet.from_rules([any_rule]), two_groups(), scope)
+        assert report.any_to_any == [any_rule]
 
     def test_clean_group_ruleset(self):
         records = [member_flow("10.0.0.1", "10.0.0.2")]
@@ -152,42 +156,81 @@ class TestCheckRuleset:
             extract_service_flows(records, two_groups(), scope_with())
         )
         report = check_ruleset(ruleset, two_groups(), scope_with())
-        assert report.any_to_any == report.duplicates == []
-        assert report.empty_group_refs == report.redundant == []
+        assert report.any_to_any == report.duplicates == report.redundant == []
 
     def test_cidr_containment_redundancy(self):
+        # Each object holds addresses the other does not: 10.1/16 goes to
+        # "narrow", the rest of 10/8 outside the member range to "wide".
         scope = scope_with(("10.1.0.0/16", "narrow"), ("10.0.0.0/8", "wide"))
-        wide = FirewallRule(
-            src=EntityRef.group(1),
-            dst=EntityRef.network_object("wide"),
-            service=ServiceTuple("TCP", 22),
-            evidence_count=1,
-        )
-        narrow = FirewallRule(
-            src=EntityRef.group(1),
-            dst=EntityRef.network_object("narrow"),
-            service=ServiceTuple("TCP", 22),
-            evidence_count=1,
-        )
+        wide = rule(EntityRef.group(1), EntityRef.network_object("wide"), port=22)
+        narrow = rule(EntityRef.group(1), EntityRef.network_object("narrow"), port=22)
+        ruleset = RuleSet.from_rules([wide, narrow])
+        report = check_ruleset(ruleset, two_groups(), scope)
+        assert report.redundant == []
+        without_narrow = RuleSet.from_rules([wide])
+        assert verdict(without_narrow, scope, "10.0.0.1", "10.1.0.5", 22) == DENY
+
+    def test_object_covering_member_range_is_no_cover(self):
+        scope = scope_with(("10.0.0.0/8", "corp"))
+        one = EntityRef.group(1)
+        group_rule = rule(EntityRef.group(2), one)
+        corp_rule = rule(EntityRef.network_object("corp"), one)
         report = check_ruleset(
-            RuleSet.from_rules([wide, narrow]), two_groups(), scope
+            RuleSet.from_rules([group_rule, corp_rule]), two_groups(), scope
         )
-        assert report.redundant == [(narrow, wide)]
+        assert report.redundant == []
+        without_group = RuleSet.from_rules([corp_rule])
+        assert verdict(without_group, scope, "10.0.0.2", "10.0.0.1") == DENY
+
+    def test_narrow_object_listed_first_is_no_cover(self):
+        scope = scope_with(("198.51.100.5/32", "b"), ("198.51.100.0/24", "a"))
+        one = EntityRef.group(1)
+        b_rule = rule(EntityRef.network_object("b"), one)
+        a_rule = rule(EntityRef.network_object("a"), one)
+        report = check_ruleset(RuleSet.from_rules([a_rule, b_rule]), two_groups(), scope)
+        assert report.redundant == []
+        without_b = RuleSet.from_rules([a_rule])
+        assert verdict(without_b, scope, "198.51.100.5", "10.0.0.1") == DENY
+
+    def test_object_inside_member_range_flagged(self):
+        scope = scope_with(("10.0.0.0/30", "inner"), ("0.0.0.0/0", "internet"))
+        inner_rule = rule(EntityRef.group(1), EntityRef.network_object("inner"))
+        report = check_ruleset(RuleSet.from_rules([inner_rule]), two_groups(), scope)
+        assert report.redundant == [inner_rule]
+        assert "(no address resolves to dst object:inner)" in report.to_text()
+
+    def test_object_filled_by_member_range_and_earlier_entry_flagged(self):
+        # 10.0.0.0/23 is the member /24 plus "upper", so no address reaches it.
+        scope = scope_with(("10.0.1.0/24", "upper"), ("10.0.0.0/23", "both"))
+        both_rule = rule(EntityRef.group(1), EntityRef.network_object("both"))
+        upper_rule = rule(EntityRef.group(1), EntityRef.network_object("upper"))
+        ruleset = RuleSet.from_rules([both_rule, upper_rule])
+        assert check_ruleset(ruleset, two_groups(), scope).redundant == [both_rule]
+
+    def test_group_outside_member_range_flagged(self):
+        groups = SecurityGroups(
+            groups={1: frozenset({"10.0.0.1"}), 3: frozenset({"192.168.0.5"})}
+        )
+        outside_rule = rule(EntityRef.group(3), EntityRef.group(1))
+        report = check_ruleset(RuleSet.from_rules([outside_rule]), groups, scope_with())
+        assert report.redundant == [outside_rule]
 
     def test_empty_group_reference_flagged(self):
-        rule = FirewallRule(
-            src=EntityRef.group(1),
-            dst=EntityRef.group(99),
-            service=ServiceTuple("TCP", 443),
-            evidence_count=1,
-        )
-        report = check_ruleset(RuleSet.from_rules([rule]), two_groups(), scope_with())
-        assert report.empty_group_refs == [rule]
+        groups = SecurityGroups(groups={**two_groups().groups, 3: frozenset()})
+        missing = rule(EntityRef.group(1), EntityRef.group(99))
+        empty = rule(EntityRef.group(3), EntityRef.group(99), port=22)
+        report = check_ruleset(RuleSet.from_rules([missing, empty]), groups, scope_with())
+        assert report.redundant == [missing, empty]
+        assert report.to_text().splitlines()[3:] == [
+            "  redundant: group:1,group:99,TCP,443,allow,1 "
+            "(no address resolves to dst group:99)",
+            "  redundant: group:3,group:99,TCP,22,allow,1 "
+            "(no address resolves to src group:3, dst group:99)",
+        ]
 
     def test_report_text_shape(self):
         report = check_ruleset(RuleSet.from_rules([]), two_groups(), scope_with())
-        text = report.to_text()
-        assert "any_to_any: 0" in text and "redundant_pairs: 0" in text
+        assert report.to_text() == "any_to_any: 0\nduplicates: 0\nredundant: 0\n"
 
 
 class TestMatch:
