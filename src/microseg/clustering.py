@@ -18,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .features import SampleMatrix, encode_windows, standardize, write_atomic
-from .flows import ClassifiedFlow
+from .flows import FlowTable
 from .metrics import EvalReport
 from .pca import fit_pca, project
 
@@ -77,9 +77,14 @@ def _row_sq(X: np.ndarray) -> np.ndarray:
 
 
 def _sq_dists(X: np.ndarray, C: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, (n_samples, n_centroids), clipped at 0."""
+    """Squared Euclidean distances, (n_samples, n_centroids), clipped at 0.
+    Computed in the product's buffer: (xx + cc) - 2·X·Cᵀ."""
     cc = np.einsum("ij,ij->i", C, C)[None, :]
-    return np.clip(xx + cc - 2.0 * (X @ C.T), 0.0, None)
+    G = X @ C.T
+    G *= 2.0
+    np.subtract(xx + cc, G, out=G)
+    np.maximum(G, 0.0, out=G)
+    return G
 
 
 def _distinct_rows(X: np.ndarray) -> int:
@@ -350,11 +355,9 @@ def resolve_k(k: Union[int, float, None], n_endpoints: int) -> int:
     return int(k)
 
 
-def fit_groups(
-    records: Sequence[ClassifiedFlow], params: GroupingParams
-) -> GroupingResult:
+def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
     """Run encode -> standardize -> project -> cluster -> assign -> group."""
-    matrix, _ = encode_windows(records, params.window_seconds, params.top_k_ports)
+    matrix, _ = encode_windows(flows, params.window_seconds, params.top_k_ports)
     std = standardize(matrix)
     pca_model = fit_pca(std, params.pca_target)
     projected = project(pca_model, std.values)

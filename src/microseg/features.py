@@ -1,10 +1,11 @@
-"""Per-endpoint, per-window behavior vectors from classified flow records.
+"""Per-endpoint, per-window behavior vectors from a filtered flow table.
 
 Each member endpoint gets one sample vector per time window. Categorical
 attributes (protocol, destination port, peer class) are one-hot count
 blocks split by direction; three numerical features follow: the number of
 distinct service tuples, the total flow count, and log(1 + total bytes).
-Columns are standardized before signature extraction.
+The counts come from ``np.unique`` and ``np.bincount`` over the table's
+integer columns. Columns are standardized before signature extraction.
 """
 
 from __future__ import annotations
@@ -12,14 +13,12 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .flows import ClassifiedFlow
+from .flows import FlowTable, distinct_rows
 
 #: Columns with standard deviation below this are treated as constant.
 CONST_EPS = 1e-12
@@ -76,96 +75,83 @@ class SampleMatrix:
 
 
 def encode_windows(
-    records: Sequence[ClassifiedFlow],
-    window_seconds: int,
-    top_k_ports: int,
-    workers: int = 1,
+    flows: FlowTable, window_seconds: int, top_k_ports: int, workers: int = 1
 ) -> tuple[SampleMatrix, FeatureSchema]:
-    """Count the records into one raw row per (member endpoint, window)
-    key, in sorted key order, and return the rows with the schema found.
-    ``workers`` is accepted and has no effect.
-
-    Windows count from the earliest timestamp. A record adds to its
-    source's row as outbound and to its destination's as inbound, each only
-    when that side is a member. The port vocabulary keeps the
-    ``top_k_ports`` most frequent destination ports (ties to the lower
-    port); protocols and object names keep everything observed. Row layout:
-    outbound and inbound protocol counts, outbound and inbound port counts,
-    peer-class counts, then the three numerical features.
-
-    Records are counted once per distinct (window, peers, addresses,
-    service, bytes), and every later step works on those integer counts, so
-    every sum is exact and the result does not depend on record order.
+    """Count a filtered table's rows into one raw row per (member endpoint,
+    window) key, in sorted key order, and return the rows with the schema
+    found. ``workers`` is accepted and has no effect. Windows count from the
+    earliest timestamp. A flow adds to its source's row as outbound and to
+    its destination's as inbound, each only when that side is a member. The
+    port vocabulary keeps the ``top_k_ports`` most frequent destination
+    ports (ties to the lower port); protocols and object names keep
+    everything observed. Row layout: outbound and inbound protocol counts,
+    outbound and inbound port counts, peer-class counts, then the three
+    numerical features. Every count is an integer count over the columns,
+    so every sum is exact and independent of row order.
     """
-    if not records:
+    if not len(flows):
         raise ValueError("cannot build a schema from zero records")
     if top_k_ports < 1:
         raise ValueError("top_k_ports must be >= 1")
     if window_seconds < 1:
         raise ValueError("window_seconds must be >= 1")
-    t0 = min(rec.flow.timestamp for rec in records)
-    distinct = Counter(
-        (
-            (rec.flow.timestamp - t0) // window_seconds,
-            rec.src_class,
-            rec.dst_class,
-            rec.flow.src_addr,
-            rec.flow.dst_addr,
-            rec.flow.protocol,
-            rec.flow.dst_port,
-            rec.flow.byte_count,
-        )
-        for rec in records
-    )
-
-    # Per (endpoint, window): flows per service tuple (inbound?, protocol,
-    # port, far peer's object name or None for a member), and total bytes.
-    ports: Counter[int] = Counter()
-    peers: set[str] = set()
-    tallies: defaultdict[tuple[str, int], Counter] = defaultdict(Counter)
-    total_bytes: Counter[tuple[str, int]] = Counter()
-    for (w, src, dst, src_addr, dst_addr, protocol, port, nbytes), n in distinct.items():
-        ports[port] += n
-        for endpoint, inbound, near, far in (
-            (src_addr, False, src, dst),
-            (dst_addr, True, dst, src),
-        ):
-            if far.is_object:
-                peers.add(far.value)
-            if near.is_member:
-                obj = far.value if far.is_object else None
-                tallies[endpoint, w][inbound, protocol, port, obj] += n
-                total_bytes[endpoint, w] += n * nbytes
-
-    ranked = sorted(ports.items(), key=lambda kv: (-kv[1], kv[0]))
+    classes = flows.classes
+    member = np.array([pc.is_member for pc in classes], dtype=bool)
+    used = np.union1d(flows.src, flows.dst).tolist()
+    objects = {c: classes[c].value for c in used if classes[c].is_object}
+    protocols = np.unique(flows.protocol)
+    ports, port_flows = np.unique(flows.dst_port, return_counts=True)
+    top = np.sort(ports[np.lexsort((ports, -port_flows))[:top_k_ports]])
     schema = FeatureSchema(
-        protocol_vocab=tuple(sorted({key[5] for key in distinct})),
-        port_vocab=tuple(sorted(port for port, _ in ranked[:top_k_ports])),
-        peer_vocab=tuple(sorted(peers)),
+        protocol_vocab=tuple(flows.protocols[c] for c in protocols.tolist()),
+        port_vocab=tuple(top.tolist()),
+        peer_vocab=tuple(sorted(set(objects.values()))),
     )
-    p = len(schema.protocol_vocab) + 1
-    q = len(schema.port_vocab) + 1
-    r = len(schema.peer_vocab) + 1
-    proto_col = {v: i for i, v in enumerate(schema.protocol_vocab)}
-    port_col = {v: i for i, v in enumerate(schema.port_vocab)}
-    peer_col = {v: i for i, v in enumerate(schema.peer_vocab)}
+    p, q, r = (len(v) + 1 for v in (schema.protocol_vocab, top, schema.peer_vocab))
+    # Slot of each protocol code and of each address code as a far peer.
+    proto_slot = np.full(len(flows.protocols), p - 1)
+    proto_slot[protocols] = np.arange(p - 1)
+    peer_slot = np.full(len(flows.addrs), r - 1)
+    for c, name in objects.items():
+        peer_slot[c] = schema.peer_vocab.index(name)
 
-    keys = sorted(tallies)
-    values = np.zeros((len(keys), schema.dimension))
-    for i, key in enumerate(keys):
-        tally = tallies[key]
-        row = [0] * (2 * p + 2 * q + r)
-        for (inbound, protocol, port, obj), n in tally.items():
-            row[proto_col.get(protocol, p - 1) + (p if inbound else 0)] += n
-            row[2 * p + port_col.get(port, q - 1) + (q if inbound else 0)] += n
-            row[2 * p + 2 * q + peer_col.get(obj, r - 1)] += n
-        values[i] = row + [len(tally), sum(tally.values()), math.log1p(total_bytes[key])]
-    matrix = SampleMatrix(
-        endpoints=tuple(ep for ep, _ in keys),
-        windows=tuple(w for _, w in keys),
-        values=values,
-    )
-    return matrix, schema
+    # One contribution per (flow, member side): outbound rows, then inbound.
+    out, inb = member[flows.src], member[flows.dst]
+    flow_of = np.concatenate([np.flatnonzero(out), np.flatnonzero(inb)])
+    inbound = np.repeat([0, 1], [np.count_nonzero(out), np.count_nonzero(inb)])
+    endpoint = np.concatenate([flows.src[out], flows.dst[inb]])
+    far = peer_slot[np.concatenate([flows.dst[out], flows.src[inb]])]
+    window = (flows.timestamp[flow_of] - flows.timestamp.min()) // window_seconds
+    protocol = flows.protocol[flow_of]
+    port = flows.dst_port[flow_of]
+    first, row, _ = distinct_rows(endpoint, window)
+    n = len(first)
+
+    width = 2 * p + 2 * q + r
+    port_slot = np.where(np.isin(port, top), np.searchsorted(top, port), q - 1)
+    slots = np.concatenate([
+        proto_slot[protocol] + p * inbound,
+        2 * p + port_slot + q * inbound,
+        2 * p + 2 * q + far,
+    ])
+    values = np.empty((n, schema.dimension))
+    values[:, :width] = np.bincount(
+        np.tile(row, 3) * width + slots, minlength=n * width
+    ).reshape(n, width)
+    services, _, _ = distinct_rows(row, inbound, protocol, port, far)
+    values[:, width] = np.bincount(row[services], minlength=n)
+    values[:, width + 1] = np.bincount(row, minlength=n)
+    # Exact byte totals: the high and low 32 bits are summed apart, so an
+    # int64 sum cannot wrap below 2**31 contributions per row.
+    nbytes = flows.byte_count[flow_of]
+    high, low = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    np.add.at(high, row, nbytes >> 32)
+    np.add.at(low, row, nbytes & 0xFFFFFFFF)
+    values[:, width + 2] = [
+        math.log1p((h << 32) + lo) for h, lo in zip(high.tolist(), low.tolist())
+    ]
+    endpoints = tuple(flows.addrs[c] for c in endpoint[first].tolist())
+    return SampleMatrix(endpoints, tuple(window[first].tolist()), values), schema
 
 
 def standardize(matrix: SampleMatrix) -> SampleMatrix:

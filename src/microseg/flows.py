@@ -2,17 +2,24 @@
 
 A flow log is line-oriented CSV with the columns
 ``timestamp,src_addr,dst_addr,protocol,dst_port,packets,bytes``.
+It is parsed once into a :class:`FlowTable`: one numpy column per field, with
+addresses and protocols as integer codes into small sorted vocabularies.
 Peers are classified against a :class:`MemberScope` as network members,
-named external network objects, or unknown, and records are filtered under
-one of two policies: ``drop_unknown`` keeps member-to-member traffic only,
-``map_to_objects`` additionally keeps member traffic whose far side resolves
-to a declared network object.
+named external network objects, or unknown, once per distinct address, and
+rows are kept by one boolean mask under one of two policies:
+``drop_unknown`` keeps member-to-member traffic only, ``map_to_objects``
+additionally keeps member traffic whose far side resolves to a declared
+network object.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, replace
+from typing import Iterator
+
+import numpy as np
 
 PORTED_PROTOCOLS = frozenset({"TCP", "UDP"})
 
@@ -27,6 +34,11 @@ UNKNOWN = "unknown"
 #: Fraction of malformed content lines at which a non-strict parse aborts.
 MALFORMED_LIMIT = 0.5
 
+INT64_MAX = 2**63 - 1
+
+#: The columns of a :class:`FlowTable`, in :class:`FlowRecord` field order.
+COLUMNS = ("timestamp", "src", "dst", "protocol", "dst_port", "packet_count", "byte_count")
+
 
 class DataError(Exception):
     """Malformed or inconsistent input data (files, logs, artifacts)."""
@@ -37,9 +49,31 @@ def is_portless(protocol: str) -> bool:
     return protocol.upper() not in PORTED_PROTOCOLS
 
 
+def check_flow(
+    timestamp: int, protocol: str, dst_port: int, packet_count: int, byte_count: int
+) -> None:
+    """The one rule for a valid flow, which the parse and :class:`FlowRecord`
+    both apply: raises ``ValueError`` naming the first bad field, in the
+    order timestamp, port range, portless port, packets, bytes, then any
+    count that an int64 column cannot hold."""
+    if timestamp < 0:
+        raise ValueError(f"negative timestamp {timestamp}")
+    if not 0 <= dst_port <= 65535:
+        raise ValueError(f"dst_port {dst_port} out of range")
+    if is_portless(protocol) and dst_port != 0:
+        raise ValueError(f"portless protocol {protocol} with dst_port {dst_port}")
+    if packet_count < 1:
+        raise ValueError(f"packet_count {packet_count} < 1")
+    if byte_count < 0:
+        raise ValueError(f"negative byte_count {byte_count}")
+    if (largest := max(timestamp, packet_count, byte_count)) > INT64_MAX:
+        raise ValueError(f"{largest} exceeds int64")
+
+
 @dataclass(frozen=True)
 class FlowRecord:
-    """One observed communication event from the flow log."""
+    """One observed communication event: a flow to match, or a view of a
+    :class:`FlowTable` row."""
 
     timestamp: int
     src_addr: str
@@ -50,18 +84,9 @@ class FlowRecord:
     byte_count: int
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp}")
-        if not 0 <= self.dst_port <= 65535:
-            raise ValueError(f"dst_port {self.dst_port} out of range")
-        if is_portless(self.protocol) and self.dst_port != 0:
-            raise ValueError(
-                f"portless protocol {self.protocol} with dst_port {self.dst_port}"
-            )
-        if self.packet_count < 1:
-            raise ValueError(f"packet_count {self.packet_count} < 1")
-        if self.byte_count < 0:
-            raise ValueError(f"negative byte_count {self.byte_count}")
+        check_flow(
+            self.timestamp, self.protocol, self.dst_port, self.packet_count, self.byte_count
+        )
 
 
 @dataclass(frozen=True)
@@ -75,18 +100,6 @@ class PeerClass:
 
     kind: str
     value: str = ""
-
-    @classmethod
-    def member(cls, addr: str) -> "PeerClass":
-        return cls(MEMBER, addr)
-
-    @classmethod
-    def network_object(cls, name: str) -> "PeerClass":
-        return cls(OBJECT, name)
-
-    @classmethod
-    def unknown(cls) -> "PeerClass":
-        return cls(UNKNOWN)
 
     @property
     def is_member(self) -> bool:
@@ -133,6 +146,66 @@ class ClassifiedFlow:
     dst_class: PeerClass
 
 
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """Flow records as columns, in input order.
+
+    ``timestamp``, ``dst_port``, ``packet_count`` and ``byte_count`` are
+    int64. ``src`` and ``dst`` are int32 codes into ``addrs``, canonical
+    address strings sorted so that code order is string order; ``protocol``
+    holds codes into the sorted ``protocols``. ``classes`` is empty on a
+    parsed table; :func:`filter_flows` sets it to each address's class,
+    indexed by code. Iterating builds a :class:`FlowRecord` per row (a
+    :class:`ClassifiedFlow` once classified); no stage does.
+    """
+
+    timestamp: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    protocol: np.ndarray
+    dst_port: np.ndarray
+    packet_count: np.ndarray
+    byte_count: np.ndarray
+    addrs: tuple[str, ...]
+    protocols: tuple[str, ...]
+    classes: tuple[PeerClass, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def take(self, rows) -> "FlowTable":
+        """The rows an index array, boolean mask or slice selects."""
+        return replace(self, **{name: getattr(self, name)[rows] for name in COLUMNS})
+
+    def __iter__(self) -> Iterator[FlowRecord | ClassifiedFlow]:
+        for ts, src, dst, proto, *counts in zip(*(getattr(self, c).tolist() for c in COLUMNS)):
+            rec = FlowRecord(ts, self.addrs[src], self.addrs[dst], self.protocols[proto], *counts)
+            yield ClassifiedFlow(rec, self.classes[src], self.classes[dst]) if self.classes else rec
+
+
+def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique`` over the rows of non-negative integer columns: each
+    distinct row's first index, each row's distinct-row number, and each
+    distinct row's count, in lexicographic row order. The columns are packed
+    into one int64 key; where the next column would overflow it, the key so
+    far, and then a wide column, is renumbered densely first, so no key
+    exceeds the square of the row count."""
+    key, size = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for col in columns:
+        bound = int(col.max()) + 1 if col.size else 1
+        if size * bound > INT64_MAX:
+            key = np.unique(key, return_inverse=True)[1]
+            size = int(key.max()) + 1
+        if size * bound > INT64_MAX:
+            col = np.unique(col, return_inverse=True)[1]
+            bound = int(col.max()) + 1
+        key, size = key * bound + col, size * bound
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    return first, inverse, counts
+
+
 @dataclass
 class IngestReport:
     records_read: int = 0
@@ -154,26 +227,35 @@ def classify_peer(addr: str, scope: MemberScope) -> PeerClass:
     ip = ipaddress.IPv4Address(addr)
     for cidr in scope.member_cidrs:
         if ip in cidr:
-            return PeerClass.member(addr)
+            return PeerClass(MEMBER, addr)
     for cidr, name in scope.object_table:
         if ip in cidr:
-            return PeerClass.network_object(name)
-    return PeerClass.unknown()
+            return PeerClass(OBJECT, name)
+    return PeerClass(UNKNOWN)
 
 
-def _canonical_addr(token: str, canon: dict[str, str]) -> str:
-    """Validate an address token and return its canonical string form.
+class _Codes(dict):
+    """Token to code. A new token's code is that of its string form
+    ``form(token)``, numbered in first-seen order. A token whose ``form``
+    raises ``ValueError`` is not remembered, so it raises on every line."""
 
-    ``canon`` remembers tokens already validated; a token that fails is not
-    remembered, so it raises ``ValueError`` again on every line it is on.
-    """
-    addr = canon.get(token)
-    if addr is None:
-        addr = canon[token] = str(ipaddress.IPv4Address(token))
-    return addr
+    def __init__(self, form=str) -> None:
+        super().__init__()
+        self.form, self.forms = form, {}
+
+    def __missing__(self, token: str) -> int:
+        code = self[token] = self.forms.setdefault(self.form(token), len(self.forms))
+        return code
+
+    def sorted_forms(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The forms in string order, and each code's rank among them."""
+        vocab = tuple(sorted(self.forms))
+        rank = np.empty(len(vocab), dtype=np.int32)
+        rank[[self.forms[form] for form in vocab]] = np.arange(len(vocab))
+        return vocab, rank
 
 
-def _parse_line(line: str, canon: dict[str, str]) -> FlowRecord:
+def _parse_line(line: str, addrs: _Codes, protocols: _Codes) -> tuple[int, ...]:
     fields = line.split(",")
     if len(fields) != 7:
         raise ValueError(f"expected 7 fields, got {len(fields)}")
@@ -181,31 +263,24 @@ def _parse_line(line: str, canon: dict[str, str]) -> FlowRecord:
     proto = proto.upper()
     if not proto:
         raise ValueError("empty protocol token")
-    # Validates the addresses; the canonical string form is kept.
-    src = _canonical_addr(src, canon)
-    dst = _canonical_addr(dst, canon)
-    return FlowRecord(
-        timestamp=int(ts),
-        src_addr=src,
-        dst_addr=dst,
-        protocol=proto,
-        dst_port=int(port),
-        packet_count=int(packets),
-        byte_count=int(nbytes),
-    )
+    src_code, dst_code = addrs[src], addrs[dst]
+    row = (int(ts), src_code, dst_code, protocols[proto], int(port), int(packets), int(nbytes))
+    check_flow(row[0], proto, row[4], row[5], row[6])
+    return row
 
 
-def parse_flow_log(text: str, *, strict: bool = False) -> tuple[list[FlowRecord], int]:
-    """Parse a flow log into records, in input order.
+def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
+    """Parse a flow log into a table, in input order.
 
-    Returns ``(records, malformed_count)``. An optional header line is
+    Returns ``(table, malformed_count)``. An optional header line is
     detected by a non-numeric first field. Malformed lines are skipped and
     counted unless ``strict`` is set, in which case the first one is fatal;
     without ``strict`` the parse aborts when more than half of the content
     lines are malformed.
     """
-    records: list[FlowRecord] = []
-    canon: dict[str, str] = {}
+    cells = array("q")
+    addr_codes = _Codes(lambda token: str(ipaddress.IPv4Address(token)))
+    protocols = _Codes()
     malformed = 0
     content_lines = 0
     first_error = ""
@@ -221,7 +296,7 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[list[FlowRecord]
                 continue  # header line
         content_lines += 1
         try:
-            records.append(_parse_line(line, canon))
+            cells.extend(_parse_line(line, addr_codes, protocols))
         except ValueError as exc:
             if strict:
                 raise DataError(f"line {lineno}: {exc}") from exc
@@ -233,53 +308,49 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[list[FlowRecord]
             f"corrupt input: {malformed} of {content_lines} lines malformed "
             f"(first: {first_error})"
         )
-    return records, malformed
+    ts, src, dst, proto, port, packets, nbytes = (
+        np.frombuffer(cells, dtype=np.int64).reshape(-1, len(COLUMNS)).T.copy()
+    )
+    addrs, addr_rank = addr_codes.sorted_forms()
+    protocol_vocab, protocol_rank = protocols.sorted_forms()
+    table = FlowTable(
+        ts, addr_rank[src], addr_rank[dst], protocol_rank[proto], port, packets, nbytes,
+        addrs, protocol_vocab,
+    )
+    return table, malformed
 
 
 def filter_flows(
-    records: list[FlowRecord],
+    table: FlowTable,
     scope: MemberScope,
     policy: str,
-) -> tuple[list[ClassifiedFlow], IngestReport]:
+) -> tuple[FlowTable, IngestReport]:
     """Apply the unknown-traffic policy, attaching peer classifications.
 
-    ``drop_unknown`` keeps records where both peers are members.
-    ``map_to_objects`` keeps records where at least one peer is a member and
-    any non-member peer resolves to a network object. Records where neither
-    side is a member are always dropped. Input order is preserved and the
-    records themselves are never altered.
+    ``drop_unknown`` keeps rows where both peers are members.
+    ``map_to_objects`` keeps rows where at least one peer is a member and
+    any non-member peer resolves to a network object. Rows where neither
+    side is a member are always dropped. Each address is classified once;
+    the kept table keeps input order and the parsed vocabularies.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    cache: dict[str, PeerClass] = {}
-
-    def cls(addr: str) -> PeerClass:
-        pc = cache.get(addr)
-        if pc is None:
-            pc = classify_peer(addr, scope)
-            cache[addr] = pc
-        return pc
-
-    kept: list[ClassifiedFlow] = []
-    report = IngestReport(records_read=len(records))
-    endpoints: set[str] = set()
-    for rec in records:
-        s, d = cls(rec.src_addr), cls(rec.dst_addr)
-        if policy == DROP_UNKNOWN:
-            keep = s.is_member and d.is_member
-        else:
-            keep = (s.is_member or d.is_member) and s.kind != UNKNOWN and d.kind != UNKNOWN
-        if not keep:
-            continue
-        kept.append(ClassifiedFlow(rec, s, d))
-        if s.is_object or d.is_object:
-            report.records_mapped_to_objects += 1
-        if s.is_member:
-            endpoints.add(rec.src_addr)
-        if d.is_member:
-            endpoints.add(rec.dst_addr)
-    report.records_kept = len(kept)
-    report.distinct_endpoints = len(endpoints)
+    classes = tuple(classify_peer(addr, scope) for addr in table.addrs)
+    member = np.array([pc.is_member for pc in classes], dtype=bool)
+    known = np.array([pc.kind != UNKNOWN for pc in classes], dtype=bool)
+    both = member[table.src] & member[table.dst]
+    if policy == DROP_UNKNOWN:
+        keep = both
+    else:
+        keep = (member[table.src] | member[table.dst]) & known[table.src] & known[table.dst]
+    kept = replace(table.take(keep), classes=classes)
+    endpoints = np.union1d(kept.src[member[kept.src]], kept.dst[member[kept.dst]])
+    report = IngestReport(
+        records_read=len(table),
+        records_kept=len(kept),
+        records_mapped_to_objects=int(np.count_nonzero(keep & ~both)),
+        distinct_endpoints=len(endpoints),
+    )
     return kept, report
 
 

@@ -28,9 +28,10 @@ from .features import matrix_to_csv, write_atomic
 from .flows import (
     DROP_UNKNOWN,
     POLICIES,
-    ClassifiedFlow,
     DataError,
+    FlowTable,
     MemberScope,
+    distinct_rows,
     filter_flows,
     load_scope,
     parse_flow_log,
@@ -245,8 +246,8 @@ def _load_scope_file(config: PipelineConfig) -> MemberScope:
     return load_scope(text)
 
 
-def ingest(config: PipelineConfig) -> tuple[list[ClassifiedFlow], "IngestOutput"]:
-    """Parse and filter the configured flow log; returns kept records."""
+def ingest(config: PipelineConfig) -> tuple[FlowTable, "IngestOutput"]:
+    """Parse and filter the configured flow log; returns the kept table."""
     log_bytes = _read_log_bytes(config)
     scope = _load_scope_file(config)
     records, malformed = parse_flow_log(
@@ -586,12 +587,17 @@ def run_synth(config: PipelineConfig) -> dict:
 
 def verify_ruleset_completeness(config: PipelineConfig) -> tuple[int, int]:
     """Count (allowed, total) over the records a persisted ruleset was built
-    from; used by the acceptance checks."""
+    from; used by the acceptance checks. The matcher runs once per distinct
+    (source, destination, protocol, port), weighted by its row count."""
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
     kept, ingest_out = ingest(config)
     _require_fresh("verify", ingest_out.fingerprint, stored_fp)
     ruleset = load_ruleset(out / "ruleset.csv")
     matcher = make_matcher(ruleset, groups, ingest_out.scope)
-    allowed = sum(1 for rec in kept if matcher(rec.flow) == "allow")
+    first, _, counts = distinct_rows(kept.src, kept.dst, kept.protocol, kept.dst_port)
+    allowed = sum(
+        n for rec, n in zip(kept.take(first), counts.tolist())
+        if matcher(rec.flow) == "allow"
+    )
     return allowed, len(kept)

@@ -1,27 +1,29 @@
-"""Group-level firewall rule synthesis from classified flows.
+"""Group-level firewall rule synthesis from a filtered flow table.
 
 Endpoint addresses are replaced by their security group (members) or
-network object (externals) at extraction time, so generalization reduces
-to deduplication plus canonical ordering: one allow rule per distinct
-(source, destination, service) triple over a default-deny base.
+network object (externals) at extraction time, once per distinct
+(source, destination, protocol, port) of the table, so generalization
+reduces to deduplication plus canonical ordering: one allow rule per
+distinct (source, destination, service) triple over a default-deny base.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .clustering import SecurityGroups
 from .flows import (
-    MEMBER,
-    OBJECT,
-    ClassifiedFlow,
     DataError,
     FlowRecord,
+    FlowTable,
     MemberScope,
+    PeerClass,
     classify_peer,
+    distinct_rows,
     is_portless,
 )
 
@@ -109,65 +111,51 @@ class RuleSet:
 
 
 def extract_service_flows(
-    records: Sequence[ClassifiedFlow],
+    flows: FlowTable,
     groups: SecurityGroups,
     scope: MemberScope,
 ) -> dict[tuple[EntityRef, EntityRef, ServiceTuple], int]:
-    """Map every record to (src ref, dst ref, service), summing evidence.
+    """Map every row of a filtered table to (src ref, dst ref, service),
+    summing evidence. Member peers become their security group, external
+    peers their network object; grouping must have covered every member.
 
-    Member peers become their security group, external peers their network
-    object. Grouping must have covered every member endpoint seen here.
-
-    Records are first counted per distinct raw tuple (peer kinds, values,
-    addresses and service); each distinct tuple is then resolved once, in
-    order of first appearance, so errors name the same record as a
-    per-record pass would.
+    Rows are counted per distinct (source, destination, protocol, port);
+    each distinct key is then resolved once, in order of first appearance,
+    so errors name the same row as a per-row pass would.
     """
     endpoint_group = groups.endpoint_to_group()
-    known_objects = scope.object_names
-    refs: dict[tuple[str, str, str], EntityRef] = {}
-    services: dict[tuple[str, int], ServiceTuple] = {}
+    refs: dict[int, EntityRef] = {}
+    services: dict[tuple[int, int], ServiceTuple] = {}
 
-    def ref(peer: tuple[str, str, str]) -> EntityRef:
-        resolved = refs.get(peer)
-        if resolved is not None:
-            return resolved
-        kind, value, addr = peer
-        if kind == MEMBER:
-            gid = endpoint_group.get(addr)
-            if gid is None:
+    def ref(code: int) -> EntityRef:
+        if code not in refs:
+            peer = flows.classes[code]
+            resolved = _peer_ref(peer, endpoint_group)
+            if peer.is_member and resolved is None:
                 raise DataError(
-                    f"member endpoint {addr} is not in any security group; "
+                    f"member endpoint {peer.value} is not in any security group; "
                     "grouping must precede rule synthesis"
                 )
-            resolved = EntityRef.group(gid)
-        elif kind == OBJECT:
-            if value not in known_objects:
-                raise DataError(f"network object {value!r} not in scope")
-            resolved = EntityRef.network_object(value)
-        else:
-            raise ValueError("records with unknown peers cannot produce rules")
-        refs[peer] = resolved
-        return resolved
+            if peer.is_object and peer.value not in scope.object_names:
+                raise DataError(f"network object {peer.value!r} not in scope")
+            if resolved is None:
+                raise ValueError("records with unknown peers cannot produce rules")
+            refs[code] = resolved
+        return refs[code]
 
-    def service(svc: tuple[str, int]) -> ServiceTuple:
-        resolved = services.get(svc)
-        if resolved is None:
-            resolved = services[svc] = ServiceTuple(*svc)
-        return resolved
-
-    raw = Counter(
-        (
-            (rec.src_class.kind, rec.src_class.value, rec.flow.src_addr),
-            (rec.dst_class.kind, rec.dst_class.value, rec.flow.dst_addr),
-            (rec.flow.protocol, rec.flow.dst_port),
-        )
-        for rec in records
-    )
+    columns = (flows.src, flows.dst, flows.protocol, flows.dst_port)
+    first, _, n = distinct_rows(*columns)
+    order = np.argsort(first)
     counts: dict[tuple[EntityRef, EntityRef, ServiceTuple], int] = {}
-    for (src, dst, svc), n in raw.items():
-        key = (ref(src), ref(dst), service(svc))
-        counts[key] = counts.get(key, 0) + n
+    for src, dst, protocol, port, count in zip(
+        *(column[first[order]].tolist() for column in columns), n[order].tolist()
+    ):
+        src_ref, dst_ref = ref(src), ref(dst)
+        service = services.get((protocol, port)) or services.setdefault(
+            (protocol, port), ServiceTuple(flows.protocols[protocol], port)
+        )
+        key = (src_ref, dst_ref, service)
+        counts[key] = counts.get(key, 0) + count
     return counts
 
 
@@ -183,6 +171,15 @@ def generalize(
     )
 
 
+def _peer_ref(peer: PeerClass, endpoint_group: dict[str, int]) -> EntityRef | None:
+    """A member's security group, an object's name, or nothing (unknown
+    peers and ungrouped members)."""
+    if peer.is_member:
+        gid = endpoint_group.get(peer.value)
+        return None if gid is None else EntityRef.group(gid)
+    return EntityRef.network_object(peer.value) if peer.is_object else None
+
+
 def _resolver(
     groups: SecurityGroups, scope: MemberScope
 ) -> Callable[[str], EntityRef | None]:
@@ -194,19 +191,9 @@ def _resolver(
     cache: dict[str, EntityRef | None] = {}
 
     def resolve(addr: str) -> EntityRef | None:
-        if addr in cache:
-            return cache[addr]
-        peer = classify_peer(addr, scope)
-        ref: EntityRef | None
-        if peer.is_member:
-            gid = endpoint_group.get(addr)
-            ref = EntityRef.group(gid) if gid is not None else None
-        elif peer.is_object:
-            ref = EntityRef.network_object(peer.value)
-        else:
-            ref = None
-        cache[addr] = ref
-        return ref
+        if addr not in cache:
+            cache[addr] = _peer_ref(classify_peer(addr, scope), endpoint_group)
+        return cache[addr]
 
     return resolve
 

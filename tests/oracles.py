@@ -3,8 +3,9 @@
 These deliberately avoid the package's own code paths: metrics are computed
 by direct probability sums, the optimal 2-means partition by exhaustive
 enumeration, and eigenpairs by power iteration with deflation. The flow
-parse, rule extraction, vocabulary discovery, windowing and row encoding
-are the plain per-line, per-record and per-flow loops the package versions
+parse, filter, rule extraction, vocabulary discovery, windowing and row
+encoding are the plain per-line, per-record and per-flow loops over
+``FlowRecord``s and ``ClassifiedFlow``s that the package's column versions
 must reproduce exactly.
 ``reference_kmeans_fit`` is the straightforward k-means fit (sample norms
 recomputed per distance call, one distance call per polish-touched column,
@@ -20,7 +21,16 @@ from collections import Counter
 import numpy as np
 
 from microseg.features import FeatureSchema
-from microseg.flows import MALFORMED_LIMIT, DataError, FlowRecord
+from microseg.flows import (
+    DROP_UNKNOWN,
+    MALFORMED_LIMIT,
+    UNKNOWN,
+    ClassifiedFlow,
+    DataError,
+    FlowRecord,
+    IngestReport,
+    classify_peer,
+)
 from microseg.rules import EntityRef, RuleSet, ServiceTuple, make_matcher
 
 
@@ -129,6 +139,27 @@ def reference_parse_flow_log(text, strict=False):
             f"(first: {first_error})"
         )
     return records, malformed
+
+
+def reference_filter_flows(records, scope, policy):
+    """Per-record filter: classify both peers of every record and keep it
+    under the policy; returns (kept classified flows, report)."""
+    kept, endpoints = [], set()
+    report = IngestReport(records_read=len(records))
+    for rec in records:
+        src = classify_peer(rec.src_addr, scope)
+        dst = classify_peer(rec.dst_addr, scope)
+        if policy == DROP_UNKNOWN:
+            keep = src.is_member and dst.is_member
+        else:
+            keep = (src.is_member or dst.is_member) and UNKNOWN not in (src.kind, dst.kind)
+        if keep:
+            kept.append(ClassifiedFlow(rec, src, dst))
+            report.records_mapped_to_objects += src.is_object or dst.is_object
+            endpoints.update(peer.value for peer in (src, dst) if peer.is_member)
+    report.records_kept = len(kept)
+    report.distinct_endpoints = len(endpoints)
+    return kept, report
 
 
 def reference_extract_service_flows(records, groups, scope):

@@ -298,12 +298,10 @@ class TestRetrain:
             for line in scenario.log_lines
             if line.split(",")[2] == "10.0.0.1"
         ]
-        base_records, _ = parse_flow_log(scenario.log_text)
-        new_records, _ = parse_flow_log("\n".join(clone_src + clone_dst))
-        base_kept, _ = filter_flows(base_records, scenario.scope, DROP_UNKNOWN)
-        new_kept, _ = filter_flows(new_records, scenario.scope, DROP_UNKNOWN)
+        records, _ = parse_flow_log("\n".join(scenario.log_lines + clone_src + clone_dst))
+        kept, _ = filter_flows(records, scenario.scope, DROP_UNKNOWN)
         params = GroupingParams(seed=1, top_k_ports=16)
-        result = fit_groups(base_kept + new_kept, params)
+        result = fit_groups(kept, params)
         mapping = result.groups.endpoint_to_group()
         assert mapping["10.0.250.1"] == mapping["10.0.0.1"]
 
@@ -311,12 +309,12 @@ class TestRetrain:
         scenario, kept = _scenario_records(_ring_spec(), policy=MAP_TO_OBJECTS)
         params = GroupingParams(seed=1, top_k_ports=16)
         base = fit_groups(kept, params)
-        outlier_lines = "\n".join(
+        outlier_lines = [
             f"{w * 3600},10.0.250.9,198.51.100.1,TCP,9999,2,500" for w in range(4)
-        )
-        new_records, _ = parse_flow_log(outlier_lines)
-        new_kept, _ = filter_flows(new_records, scenario.scope, MAP_TO_OBJECTS)
-        result = fit_groups(kept + new_kept, params)
+        ]
+        records, _ = parse_flow_log("\n".join(scenario.log_lines + outlier_lines))
+        retrain_kept, _ = filter_flows(records, scenario.scope, MAP_TO_OBJECTS)
+        result = fit_groups(retrain_kept, params)
         assert result.groups.suggested_qty == base.groups.suggested_qty + 1
         mapping = result.groups.endpoint_to_group()
         own_group = result.groups.groups[mapping["10.0.250.9"]]

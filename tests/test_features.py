@@ -1,3 +1,4 @@
+import ipaddress
 import math
 
 import numpy as np
@@ -9,49 +10,53 @@ from microseg.features import (
     matrix_to_csv,
     standardize,
 )
-from microseg.flows import ClassifiedFlow, PeerClass
+from microseg.flows import MemberScope
 
-from conftest import flow
+from conftest import kept_table, line
 from oracles import destandardize, reference_schema, reference_windowize
 
-
-def classified(src, dst, dst_is_member=True, dst_object="internet", **kwargs):
-    rec = flow(src, dst, **kwargs)
-    dst_class = (
-        PeerClass.member(dst) if dst_is_member else PeerClass.network_object(dst_object)
-    )
-    return ClassifiedFlow(rec, PeerClass.member(src), dst_class)
+# Members in 10.0.0.0/24; any other address (8.8.8.8 here) is "internet".
+SCOPE = MemberScope(
+    member_cidrs=(ipaddress.IPv4Network("10.0.0.0/24"),),
+    object_table=((ipaddress.IPv4Network("0.0.0.0/0"), "internet"),),
+)
 
 
-def schema_of(records, top_k_ports):
+def table(lines):
+    return kept_table(lines, SCOPE)
+
+
+def schema_of(lines, top_k_ports):
     """The schema ``encode_windows`` discovers, checked against the oracle."""
-    _, schema = encode_windows(records, 60, top_k_ports)
-    assert schema == reference_schema(records, top_k_ports)
+    flows = table(lines)
+    _, schema = encode_windows(flows, 60, top_k_ports)
+    assert schema == reference_schema(flows, top_k_ports)
     return schema
 
 
-def rows_of(records, window_seconds=60, top_k_ports=8):
+def rows_of(lines, window_seconds=60, top_k_ports=8):
     """{(endpoint, window): row} from ``encode_windows``, whose keys must be
     the oracle's buckets, plus the schema."""
-    matrix, schema = encode_windows(records, window_seconds, top_k_ports)
+    flows = table(lines)
+    matrix, schema = encode_windows(flows, window_seconds, top_k_ports)
     keys = list(zip(matrix.endpoints, matrix.windows))
-    assert keys == sorted(reference_windowize(records, window_seconds))
+    assert keys == sorted(reference_windowize(flows, window_seconds))
     return dict(zip(keys, matrix.values)), schema
 
 
 class TestBuildSchema:
     def test_frequency_ranked_ports(self):
         records = (
-            [classified("10.0.0.1", "10.0.0.2", dst_port=443) for _ in range(10)]
-            + [classified("10.0.0.1", "10.0.0.2", dst_port=53, protocol="UDP") for _ in range(5)]
-            + [classified("10.0.0.1", "10.0.0.2", dst_port=8080)]
+            [line("10.0.0.1", "10.0.0.2", dst_port=443) for _ in range(10)]
+            + [line("10.0.0.1", "10.0.0.2", dst_port=53, protocol="UDP") for _ in range(5)]
+            + [line("10.0.0.1", "10.0.0.2", dst_port=8080)]
         )
         schema = schema_of(records, top_k_ports=2)
         assert schema.protocol_vocab == ("TCP", "UDP")
         assert schema.port_vocab == (53, 443)
 
     def test_singleton(self):
-        records = [classified("10.0.0.1", "8.8.8.8", dst_is_member=False)]
+        records = [line("10.0.0.1", "8.8.8.8")]
         schema = schema_of(records, top_k_ports=8)
         assert schema.protocol_vocab == ("TCP",)
         assert schema.port_vocab == (443,)
@@ -59,21 +64,21 @@ class TestBuildSchema:
 
     def test_tie_breaks_to_lower_port(self):
         records = [
-            classified("10.0.0.1", "10.0.0.2", dst_port=8080),
-            classified("10.0.0.1", "10.0.0.2", dst_port=80),
+            line("10.0.0.1", "10.0.0.2", dst_port=8080),
+            line("10.0.0.1", "10.0.0.2", dst_port=80),
         ]
         schema = schema_of(records, top_k_ports=1)
         assert schema.port_vocab == (80,)
 
     def test_empty_records_error(self):
         with pytest.raises(ValueError):
-            encode_windows([], 60, 4)
+            encode_windows(table([]), 60, 4)
         with pytest.raises(ValueError):
-            encode_windows([classified("10.0.0.1", "10.0.0.2")], 60, 0)
+            encode_windows(table([line("10.0.0.1", "10.0.0.2")]), 60, 0)
 
     def test_order_invariant(self):
         records = [
-            classified("10.0.0.1", "10.0.0.2", dst_port=p, protocol=proto)
+            line("10.0.0.1", "10.0.0.2", dst_port=p, protocol=proto)
             for p, proto in [(443, "TCP"), (53, "UDP"), (22, "TCP"), (443, "TCP")]
         ]
         schema1 = schema_of(records, top_k_ports=2)
@@ -81,7 +86,7 @@ class TestBuildSchema:
         assert schema1 == schema2
 
     def test_dimension_formula(self):
-        records = [classified("10.0.0.1", "8.8.8.8", dst_is_member=False)]
+        records = [line("10.0.0.1", "8.8.8.8")]
         schema = schema_of(records, top_k_ports=8)
         # 2*(1+1) + 2*(1+1) + (1+1) + 3
         assert schema.dimension == 13
@@ -89,20 +94,20 @@ class TestBuildSchema:
 
 class TestWindowize:
     def test_single_window(self):
-        records = [classified("10.0.0.1", "10.0.0.2", timestamp=t) for t in range(60)]
+        records = [line("10.0.0.1", "10.0.0.2", timestamp=t) for t in range(60)]
         rows, _ = rows_of(records, 60)
         assert set(w for _, w in rows) == {0}
 
     def test_boundary(self):
         records = [
-            classified("10.0.0.1", "10.0.0.2", timestamp=0),
-            classified("10.0.0.1", "10.0.0.2", timestamp=60),
+            line("10.0.0.1", "10.0.0.2", timestamp=0),
+            line("10.0.0.1", "10.0.0.2", timestamp=60),
         ]
         rows, _ = rows_of(records, 60)
         assert ("10.0.0.1", 0) in rows and ("10.0.0.1", 1) in rows
 
     def test_dual_attribution(self):
-        records = [classified("10.0.0.1", "10.0.0.2", timestamp=5)]
+        records = [line("10.0.0.1", "10.0.0.2", timestamp=5)]
         rows, schema = rows_of(records, 60)
         p = len(schema.protocol_vocab) + 1
         out_row, in_row = rows[("10.0.0.1", 0)], rows[("10.0.0.2", 0)]
@@ -110,13 +115,13 @@ class TestWindowize:
         assert (in_row[0], in_row[p]) == (0.0, 1.0)  # inbound TCP
 
     def test_object_side_gets_no_bucket(self):
-        records = [classified("10.0.0.1", "8.8.8.8", dst_is_member=False)]
+        records = [line("10.0.0.1", "8.8.8.8")]
         rows, _ = rows_of(records, 60)
         assert list(rows) == [("10.0.0.1", 0)]
 
     def test_bad_window_size(self):
         with pytest.raises(ValueError):
-            encode_windows([classified("10.0.0.1", "10.0.0.2")], 0, 4)
+            encode_windows(table([line("10.0.0.1", "10.0.0.2")]), 0, 4)
 
 
 class TestEncode:
@@ -126,7 +131,7 @@ class TestEncode:
         # [outTCP,outOVF, inTCP,inOVF, out443,outOVF, in443,inOVF, member,
         #  uniq, flows, log1p(bytes)]
         records = [
-            classified("10.0.0.1", "10.0.0.2", nbytes=1000) for _ in range(3)
+            line("10.0.0.1", "10.0.0.2", nbytes=1000) for _ in range(3)
         ]
         rows, _ = rows_of(records, top_k_ports=4)
         expected = [3, 0, 0, 0, 3, 0, 0, 0, 3, 1, 3, math.log1p(3000)]
@@ -134,8 +139,8 @@ class TestEncode:
 
     def test_unique_tuples_distinguish_ports(self):
         records = [
-            classified("10.0.0.1", "10.0.0.2", dst_port=443),
-            classified("10.0.0.1", "10.0.0.2", dst_port=53, protocol="UDP"),
+            line("10.0.0.1", "10.0.0.2", dst_port=443),
+            line("10.0.0.1", "10.0.0.2", dst_port=53, protocol="UDP"),
         ]
         rows, schema = rows_of(records, top_k_ports=4)
         uniq_index = schema.dimension - 3
@@ -143,16 +148,16 @@ class TestEncode:
 
     def test_permutation_invariant(self):
         records = [
-            classified("10.0.0.1", "10.0.0.2", dst_port=p, nbytes=b)
+            line("10.0.0.1", "10.0.0.2", dst_port=p, nbytes=b)
             for p, b in [(443, 100), (53, 200), (443, 300), (22, 400)]
         ]
-        m1, _ = encode_windows(records, 60, 4)
-        m2, _ = encode_windows(list(reversed(records)), 60, 4)
+        m1, _ = encode_windows(table(records), 60, 4)
+        m2, _ = encode_windows(table(reversed(records)), 60, 4)
         assert m1.values.tobytes() == m2.values.tobytes()
 
     def test_protocol_block_sums_equal_flow_counts(self):
-        out = [classified("10.0.0.1", "10.0.0.2", dst_port=p) for p in (443, 80, 22)]
-        inbound = [classified("10.0.0.9", "10.0.0.1", dst_port=53, protocol="UDP")]
+        out = [line("10.0.0.1", "10.0.0.2", dst_port=p) for p in (443, 80, 22)]
+        inbound = [line("10.0.0.9", "10.0.0.1", dst_port=53, protocol="UDP")]
         rows, schema = rows_of(out + inbound, top_k_ports=8)
         vec = rows[("10.0.0.1", 0)]
         p = len(schema.protocol_vocab) + 1
@@ -160,7 +165,7 @@ class TestEncode:
         assert vec[p : 2 * p].sum() == len(inbound)
 
     def test_raw_values_non_negative(self):
-        matrix, _ = encode_windows([classified("10.0.0.1", "10.0.0.2")], 60, 2)
+        matrix, _ = encode_windows(table([line("10.0.0.1", "10.0.0.2")]), 60, 2)
         assert (matrix.values >= 0).all()
 
 
@@ -203,26 +208,26 @@ class TestStandardize:
 class TestEncodeWindows:
     def test_matrix_row_per_endpoint_window(self):
         records = [
-            classified("10.0.0.1", "10.0.0.2", timestamp=0),
-            classified("10.0.0.2", "10.0.0.1", timestamp=70),
+            line("10.0.0.1", "10.0.0.2", timestamp=0),
+            line("10.0.0.2", "10.0.0.1", timestamp=70),
         ]
-        matrix, schema = encode_windows(records, window_seconds=60, top_k_ports=4)
+        matrix, schema = encode_windows(table(records), window_seconds=60, top_k_ports=4)
         assert matrix.n_rows == 4  # both endpoints in both windows
         assert matrix.dimension == schema.dimension
 
     def test_workers_do_not_change_output(self):
         records = [
-            classified("10.0.0.1", "10.0.0.2", timestamp=t, dst_port=400 + t % 3)
+            line("10.0.0.1", "10.0.0.2", timestamp=t, dst_port=400 + t % 3)
             for t in range(0, 240, 10)
         ]
-        m1, _ = encode_windows(records, 60, 4, workers=1)
-        m2, _ = encode_windows(records, 60, 4, workers=4)
+        m1, _ = encode_windows(table(records), 60, 4, workers=1)
+        m2, _ = encode_windows(table(records), 60, 4, workers=4)
         assert np.array_equal(m1.values, m2.values)
         assert m1.endpoints == m2.endpoints
 
     def test_csv_export_shape(self):
-        records = [classified("10.0.0.1", "10.0.0.2")]
-        matrix, schema = encode_windows(records, 60, 4)
+        records = [line("10.0.0.1", "10.0.0.2")]
+        matrix, schema = encode_windows(table(records), 60, 4)
         text = matrix_to_csv(matrix)
         lines = text.strip().split("\n")
         assert lines[0].startswith("endpoint,window,f0")

@@ -15,14 +15,22 @@ from microseg.flows import (
     scope_to_text,
 )
 
-from conftest import flow
+from conftest import flow, line
+
+
+def parsed(*lines):
+    """The table of log lines that all parse."""
+    table, malformed = parse_flow_log("\n".join(lines))
+    assert malformed == 0
+    return table
 
 
 class TestParseFlowLog:
     def test_single_line(self):
         records, malformed = parse_flow_log("1700000000,10.0.0.1,10.0.0.2,TCP,443,12,9000")
         assert malformed == 0
-        assert records == [
+        assert len(records) == 1
+        assert list(records) == [
             FlowRecord(
                 timestamp=1700000000,
                 src_addr="10.0.0.1",
@@ -35,13 +43,13 @@ class TestParseFlowLog:
         ]
 
     def test_portless_protocol(self):
-        records, _ = parse_flow_log("5,10.0.0.1,10.0.0.2,ICMP,0,3,240")
-        assert records[0].protocol == "ICMP"
-        assert records[0].dst_port == 0
+        [record] = parsed("5,10.0.0.1,10.0.0.2,ICMP,0,3,240")
+        assert record.protocol == "ICMP"
+        assert record.dst_port == 0
 
     def test_empty_input(self):
         records, malformed = parse_flow_log("")
-        assert records == []
+        assert len(records) == 0 and list(records) == []
         assert malformed == 0
 
     def test_header_detected_and_skipped(self):
@@ -50,7 +58,7 @@ class TestParseFlowLog:
         records, malformed = parse_flow_log(text)
         assert len(records) == 1
         assert malformed == 0
-        assert records[0].protocol == "UDP"  # protocol tokens case-insensitive
+        assert records.protocols == ("UDP",)  # protocol tokens case-insensitive
 
     def test_malformed_lines_counted_not_fatal(self):
         text = "10,10.0.0.1,10.0.0.2,TCP,443,1,80\n" \
@@ -96,7 +104,7 @@ class TestParseFlowLog:
             "13,10.0.0.1,10.0.0.300,TCP,443,1,80\n"
         )
         records, malformed = parse_flow_log(text)
-        assert [r.timestamp for r in records] == [10, 11, 12]
+        assert records.timestamp.tolist() == [10, 11, 12]
         assert malformed == 1
         with pytest.raises(DataError, match="^line 4: "):
             parse_flow_log(text, strict=True)
@@ -110,6 +118,17 @@ class TestFlowRecordInvariants:
     def test_negative_bytes(self):
         with pytest.raises(ValueError):
             flow("10.0.0.1", "10.0.0.2", nbytes=-1)
+
+    @pytest.mark.parametrize("field", ["timestamp", "packets", "nbytes"])
+    def test_int64_overflow_rejected_by_record_and_parse(self, field):
+        # One rule for both: a count an int64 column cannot hold.
+        with pytest.raises(ValueError, match="exceeds int64"):
+            flow("10.0.0.1", "10.0.0.2", **{field: 2**63})
+        text = line("10.0.0.1", "10.0.0.2", **{field: 2**63})
+        with pytest.raises(DataError, match=f"^line 1: {2**63} exceeds int64$"):
+            parse_flow_log(text, strict=True)
+        table, _ = parse_flow_log(text + "\n" + line("10.0.0.1", "10.0.0.2", **{field: 2**63 - 1}))
+        assert len(table) == 1
 
 
 class TestClassifyPeer:
@@ -184,69 +203,69 @@ class TestMemberScope:
 class TestFilterFlows:
     def test_drop_unknown_policy(self, scope_10_24):
         scope = MemberScope(member_cidrs=(ipaddress.IPv4Network("10.0.0.0/24"),))
-        records = [flow("10.0.0.1", "10.0.0.2"), flow("10.0.0.1", "192.168.1.1")]
+        records = parsed(line("10.0.0.1", "10.0.0.2"), line("10.0.0.1", "192.168.1.1"))
         kept, report = filter_flows(records, scope, DROP_UNKNOWN)
-        assert [c.flow for c in kept] == [records[0]]
+        assert [c.flow for c in kept] == list(records)[:1]
         assert report.records_dropped_unknown == 1
         assert report.records_read == 2
 
     def test_map_to_objects_policy(self, scope_10_24):
-        records = [flow("10.0.0.1", "8.8.8.8", protocol="UDP", dst_port=53)]
+        records = parsed(line("10.0.0.1", "8.8.8.8", protocol="UDP", dst_port=53))
         kept, report = filter_flows(records, scope_10_24, MAP_TO_OBJECTS)
-        assert len(kept) == 1
-        assert kept[0].dst_class.is_object and kept[0].dst_class.value == "internet"
+        [rec] = kept
+        assert rec.dst_class.is_object and rec.dst_class.value == "internet"
         assert report.records_mapped_to_objects == 1
 
     def test_neither_side_member_always_dropped(self):
         scope = MemberScope(member_cidrs=(ipaddress.IPv4Network("10.0.0.0/24"),))
-        records = [flow("192.168.1.1", "192.168.1.2")]
+        records = parsed(line("192.168.1.1", "192.168.1.2"))
         for policy in (DROP_UNKNOWN, MAP_TO_OBJECTS):
             kept, report = filter_flows(records, scope, policy)
-            assert kept == []
+            assert len(kept) == 0
             assert report.records_dropped_unknown == 1
 
     def test_map_to_objects_drops_unknown_side(self):
         scope = MemberScope(member_cidrs=(ipaddress.IPv4Network("10.0.0.0/24"),))
         kept, report = filter_flows(
-            [flow("10.0.0.1", "192.168.1.1")], scope, MAP_TO_OBJECTS
+            parsed(line("10.0.0.1", "192.168.1.1")), scope, MAP_TO_OBJECTS
         )
-        assert kept == []
+        assert len(kept) == 0
         assert report.records_dropped_unknown == 1
 
     def test_counters_balance(self, scope_10_24):
-        records = [
-            flow("10.0.0.1", "10.0.0.2"),
-            flow("10.0.0.1", "8.8.8.8"),
-            flow("192.168.1.1", "192.168.1.2"),
-        ]
+        records = parsed(
+            line("10.0.0.1", "10.0.0.2"),
+            line("10.0.0.1", "8.8.8.8"),
+            line("192.168.1.1", "192.168.1.2"),
+        )
         for policy in (DROP_UNKNOWN, MAP_TO_OBJECTS):
             _, report = filter_flows(records, scope_10_24, policy)
             assert report.records_read == report.records_kept + report.records_dropped_unknown
 
     def test_idempotent_on_kept_set(self, scope_10_24):
-        records = [
-            flow("10.0.0.1", "10.0.0.2"),
-            flow("10.0.0.3", "8.8.8.8"),
-            flow("192.168.1.1", "192.168.1.2"),
-        ]
+        records = parsed(
+            line("10.0.0.1", "10.0.0.2"),
+            line("10.0.0.3", "8.8.8.8"),
+            line("192.168.1.1", "192.168.1.2"),
+        )
         kept1, _ = filter_flows(records, scope_10_24, MAP_TO_OBJECTS)
-        kept2, report2 = filter_flows([c.flow for c in kept1], scope_10_24, MAP_TO_OBJECTS)
-        assert kept1 == kept2
+        kept2, report2 = filter_flows(kept1, scope_10_24, MAP_TO_OBJECTS)
+        assert list(kept1) == list(kept2)
         assert report2.records_dropped_unknown == 0
 
     def test_records_never_altered(self, scope_10_24):
-        records = [flow("10.0.0.1", "8.8.8.8")]
+        records = parsed(line("10.0.0.1", "8.8.8.8", timestamp=7, packets=3, nbytes=90))
         kept, _ = filter_flows(records, scope_10_24, MAP_TO_OBJECTS)
-        assert kept[0].flow is records[0]
+        assert [c.flow for c in kept] == list(records)
 
     def test_distinct_endpoints_counts_members_only(self, scope_10_24):
-        records = [flow("10.0.0.1", "10.0.0.2"), flow("10.0.0.2", "8.8.8.8")]
+        records = parsed(line("10.0.0.1", "10.0.0.2"), line("10.0.0.2", "8.8.8.8"))
         _, report = filter_flows(records, scope_10_24, MAP_TO_OBJECTS)
         assert report.distinct_endpoints == 2
 
     def test_bad_policy_rejected(self, scope_10_24):
         with pytest.raises(ValueError, match="policy"):
-            filter_flows([], scope_10_24, "keep_everything")
+            filter_flows(parsed(), scope_10_24, "keep_everything")
 
 
 class TestScopeFile:

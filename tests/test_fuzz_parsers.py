@@ -12,6 +12,7 @@ from microseg.flows import DataError, load_scope, parse_flow_log
 from microseg.pipeline import PipelineConfig, UsageError, parse_config_text
 from microseg.rules import load_ruleset
 
+from conftest import as_records
 from oracles import reference_parse_flow_log
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -44,7 +45,7 @@ def test_parse_flow_log_text(text, strict):
     outcomes = []
     for parse in (parse_flow_log, reference_parse_flow_log):
         try:
-            outcomes.append(parse(text, strict=strict))
+            outcomes.append(as_records(parse(text, strict=strict)))
         except DataError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]

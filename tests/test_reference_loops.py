@@ -1,5 +1,5 @@
-"""The memoized parse and rule extraction and the tallied sample matrix
-against the plain per-line, per-record and per-flow loops in ``oracles``,
+"""The column parse, filter, rule extraction and sample matrix against the
+plain per-line, per-record and per-flow loops in ``oracles``,
 the k-means fit against the straightforward fit there, by exact equality,
 and the ruleset hygiene check against removing each rule and comparing the
 matcher's verdicts."""
@@ -16,8 +16,10 @@ from microseg.clustering import SecurityGroups, kmeans_fit
 from microseg.features import encode_windows, standardize
 from microseg.flows import (
     MAP_TO_OBJECTS,
+    POLICIES,
     DataError,
     MemberScope,
+    distinct_rows,
     filter_flows,
     parse_flow_log,
 )
@@ -34,10 +36,12 @@ from microseg.rules import (
 )
 from microseg.synth import generate, random_scenario
 
+from conftest import as_records
 from oracles import (
     reference_encode,
     reference_encode_windows,
     reference_extract_service_flows,
+    reference_filter_flows,
     reference_kmeans_fit,
     reference_parse_flow_log,
     reference_schema,
@@ -85,12 +89,12 @@ class TestParse:
         lines[5:5] = [BAD_ADDRESS]
         lines[10:10] = [BAD_ADDRESS, "1,2,3"]
         text = "\n".join(lines) + "\n"
-        assert parse_flow_log(text) == reference_parse_flow_log(text)
+        assert as_records(parse_flow_log(text)) == reference_parse_flow_log(text)
 
     def test_repeated_invalid_address_counts_every_line(self):
         good = "0,10.0.0.1,10.0.0.2,TCP,443,1,100"
         text = "\n".join([good, BAD_ADDRESS, good, BAD_ADDRESS, good, good]) + "\n"
-        records, malformed = parse_flow_log(text)
+        records, malformed = as_records(parse_flow_log(text))
         assert malformed == 2
         assert (records, malformed) == reference_parse_flow_log(text)
 
@@ -104,8 +108,8 @@ class TestParse:
         assert str(got.value) == str(want.value)
 
     def test_padded_address_equals_bare(self):
-        padded, _ = parse_flow_log("0, 10.0.0.1 ,10.0.0.2,TCP,443,1,100\n")
-        bare, _ = parse_flow_log("0,10.0.0.1,10.0.0.2,TCP,443,1,100\n")
+        padded, _ = as_records(parse_flow_log("0, 10.0.0.1 ,10.0.0.2,TCP,443,1,100\n"))
+        bare, _ = as_records(parse_flow_log("0,10.0.0.1,10.0.0.2,TCP,443,1,100\n"))
         assert padded == bare
         assert padded[0].src_addr == "10.0.0.1"
 
@@ -119,7 +123,7 @@ class TestExtract:
 
     def test_ungrouped_member_on_several_records_raises(self, scenario, kept):
         groups = truth_groups(scenario)
-        missing = kept[len(kept) // 2].flow.src_addr
+        missing = list(kept)[len(kept) // 2].flow.src_addr
         assert sum(rec.flow.src_addr == missing for rec in kept) > 1
         partial = SecurityGroups(
             groups={gid: members - {missing} for gid, members in groups.groups.items()}
@@ -148,11 +152,179 @@ class TestEncode:
 
     def test_encode_windows_matches_reference(self, kept):
         keys, want, schema = reference_encode_windows(kept, 3600, 8)
-        for records in (kept, kept[::-1]):
+        for records in (kept, kept.take(slice(None, None, -1))):
             matrix, got_schema = encode_windows(records, 3600, 8)
             assert list(zip(matrix.endpoints, matrix.windows)) == keys
             assert matrix.values.tobytes() == want.tobytes()
             assert got_schema == schema
+
+
+def net(cidr):
+    return ipaddress.IPv4Network(cidr)
+
+
+MEMBER_NET = net("10.0.0.0/24")
+MEMBERS = ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.200"]
+OTHERS = ["10.0.1.5", "198.51.100.7", "198.51.100.200", "203.0.113.9", "192.168.1.1"]
+FLOW_SCOPES = [
+    # Every non-member is unknown.
+    MemberScope((MEMBER_NET,)),
+    # An object around the member range: members still win.
+    MemberScope((MEMBER_NET,), ((net("10.0.0.0/8"), "corp"),)),
+    MemberScope(
+        (MEMBER_NET,),
+        (
+            (net("198.51.100.0/25"), "partner"),
+            (net("10.0.0.0/8"), "corp"),
+            (net("0.0.0.0/0"), "internet"),
+        ),
+    ),
+    # Two entries share a name; the narrow one is listed first.
+    MemberScope(
+        (MEMBER_NET,),
+        (
+            (net("198.51.100.7/32"), "a"),
+            (net("203.0.113.0/24"), "a"),
+            (net("198.51.100.0/24"), "b"),
+        ),
+    ),
+]
+MALFORMED = [
+    "garbage",
+    "1,2,3",
+    BAD_ADDRESS,
+    "5,10.0.0.1,10.0.0.2,ICMP,8,1,1",
+    "5,10.0.0.1,10.0.0.2,TCP,443,0,1",
+    f"5,10.0.0.1,10.0.0.2,TCP,443,1,{2**63}",
+]
+SMALL_OR_INT64 = st.one_of(st.integers(0, 5000), st.integers(0, 2**63 - 1))
+
+
+@st.composite
+def flow_lines(draw):
+    """A valid flow-log line; addresses may be padded, protocols in any
+    case, and TCP may carry port 0, which parses but makes no service."""
+    addrs = st.sampled_from(MEMBERS + OTHERS)
+    src, dst = draw(addrs), draw(addrs)
+    if draw(st.booleans()):
+        src = f" {src} "
+    proto, port = draw(
+        st.one_of(
+            st.tuples(st.sampled_from(["TCP", "udp"]), st.sampled_from([0, 22, 53, 443, 8080])),
+            st.tuples(st.sampled_from(["ICMP", "gre", "Esp"]), st.just(0)),
+        )
+    )
+    ts, nbytes = draw(SMALL_OR_INT64), draw(SMALL_OR_INT64)
+    return f"{ts},{src},{dst},{proto},{port},{draw(st.integers(1, 9))},{nbytes}"
+
+
+@st.composite
+def table_cases(draw):
+    """(log text, scope, policy, window seconds, top-k ports, groups): at
+    most as many malformed lines as valid ones, so the parse never aborts;
+    groups may miss a member."""
+    valid = draw(st.lists(flow_lines(), min_size=1, max_size=25))
+    bad = draw(st.lists(st.sampled_from(MALFORMED), max_size=len(valid)))
+    text = "\n".join(draw(st.permutations(valid + bad)))
+    grouped = draw(st.lists(st.sampled_from(MEMBERS), min_size=1, unique=True))
+    groups = {}
+    for addr in grouped:
+        groups.setdefault(draw(st.integers(0, 2)), set()).add(addr)
+    return (
+        text,
+        draw(st.sampled_from(FLOW_SCOPES)),
+        draw(st.sampled_from(POLICIES)),
+        draw(st.sampled_from([1, 60, 3600])),
+        draw(st.integers(1, 4)),
+        SecurityGroups(groups={gid: frozenset(m) for gid, m in groups.items()}),
+    )
+
+
+def both_filtered(text, scope, policy):
+    """(package kept table, report) and (reference kept flows, report)."""
+    records, malformed = reference_parse_flow_log(text)
+    table, got_malformed = parse_flow_log(text)
+    assert got_malformed == malformed
+    return filter_flows(table, scope, policy), reference_filter_flows(records, scope, policy)
+
+
+def extract_outcome(extract, flows, groups, scope):
+    try:
+        return list(extract(flows, groups, scope).items())
+    except (DataError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_table_path_matches_reference(text, scope, policy, window_seconds, top_k, groups):
+    (kept, report), (want_kept, want_report) = both_filtered(text, scope, policy)
+    assert list(kept) == want_kept
+    assert report == want_report
+    assert extract_outcome(extract_service_flows, kept, groups, scope) == extract_outcome(
+        reference_extract_service_flows, want_kept, groups, scope
+    )
+    if not want_kept:
+        with pytest.raises(ValueError, match="zero records"):
+            encode_windows(kept, window_seconds, top_k)
+        return
+    keys, want, schema = reference_encode_windows(want_kept, window_seconds, top_k)
+    matrix, got_schema = encode_windows(kept, window_seconds, top_k)
+    assert list(zip(matrix.endpoints, matrix.windows)) == keys
+    assert matrix.values.tobytes() == want.tobytes()
+    assert got_schema == schema
+
+
+class TestTablePath:
+    @settings(max_examples=300, deadline=None)
+    @given(table_cases())
+    def test_generated_logs_match_reference(self, case):
+        assert_table_path_matches_reference(*case)
+
+    def test_wide_vocabularies_and_spans_match_reference(self):
+        # 300 protocol tokens, a 400-entry object table, timestamps across
+        # the int64 range in 1 s windows and byte counts near 2**62: packed
+        # keys and byte sums that would wrap an int64 taken at face value.
+        rng = np.random.default_rng(7)
+        members = [f"10.0.0.{i}" for i in range(1, 41)]
+        objects = [f"198.51.{i // 200}.{i % 200 + 1}" for i in range(400)]
+        scope = MemberScope(
+            (MEMBER_NET,),
+            tuple((net(f"{addr}/32"), f"o{i}") for i, addr in enumerate(objects)),
+        )
+        lines = []
+        for _ in range(3000):
+            src = members[rng.integers(40)]
+            dst = (members + objects)[rng.integers(440)]
+            if rng.random() < 0.5:
+                service = f"P{rng.integers(300)},0"
+            else:
+                service = f"TCP,{rng.integers(1, 65536)}"
+            ts, nbytes = rng.integers(0, 2**63 - 1), rng.integers(2**61, 2**62)
+            lines.append(f"{ts},{src},{dst},{service},1,{nbytes}")
+        groups = SecurityGroups(
+            groups={g: frozenset(members[g::7]) for g in range(7)}
+        )
+        text = "\n".join(lines)
+        assert len(parse_flow_log(text)[0].protocols) > 250
+        for policy in POLICIES:
+            assert_table_path_matches_reference(text, scope, policy, 1, 50, groups)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(SMALL_OR_INT64, st.integers(0, 3), SMALL_OR_INT64),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_distinct_rows_matches_sorted_set(self, rows):
+        first, inverse, counts = distinct_rows(
+            *(np.array(col, dtype=np.int64) for col in zip(*rows))
+        )
+        want = sorted(set(rows))
+        assert [rows[i] for i in first.tolist()] == want
+        assert first.tolist() == [rows.index(row) for row in want]
+        assert [want[j] for j in inverse.tolist()] == rows
+        assert counts.tolist() == [rows.count(row) for row in want]
 
 
 def assert_same_fit(X, k, seed, **kwargs):

@@ -3,15 +3,7 @@ import ipaddress
 import pytest
 
 from microseg.clustering import SecurityGroups
-from microseg.flows import (
-    DROP_UNKNOWN,
-    MAP_TO_OBJECTS,
-    ClassifiedFlow,
-    DataError,
-    MemberScope,
-    PeerClass,
-    filter_flows,
-)
+from microseg.flows import DataError, MemberScope
 from microseg.rules import (
     ALLOW,
     DENY,
@@ -27,17 +19,12 @@ from microseg.rules import (
     ruleset_to_csv,
 )
 
-from conftest import flow
+from conftest import flow, kept_table, line
 
 
-def member_flow(src, dst, **kwargs):
-    rec = flow(src, dst, **kwargs)
-    return ClassifiedFlow(rec, PeerClass.member(src), PeerClass.member(dst))
-
-
-def object_flow(src, dst, name, **kwargs):
-    rec = flow(src, dst, **kwargs)
-    return ClassifiedFlow(rec, PeerClass.member(src), PeerClass.network_object(name))
+def extract(lines, groups, scope):
+    """``extract_service_flows`` over the table ``filter_flows`` keeps."""
+    return extract_service_flows(kept_table(lines, scope), groups, scope)
 
 
 def two_groups():
@@ -57,23 +44,23 @@ def scope_with(*objects):
 
 class TestExtractServiceFlows:
     def test_direct_substitution(self):
-        tuples = extract_service_flows(
-            [member_flow("10.0.0.1", "10.0.0.2")], two_groups(), scope_with()
+        tuples = extract(
+            [line("10.0.0.1", "10.0.0.2")], two_groups(), scope_with()
         )
         key = (EntityRef.group(1), EntityRef.group(2), ServiceTuple("TCP", 443))
         assert tuples == {key: 1}
 
     def test_dedup_sums_evidence(self):
-        records = [member_flow("10.0.0.1", "10.0.0.2") for _ in range(2)]
-        tuples = extract_service_flows(records, two_groups(), scope_with())
+        records = [line("10.0.0.1", "10.0.0.2") for _ in range(2)]
+        tuples = extract(records, two_groups(), scope_with())
         assert list(tuples.values()) == [2]
 
     def test_object_peer_substitution(self):
         scope = scope_with(("0.0.0.0/0", "internet"))
         records = [
-            object_flow("10.0.0.1", "8.8.8.8", "internet", protocol="UDP", dst_port=53)
+            line("10.0.0.1", "8.8.8.8", protocol="UDP", dst_port=53)
         ]
-        tuples = extract_service_flows(records, two_groups(), scope)
+        tuples = extract(records, two_groups(), scope)
         key = (
             EntityRef.group(1),
             EntityRef.network_object("internet"),
@@ -83,25 +70,27 @@ class TestExtractServiceFlows:
 
     def test_ungrouped_member_rejected(self):
         with pytest.raises(DataError, match="10.0.0.9"):
-            extract_service_flows(
-                [member_flow("10.0.0.9", "10.0.0.2")], two_groups(), scope_with()
+            extract(
+                [line("10.0.0.9", "10.0.0.2")], two_groups(), scope_with()
             )
 
     def test_undeclared_object_rejected(self):
-        records = [object_flow("10.0.0.1", "8.8.8.8", "mystery")]
+        # Filtered under a scope that declares "mystery", extracted under
+        # one that does not.
+        kept = kept_table([line("10.0.0.1", "8.8.8.8")], scope_with(("0.0.0.0/0", "mystery")))
         with pytest.raises(DataError, match="mystery"):
-            extract_service_flows(records, two_groups(), scope_with())
+            extract_service_flows(kept, two_groups(), scope_with())
 
 
 class TestGeneralize:
     def test_dedup(self):
         records = [
-            member_flow("10.0.0.1", "10.0.0.2"),
-            member_flow("10.0.0.1", "10.0.0.2"),
-            member_flow("10.0.0.2", "10.0.0.1"),
+            line("10.0.0.1", "10.0.0.2"),
+            line("10.0.0.1", "10.0.0.2"),
+            line("10.0.0.2", "10.0.0.1"),
         ]
         ruleset = generalize(
-            extract_service_flows(records, two_groups(), scope_with())
+            extract(records, two_groups(), scope_with())
         )
         assert len(ruleset.rules) == 2
 
@@ -111,22 +100,22 @@ class TestGeneralize:
 
     def test_all_pairs_of_two_groups(self):
         records = [
-            member_flow(src, dst)
+            line(src, dst)
             for src in ("10.0.0.1", "10.0.0.2")
             for dst in ("10.0.0.1", "10.0.0.2")
         ]
         ruleset = generalize(
-            extract_service_flows(records, two_groups(), scope_with())
+            extract(records, two_groups(), scope_with())
         )
         assert len(ruleset.rules) == 4
 
     def test_canonical_order_and_determinism(self):
         records = [
-            member_flow("10.0.0.2", "10.0.0.1", dst_port=22),
-            member_flow("10.0.0.1", "10.0.0.2", dst_port=443),
-            member_flow("10.0.0.1", "10.0.0.2", dst_port=80),
+            line("10.0.0.2", "10.0.0.1", dst_port=22),
+            line("10.0.0.1", "10.0.0.2", dst_port=443),
+            line("10.0.0.1", "10.0.0.2", dst_port=80),
         ]
-        tuples = extract_service_flows(records, two_groups(), scope_with())
+        tuples = extract(records, two_groups(), scope_with())
         csv1 = ruleset_to_csv(generalize(tuples))
         csv2 = ruleset_to_csv(generalize(dict(reversed(list(tuples.items())))))
         assert csv1 == csv2
@@ -151,9 +140,9 @@ class TestCheckRuleset:
         assert report.any_to_any == [any_rule]
 
     def test_clean_group_ruleset(self):
-        records = [member_flow("10.0.0.1", "10.0.0.2")]
+        records = [line("10.0.0.1", "10.0.0.2")]
         ruleset = generalize(
-            extract_service_flows(records, two_groups(), scope_with())
+            extract(records, two_groups(), scope_with())
         )
         report = check_ruleset(ruleset, two_groups(), scope_with())
         assert report.any_to_any == report.duplicates == report.redundant == []
@@ -236,8 +225,8 @@ class TestCheckRuleset:
 class TestMatch:
     def _setup(self):
         scope = scope_with(("0.0.0.0/0", "internet"))
-        records = [member_flow("10.0.0.1", "10.0.0.2")]
-        ruleset = generalize(extract_service_flows(records, two_groups(), scope))
+        records = [line("10.0.0.1", "10.0.0.2")]
+        ruleset = generalize(extract(records, two_groups(), scope))
         return ruleset, two_groups(), scope
 
     def test_existing_rule_allows(self):
@@ -252,8 +241,8 @@ class TestMatch:
 
     def test_unknown_peer_denied(self):
         scope = scope_with()  # no objects: externals are unknown
-        records = [member_flow("10.0.0.1", "10.0.0.2")]
-        ruleset = generalize(extract_service_flows(records, two_groups(), scope))
+        records = [line("10.0.0.1", "10.0.0.2")]
+        ruleset = generalize(extract(records, two_groups(), scope))
         matcher = make_matcher(ruleset, two_groups(), scope)
         assert matcher(flow("10.0.0.1", "8.8.8.8")) == DENY
 
@@ -292,12 +281,14 @@ class TestRuleSetInvariants:
 
     def test_completeness_over_synthesis_records(self):
         scope = scope_with(("0.0.0.0/0", "internet"))
-        raw = [
-            flow("10.0.0.1", "10.0.0.2", dst_port=443),
-            flow("10.0.0.2", "10.0.0.1", dst_port=22),
-            flow("10.0.0.1", "8.8.8.8", protocol="UDP", dst_port=53),
-        ]
-        kept, _ = filter_flows(raw, scope, MAP_TO_OBJECTS)
+        kept = kept_table(
+            [
+                line("10.0.0.1", "10.0.0.2", dst_port=443),
+                line("10.0.0.2", "10.0.0.1", dst_port=22),
+                line("10.0.0.1", "8.8.8.8", protocol="UDP", dst_port=53),
+            ],
+            scope,
+        )
         groups = two_groups()
         ruleset = generalize(extract_service_flows(kept, groups, scope))
         matcher = make_matcher(ruleset, groups, scope)
@@ -310,18 +301,18 @@ class TestRulesetCsv:
     def test_round_trip(self, tmp_path):
         scope = scope_with(("0.0.0.0/0", "internet"))
         records = [
-            member_flow("10.0.0.1", "10.0.0.2"),
-            object_flow("10.0.0.2", "9.9.9.9", "internet", protocol="UDP", dst_port=53),
+            line("10.0.0.1", "10.0.0.2"),
+            line("10.0.0.2", "9.9.9.9", protocol="UDP", dst_port=53),
         ]
-        ruleset = generalize(extract_service_flows(records, two_groups(), scope))
+        ruleset = generalize(extract(records, two_groups(), scope))
         path = tmp_path / "rules.csv"
         path.write_text(ruleset_to_csv(ruleset))
         loaded = load_ruleset(path)
         assert loaded == ruleset
 
     def test_form_feed_does_not_split_a_line(self, tmp_path):
-        records = [member_flow("10.0.0.1", "10.0.0.2")]
-        t = extract_service_flows(records, two_groups(), scope_with())
+        records = [line("10.0.0.1", "10.0.0.2")]
+        t = extract(records, two_groups(), scope_with())
         header, rule = ruleset_to_csv(generalize(t)).strip().split("\n")
         path = tmp_path / "rules.csv"
         path.write_text(f"{header}\n{rule}\x0c{rule}\n")
@@ -329,6 +320,6 @@ class TestRulesetCsv:
             load_ruleset(path)
 
     def test_byte_identical_export(self):
-        records = [member_flow("10.0.0.1", "10.0.0.2")]
-        t = extract_service_flows(records, two_groups(), scope_with())
+        records = [line("10.0.0.1", "10.0.0.2")]
+        t = extract(records, two_groups(), scope_with())
         assert ruleset_to_csv(generalize(t)) == ruleset_to_csv(generalize(t))
