@@ -7,11 +7,16 @@ Subcommands: synth, group, rules, eval, tune. Exit status: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .flows import DataError
-from .metrics import REPORT_HEADER
-from .pipeline import (
+# One BLAS thread, set before numpy loads: PCA's bits vary with the count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from .flows import DataError  # noqa: E402 - numpy loads here
+from .metrics import REPORT_HEADER  # noqa: E402
+from .pipeline import (  # noqa: E402
     GROUP_SUMMARY_HEADER,
     PipelineConfig,
     UsageError,

@@ -44,24 +44,34 @@ class DataError(Exception):
     """Malformed or inconsistent input data (files, logs, artifacts)."""
 
 
-def is_portless(protocol: str) -> bool:
-    """True for protocols that carry no destination port (ICMP, other)."""
-    return protocol.upper() not in PORTED_PROTOCOLS
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, stripped line) for each content line of a
+    hand-edited input (scope, config, grid, ground truth). Lines end at ``\\n``
+    only; a ``#`` comment runs to the end of its line; blank lines are skipped."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def check_service(protocol: str, dst_port: int) -> None:
+    """The one rule for a valid service, applied by :func:`check_flow` and
+    ``rules.ServiceTuple``: a port in 0-65535, 0 exactly when not TCP/UDP."""
+    if not 0 <= dst_port <= 65535:
+        raise ValueError(f"dst_port {dst_port} out of range")
+    if (protocol.upper() in PORTED_PROTOCOLS) == (dst_port == 0):
+        raise ValueError(f"dst_port 0 is for portless protocols exactly, got {protocol}/{dst_port}")
 
 
 def check_flow(
     timestamp: int, protocol: str, dst_port: int, packet_count: int, byte_count: int
 ) -> None:
-    """The one rule for a valid flow, which the parse and :class:`FlowRecord`
-    both apply: raises ``ValueError`` naming the first bad field, in the
-    order timestamp, port range, portless port, packets, bytes, then any
-    count that an int64 column cannot hold."""
+    """The one rule for a valid flow, applied by the parse and :class:`FlowRecord`:
+    raises ``ValueError`` naming the first bad field of timestamp, service,
+    packets and bytes, then any count that an int64 column cannot hold."""
     if timestamp < 0:
         raise ValueError(f"negative timestamp {timestamp}")
-    if not 0 <= dst_port <= 65535:
-        raise ValueError(f"dst_port {dst_port} out of range")
-    if is_portless(protocol) and dst_port != 0:
-        raise ValueError(f"portless protocol {protocol} with dst_port {dst_port}")
+    check_service(protocol, dst_port)
     if packet_count < 1:
         raise ValueError(f"packet_count {packet_count} < 1")
     if byte_count < 0:
@@ -235,23 +245,24 @@ def classify_peer(addr: str, scope: MemberScope) -> PeerClass:
 
 
 class _Codes(dict):
-    """Token to code. A new token's code is that of its string form
-    ``form(token)``, numbered in first-seen order. A token whose ``form``
-    raises ``ValueError`` is not remembered, so it raises on every line."""
+    """Token to code, numbered in first-seen order. A new token must pass
+    ``check``; one that raises ``ValueError`` is not remembered, so it
+    raises on every line."""
 
-    def __init__(self, form=str) -> None:
+    def __init__(self, check=str) -> None:
         super().__init__()
-        self.form, self.forms = form, {}
+        self.check = check
 
     def __missing__(self, token: str) -> int:
-        code = self[token] = self.forms.setdefault(self.form(token), len(self.forms))
+        self.check(token)
+        code = self[token] = len(self)
         return code
 
-    def sorted_forms(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """The forms in string order, and each code's rank among them."""
-        vocab = tuple(sorted(self.forms))
+    def sorted_tokens(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The tokens in string order, and each code's rank among them."""
+        vocab = tuple(sorted(self))
         rank = np.empty(len(vocab), dtype=np.int32)
-        rank[[self.forms[form] for form in vocab]] = np.arange(len(vocab))
+        rank[[self[token] for token in vocab]] = np.arange(len(vocab))
         return vocab, rank
 
 
@@ -279,10 +290,11 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
     lines are malformed.
     """
     cells = array("q")
-    addr_codes = _Codes(lambda token: str(ipaddress.IPv4Address(token)))
+    # IPv4Address accepts canonical dotted quads only: a token is its own form.
+    addr_codes = _Codes(ipaddress.IPv4Address)
     protocols = _Codes()
     malformed = 0
-    content_lines = 0
+    content = 0
     first_error = ""
     saw_first = False
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -294,7 +306,7 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
             head = line.split(",", 1)[0].strip()
             if head and not head.lstrip("-").isdigit():
                 continue  # header line
-        content_lines += 1
+        content += 1
         try:
             cells.extend(_parse_line(line, addr_codes, protocols))
         except ValueError as exc:
@@ -303,16 +315,16 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
             malformed += 1
             if not first_error:
                 first_error = f"line {lineno}: {exc}"
-    if content_lines and malformed / content_lines > MALFORMED_LIMIT:
+    if content and malformed / content > MALFORMED_LIMIT:
         raise DataError(
-            f"corrupt input: {malformed} of {content_lines} lines malformed "
+            f"corrupt input: {malformed} of {content} lines malformed "
             f"(first: {first_error})"
         )
     ts, src, dst, proto, port, packets, nbytes = (
         np.frombuffer(cells, dtype=np.int64).reshape(-1, len(COLUMNS)).T.copy()
     )
-    addrs, addr_rank = addr_codes.sorted_forms()
-    protocol_vocab, protocol_rank = protocols.sorted_forms()
+    addrs, addr_rank = addr_codes.sorted_tokens()
+    protocol_vocab, protocol_rank = protocols.sorted_tokens()
     table = FlowTable(
         ts, addr_rank[src], addr_rank[dst], protocol_rank[proto], port, packets, nbytes,
         addrs, protocol_vocab,
@@ -358,10 +370,7 @@ def load_scope(text: str) -> MemberScope:
     """Parse a scope file: ``member <CIDR>`` and ``object <CIDR> <name>`` lines."""
     members: list[ipaddress.IPv4Network] = []
     objects: list[tuple[ipaddress.IPv4Network, str]] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         tokens = line.split()
         try:
             if tokens[0] == "member" and len(tokens) == 2:

@@ -31,6 +31,7 @@ from .flows import (
     DataError,
     FlowTable,
     MemberScope,
+    content_lines,
     distinct_rows,
     filter_flows,
     load_scope,
@@ -124,10 +125,7 @@ def _parse_bool(value: str, key: str) -> bool:
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
     config = replace(base) if base is not None else PipelineConfig()
     valid = {f.name: f for f in fields(PipelineConfig)}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
@@ -369,9 +367,7 @@ def run_group(config: PipelineConfig) -> dict:
         raise DataError(f"grouping: {exc}") from exc
     elapsed = time.perf_counter() - t0
 
-    fp = ingest_out.fingerprint
     out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / "groups.json", groups_payload(result.groups, fp, config))
     write_atomic(out / "assignments.csv", assignments_csv(result.assignments))
     report = ingest_out.report
     write_atomic(
@@ -395,6 +391,9 @@ def run_group(config: PipelineConfig) -> dict:
         out / "timing.json",
         json.dumps({"grouping_seconds": elapsed}, sort_keys=True) + "\n",
     )
+    # Last: a crash at any earlier write leaves the previous groups.json,
+    # whose fingerprint then rejects this run's inputs in rules and eval.
+    write_atomic(out / "groups.json", groups_payload(result.groups, ingest_out.fingerprint, config))
     summary = {
         "dataset": config.dataset,
         "asset_qty": len(result.assignments),
@@ -437,19 +436,13 @@ def load_ground_truth(path: Union[str, Path]) -> dict[str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"eval: cannot read ground truth {path}: {exc}") from exc
     truth: dict[str, str] = {}
-    first_row = True
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for i, (lineno, line) in enumerate(content_lines(text)):
         parts = line.split(",")
         if len(parts) != 2:
             raise DataError(f"eval: ground truth line {lineno}: expected endpoint,label")
         endpoint, label = parts[0].strip(), parts[1].strip()
-        if first_row:
-            first_row = False
-            if endpoint.lower() == "endpoint":
-                continue
+        if i == 0 and endpoint.lower() == "endpoint":
+            continue
         if endpoint in truth:
             raise DataError(
                 f"eval: ground truth line {lineno}: duplicate endpoint {endpoint}"
@@ -503,10 +496,7 @@ def parse_grid(text: str, base: PipelineConfig) -> list[PipelineConfig]:
     """Grid file: one config per line, ';'-separated key = value overrides
     of the semantic keys (the others are read from the base config)."""
     configs: list[PipelineConfig] = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = [part.strip() for part in line.split(";") if part.strip()]
         for key in (part.partition("=")[0].strip() for part in parts):
             if key not in SEMANTIC_FIELDS:

@@ -22,9 +22,9 @@ from .flows import (
     FlowTable,
     MemberScope,
     PeerClass,
+    check_service,
     classify_peer,
     distinct_rows,
-    is_portless,
 )
 
 ALLOW = "allow"
@@ -66,13 +66,7 @@ class ServiceTuple:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "protocol", self.protocol.upper())
-        if not 0 <= self.dst_port <= 65535:
-            raise ValueError(f"dst_port {self.dst_port} out of range")
-        if is_portless(self.protocol) != (self.dst_port == 0):
-            raise ValueError(
-                f"dst_port 0 is for portless protocols exactly, got "
-                f"{self.protocol}/{self.dst_port}"
-            )
+        check_service(self.protocol, self.dst_port)
 
 
 @dataclass(frozen=True)

@@ -140,10 +140,13 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
     noise_peers = all_endpoints + [object_addr[name] for name, _ in spec.objects]
 
     rng = np.random.default_rng(spec.seed)
-    weights: dict[int, np.ndarray] = {}
+    # Template CDFs built as Generator.choice builds them from p, so one
+    # uniform draw picks what rng.choice(len(p), p=p) picks.
+    cdfs: dict[int, np.ndarray] = {}
     for gid in range(spec.group_count):
         w = np.array([t.weight for t in spec.profiles[gid]], dtype=np.float64)
-        weights[gid] = w / w.sum()
+        cdf = cdfs[gid] = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
 
     round_robin: dict[int, int] = {gid: 0 for gid in range(spec.group_count)}
     lines: list[str] = []
@@ -153,7 +156,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
     for w in range(spec.windows):
         ep_index = 0
         for gid, members in enumerate(group_members):
-            templates = spec.profiles[gid]
+            templates, cdf = spec.profiles[gid], cdfs[gid]
             for src in members:
                 for j in range(fpw):
                     ts = w * ws + (ep_index * fpw + j) % ws
@@ -163,11 +166,8 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
                         protocol = NOISE_PROTOCOLS[int(rng.integers(len(NOISE_PROTOCOLS)))]
                         port = 0 if protocol == "ICMP" else int(rng.integers(1, 65536))
                     else:
-                        t = templates[
-                            0
-                            if len(templates) == 1
-                            else int(rng.choice(len(templates), p=weights[gid]))
-                        ]
+                        pick = cdf.searchsorted(rng.random(), side="right") if len(cdf) > 1 else 0
+                        t = templates[int(pick)]
                         if t.peer_kind == PEER_GROUP:
                             peer_members = group_members[int(t.peer)]
                             dst = peer_members[round_robin[int(t.peer)] % len(peer_members)]

@@ -2,6 +2,7 @@
 that escape are ``DataError`` and ``UsageError``, which the command line
 maps to exit codes 2 and 1."""
 
+import ipaddress
 from dataclasses import fields
 
 import pytest
@@ -59,6 +60,26 @@ def test_parse_flow_log_bytes(data, strict):
         parse_flow_log(data.decode("utf-8", errors="replace"), strict=strict)
     except DataError:
         pass
+
+
+# Octets: plain, leading-zero, signed, padded and non-ASCII-digit forms.
+OCTET = st.one_of(
+    st.integers(0, 300).map(str),
+    st.text(alphabet="0123456789+- \t²١٠１", max_size=4),
+)
+ADDRESS_TOKENS = st.one_of(TOKEN, st.lists(OCTET, min_size=3, max_size=5).map(".".join))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ADDRESS_TOKENS)
+def test_accepted_address_is_its_canonical_string(token):
+    # The parse codes address tokens without converting them, which is
+    # exact only because IPv4Address accepts canonical dotted quads alone.
+    try:
+        addr = ipaddress.IPv4Address(token)
+    except ValueError:
+        return
+    assert str(addr) == token
 
 
 SCOPE_LINES = lines_of(

@@ -231,6 +231,28 @@ class TestRunGroup:
         assert not list(out.glob(".*.tmp"))
 
 
+    def test_crash_before_groups_leaves_them_stale(self, tmp_path, monkeypatch):
+        # A rerun that crashes at timing.json keeps the old groups.json, so
+        # eval rejects the rerun's config instead of scoring new groups with
+        # the old run's runtime.
+        config = synth_setup(tmp_path)
+        run_group(config)
+        rerun = replace(config, seed=6)
+        real_replace = os.replace
+
+        def fail_timing(src, dst):
+            if Path(dst).name == "timing.json":
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_timing)
+        with pytest.raises(OSError, match="simulated crash"):
+            run_group(rerun)
+        monkeypatch.undo()
+        with pytest.raises(DataError, match="stale"):
+            run_eval(rerun)
+        run_eval(config)
+
 class TestRunRules:
     def test_rules_after_group(self, tmp_path):
         config = synth_setup(tmp_path)
@@ -353,6 +375,12 @@ class TestLoadGroundTruth:
         path.write_text("endpoint,true_group\n10.0.0.1,a\x0c10.0.0.2,b\n")
         with pytest.raises(DataError, match="line 2: expected endpoint,label"):
             load_ground_truth(path)
+
+    def test_inline_comment_dropped(self, tmp_path):
+        # The same comment rule as the scope, config and grid files.
+        path = tmp_path / "truth.csv"
+        path.write_text("endpoint,true_group  # header\n10.0.0.1,3  # web tier\n10.0.0.2,3\n")
+        assert load_ground_truth(path) == {"10.0.0.1": "3", "10.0.0.2": "3"}
 
 
 class TestRunTune:
@@ -704,6 +732,56 @@ class TestCli:
         scope.write_text("\n".join(l for i, l in enumerate(lines) if i not in objects[:2]))
         assert main(["rules", "--config", str(run_cfg)]) == 2
         assert main(["eval", "--config", str(run_cfg)]) == 2
+
+    def test_ported_protocol_with_port_zero_is_malformed(self, tmp_path):
+        # group and rules read the log by one rule, so a line that group
+        # skips cannot fail rules.
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        log = tmp_path / "data" / "flows.csv"
+        fields = log.read_text().split("\n", 1)[0].split(",")
+        fields[3:5] = ["TCP", "0"]
+        with log.open("a") as f:
+            f.write(",".join(fields) + "\n")
+        assert main(["group", "--config", str(run_cfg)]) == 0
+        report = json.loads((tmp_path / "artifacts" / "ingest_report.json").read_text())
+        assert report["malformed_lines"] == 1
+        assert main(["rules", "--config", str(run_cfg)]) == 0
+
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        # The CLI pins one BLAS thread before numpy loads, so the caller's
+        # thread setting changes no byte that group or rules writes.
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        with synth_cfg.open("a") as f:
+            f.write("synth_noise_rate = 0.1\n")
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        src = str(Path(microseg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            cfg = tmp_path / f"threads{threads}.cfg"
+            cfg.write_text(run_cfg.read_text() + f"out_dir = {out}\n")
+            env = dict(os.environ, PYTHONPATH=path)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            for command in ("group", "rules"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "microseg", command, "--config", str(cfg)],
+                    capture_output=True, text=True, env=env,
+                )
+                assert proc.returncode == 0, proc.stderr
+            written.append(
+                {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timing.json"}
+            )
+        assert {"groups.json", "ruleset.csv", "hygiene.txt"} <= written[0].keys()
+        assert written[0] == written[1]
+        # At this size no artifact differs even unpinned, so check the pin too.
+        probe = "import os, microseg.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        pinned = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert pinned.stdout.strip() == "1", pinned.stderr
 
     def test_data_error_exit_two(self, tmp_path):
         run_cfg = write_config(

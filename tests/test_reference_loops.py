@@ -196,6 +196,7 @@ MALFORMED = [
     "5,10.0.0.1,10.0.0.2,ICMP,8,1,1",
     "5,10.0.0.1,10.0.0.2,TCP,443,0,1",
     f"5,10.0.0.1,10.0.0.2,TCP,443,1,{2**63}",
+    "5,10.0.0.1,10.0.0.2,TCP,0,1,1",
 ]
 SMALL_OR_INT64 = st.one_of(st.integers(0, 5000), st.integers(0, 2**63 - 1))
 
@@ -203,14 +204,14 @@ SMALL_OR_INT64 = st.one_of(st.integers(0, 5000), st.integers(0, 2**63 - 1))
 @st.composite
 def flow_lines(draw):
     """A valid flow-log line; addresses may be padded, protocols in any
-    case, and TCP may carry port 0, which parses but makes no service."""
+    case."""
     addrs = st.sampled_from(MEMBERS + OTHERS)
     src, dst = draw(addrs), draw(addrs)
     if draw(st.booleans()):
         src = f" {src} "
     proto, port = draw(
         st.one_of(
-            st.tuples(st.sampled_from(["TCP", "udp"]), st.sampled_from([0, 22, 53, 443, 8080])),
+            st.tuples(st.sampled_from(["TCP", "udp"]), st.sampled_from([22, 53, 443, 8080])),
             st.tuples(st.sampled_from(["ICMP", "gre", "Esp"]), st.just(0)),
         )
     )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -37,6 +38,22 @@ class TestGenerate:
         b = generate(small_spec())
         assert a.log_text == b.log_text
         assert a.truth == b.truth
+
+    def test_log_bytes_pinned(self):
+        # Several weighted templates per group, noise and external objects
+        # cover every draw generate makes; changing how any of them is
+        # drawn changes the log.
+        spec = random_scenario(
+            6, 2, 3, 12, services_per_group=4, port_pool=32, external_fraction=0.4,
+            object_count=2, noise_rate=0.2, seed=11,
+        )
+        assert all(len(templates) == 4 for templates in spec.profiles.values())
+        scenario = generate(spec)
+        assert scenario.noise_flows > 0
+        assert any(line.split(",")[2].startswith("198.51.100.") for line in scenario.log_lines)
+        assert hashlib.sha256(scenario.log_text.encode()).hexdigest() == (
+            "81b598a575af69fbee7f2238a9ceddaa924a049b6787397170e96bd159481d2d"
+        )
 
     def test_different_seed_changes_noise_draws(self):
         spec1 = small_spec(noise_rate=0.5, seed=1)
