@@ -17,7 +17,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .features import SampleMatrix, encode_windows, standardize, write_atomic
+from .features import encode_windows, standardize, write_atomic
 from .flows import FlowTable
 from .metrics import EvalReport
 from .pca import fit_pca, project
@@ -338,7 +338,6 @@ class GroupingParams:
 
 @dataclass
 class GroupingResult:
-    matrix: SampleMatrix
     assignments: list[GroupAssignment]
     groups: SecurityGroups
 
@@ -357,14 +356,14 @@ def resolve_k(k: Union[int, float, None], n_endpoints: int) -> int:
 
 def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
     """Run encode -> standardize -> project -> cluster -> assign -> group."""
-    matrix, _ = encode_windows(flows, params.window_seconds, params.top_k_ports)
-    std = standardize(matrix)
-    pca_model = fit_pca(std, params.pca_target)
-    projected = project(pca_model, std.values)
-
-    endpoints = sorted(set(std.endpoints))
+    # Only the projection and each row's endpoint live on into k-means.
+    std = standardize(encode_windows(flows, params.window_seconds, params.top_k_ports)[0])
+    row_endpoints = std.endpoints
+    projected = project(fit_pca(std, params.pca_target), std.values)
+    del std
+    endpoints = sorted(set(row_endpoints))
     rows_of: dict[str, list[int]] = {ep: [] for ep in endpoints}
-    for i, ep in enumerate(std.endpoints):
+    for i, ep in enumerate(row_endpoints):
         rows_of[ep].append(i)
 
     k = min(resolve_k(params.k, len(endpoints)), len(endpoints), _distinct_rows(projected))
@@ -379,11 +378,7 @@ def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
     assignments = [
         assign_endpoint(ep, projected[rows_of[ep]], cluster_model) for ep in endpoints
     ]
-    return GroupingResult(
-        matrix=std,
-        assignments=assignments,
-        groups=derive_groups(assignments),
-    )
+    return GroupingResult(assignments=assignments, groups=derive_groups(assignments))
 
 
 def select_best(reports: Sequence[EvalReport], homogeneity_floor: float) -> tuple[int, bool]:

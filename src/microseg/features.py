@@ -57,13 +57,11 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """Sample vectors stacked row-wise, with optional standardization state."""
+    """Sample vectors stacked row-wise, one row per (endpoint, window)."""
 
     endpoints: tuple[str, ...]
     windows: tuple[int, ...]
     values: np.ndarray
-    mean: np.ndarray | None = None
-    scale: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
@@ -158,26 +156,14 @@ def standardize(matrix: SampleMatrix) -> SampleMatrix:
     """Column-wise (x - mean) / scale with population-std scales.
 
     Columns with standard deviation below ``CONST_EPS`` get scale 1 so
-    constant features become zero instead of dividing by noise. The mean
-    and scale are stored on the result for reuse on later samples.
+    constant features become zero instead of dividing by noise.
     """
     if matrix.n_rows < 2:
         raise ValueError("standardize requires at least 2 rows")
-    mean = matrix.values.mean(axis=0)
     scale = matrix.values.std(axis=0)
-    scale = np.where(scale < CONST_EPS, 1.0, scale)
-    return replace(
-        matrix, values=(matrix.values - mean) / scale, mean=mean, scale=scale
-    )
-
-
-def matrix_to_csv(matrix: SampleMatrix) -> str:
-    """Export as CSV with header ``endpoint,window,f0..f{d-1}``."""
-    header = "endpoint,window," + ",".join(f"f{i}" for i in range(matrix.dimension))
-    lines = [header]
-    for ep, w, row in zip(matrix.endpoints, matrix.windows, matrix.values):
-        lines.append(f"{ep},{w}," + ",".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    values = matrix.values - matrix.values.mean(axis=0)
+    values /= np.where(scale < CONST_EPS, 1.0, scale)
+    return replace(matrix, values=values)
 
 
 def write_atomic(path: Path, text: str) -> None:

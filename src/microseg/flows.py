@@ -120,6 +120,12 @@ class PeerClass:
         return self.kind == OBJECT
 
 
+def check_object_name(name: str) -> None:
+    """Reject an object name that a CSV cell cannot hold."""
+    if "," in name:
+        raise ValueError(f"object name {name!r} holds a comma, which splits ruleset.csv")
+
+
 @dataclass(frozen=True)
 class MemberScope:
     """Network membership definition plus the named-externals table.
@@ -135,6 +141,8 @@ class MemberScope:
     def __post_init__(self) -> None:
         if not self.member_cidrs:
             raise ValueError("member_cidrs must be non-empty")
+        for _, name in self.object_table:
+            check_object_name(name)
         for i, (early, _) in enumerate(self.object_table):
             for late, _ in self.object_table[i + 1 :]:
                 if late.subnet_of(early):
@@ -376,6 +384,7 @@ def load_scope(text: str) -> MemberScope:
             if tokens[0] == "member" and len(tokens) == 2:
                 members.append(ipaddress.IPv4Network(tokens[1]))
             elif tokens[0] == "object" and len(tokens) == 3:
+                check_object_name(tokens[2])
                 objects.append((ipaddress.IPv4Network(tokens[1]), tokens[2]))
             else:
                 raise ValueError(f"unrecognized scope line {tokens[0]!r}")

@@ -69,28 +69,30 @@ def _entropy(totals: Mapping[Hashable, int], n: int) -> float:
     return h
 
 
+def _score(table: ContingencyTable, side: int) -> float:
+    """1 - H(X|Y)/H(X), where Y is the labeling at position ``side`` of each
+    ``counts`` key (0 true class, 1 predicted group) and X the other one;
+    1.0 when H(X) is zero."""
+    marginals = (table.class_totals, table.group_totals)
+    given, totals = marginals[side], marginals[1 - side]
+    h_x = _entropy(totals, table.n)
+    if h_x == 0.0:
+        return 1.0
+    h_x_given_y = 0.0
+    for key, count in table.counts.items():
+        if count > 0:
+            h_x_given_y -= (count / table.n) * math.log(count / given[key[side]])
+    return min(1.0, max(0.0, 1.0 - h_x_given_y / h_x))
+
+
 def homogeneity(table: ContingencyTable) -> float:
     """1 - H(C|K)/H(C); 1.0 when every cluster holds a single class."""
-    h_c = _entropy(table.class_totals, table.n)
-    if h_c == 0.0:
-        return 1.0
-    h_c_given_k = 0.0
-    for (_, g), count in table.counts.items():
-        if count > 0:
-            h_c_given_k -= (count / table.n) * math.log(count / table.group_totals[g])
-    return min(1.0, max(0.0, 1.0 - h_c_given_k / h_c))
+    return _score(table, side=1)
 
 
 def completeness(table: ContingencyTable) -> float:
     """1 - H(K|C)/H(K); 1.0 when every class lands in a single cluster."""
-    h_k = _entropy(table.group_totals, table.n)
-    if h_k == 0.0:
-        return 1.0
-    h_k_given_c = 0.0
-    for (c, _), count in table.counts.items():
-        if count > 0:
-            h_k_given_c -= (count / table.n) * math.log(count / table.class_totals[c])
-    return min(1.0, max(0.0, 1.0 - h_k_given_c / h_k))
+    return _score(table, side=0)
 
 
 def v_measure(h: float, c: float) -> float:

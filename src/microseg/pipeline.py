@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import ipaddress
 import json
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -24,7 +25,7 @@ from .clustering import (
     fit_groups,
     select_best,
 )
-from .features import matrix_to_csv, write_atomic
+from .features import write_atomic
 from .flows import (
     DROP_UNKNOWN,
     POLICIES,
@@ -81,7 +82,6 @@ class PipelineConfig:
     # execution controls (not part of artifact identity)
     workers: int = 1  # accepted; has no effect (bench/trace.py reads it)
     strict: bool = False
-    export_features: bool = False
     # synthetic scenario knobs
     synth_group_count: int = 10
     synth_endpoints_per_group: int = 3
@@ -181,6 +181,8 @@ def _validate_config(config: PipelineConfig) -> None:
         raise UsageError("seed must be >= 0")
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
+    if "," in config.dataset:
+        raise UsageError(f"dataset {config.dataset!r} holds a comma, which splits report rows")
     for name in ("group_count", "endpoints_per_group", "windows",
                  "flows_per_endpoint_window", "services_per_group", "port_pool"):
         if getattr(config, f"synth_{name}") < 1:
@@ -385,8 +387,6 @@ def run_group(config: PipelineConfig) -> dict:
         )
         + "\n",
     )
-    if config.export_features:
-        write_atomic(out / "features.csv", matrix_to_csv(result.matrix))
     write_atomic(
         out / "timing.json",
         json.dumps({"grouping_seconds": elapsed}, sort_keys=True) + "\n",
@@ -465,11 +465,12 @@ def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
         raise DataError("eval: timing.json missing; run the group stage first") from exc
     except ValueError as exc:
         raise DataError(f"eval: timing.json is not valid JSON: {exc}") from exc
-    try:
-        elapsed = float(timing["grouping_seconds"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError("eval: timing.json has no numeric grouping_seconds") from exc
-    report = evaluate(groups, truth, run_time_seconds=elapsed)
+    seconds = timing.get("grouping_seconds") if isinstance(timing, dict) else None
+    # type() and not isinstance(): a JSON true is an int too. The upper bound
+    # rejects infinity and an integer too large for a float.
+    if type(seconds) not in (int, float) or not 0 <= seconds <= sys.float_info.max:
+        raise DataError("eval: timing.json has no finite, non-negative grouping_seconds")
+    report = evaluate(groups, truth, run_time_seconds=float(seconds))
     row = report_row(report, config.dataset)
     write_atomic(out / "eval_report.csv", REPORT_HEADER + "\n" + row + "\n")
     write_atomic(

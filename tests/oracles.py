@@ -263,11 +263,6 @@ def reference_encode_windows(records, window_seconds, top_k_ports):
     return keys, np.stack([reference_encode(buckets[key], schema) for key in keys]), schema
 
 
-def destandardize(matrix):
-    """Undo ``standardize`` from the mean and scale stored on the matrix."""
-    return matrix.values * matrix.scale + matrix.mean
-
-
 def reconstruct(model, projected):
     """Map PCA signatures back to the input space."""
     return np.asarray(projected) @ model.components + model.mean

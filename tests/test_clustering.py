@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from microseg import clustering
 from microseg.clustering import (
     GroupAssignment,
     GroupingParams,
@@ -276,6 +279,30 @@ class TestFitGroups:
         ]
         for a, b in zip(first.assignments, second.assignments):
             assert a.mean_distances.tobytes() == b.mean_distances.tobytes()
+
+    def test_sample_matrices_freed_before_kmeans(self, monkeypatch):
+        # Only the projected samples may stay alive through k-means.
+        _, kept = _scenario_records(_ring_spec())
+        refs, alive = [], []
+
+        def recording(fn, values_of):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                refs.append(weakref.ref(values_of(result).values))
+                return result
+            return wrapper
+
+        def checked_kmeans_fit(*args, **kwargs):
+            alive.extend(ref() is not None for ref in refs)
+            return kmeans_fit(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "encode_windows",
+                            recording(clustering.encode_windows, lambda r: r[0]))
+        monkeypatch.setattr(clustering, "standardize",
+                            recording(clustering.standardize, lambda r: r))
+        monkeypatch.setattr(clustering, "kmeans_fit", checked_kmeans_fit)
+        fit_groups(kept, GroupingParams(seed=1, top_k_ports=16))
+        assert alive == [False, False]
 
 
 class TestRetrain:

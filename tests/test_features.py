@@ -4,16 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from microseg.features import (
-    SampleMatrix,
-    encode_windows,
-    matrix_to_csv,
-    standardize,
-)
+from microseg.features import SampleMatrix, encode_windows, standardize
 from microseg.flows import MemberScope
 
 from conftest import kept_table, line
-from oracles import destandardize, reference_schema, reference_windowize
+from oracles import reference_schema, reference_windowize
 
 # Members in 10.0.0.0/24; any other address (8.8.8.8 here) is "internet".
 SCOPE = MemberScope(
@@ -181,13 +176,10 @@ class TestStandardize:
     def test_two_point_column(self):
         std = standardize(self._matrix([[0.0, 10.0]]))
         assert std.values[:, 0].tolist() == [-1.0, 1.0]
-        assert std.mean.tolist() == [5.0]
-        assert std.scale.tolist() == [5.0]
 
     def test_constant_column_guard(self):
         std = standardize(self._matrix([[7.0, 7.0, 7.0]]))
         assert std.values[:, 0].tolist() == [0.0, 0.0, 0.0]
-        assert std.scale.tolist() == [1.0]
 
     def test_idempotent_on_standardized_data(self):
         std = standardize(self._matrix([[0.0, 10.0, 20.0], [3.0, 1.0, 2.0]]))
@@ -198,7 +190,8 @@ class TestStandardize:
         rng = np.random.default_rng(5)
         raw = self._matrix(rng.normal(size=(4, 30)) * 100)
         std = standardize(raw)
-        assert np.allclose(destandardize(std), raw.values, atol=1e-12, rtol=0)
+        mean, scale = raw.values.mean(axis=0), raw.values.std(axis=0)
+        assert np.allclose(std.values * scale + mean, raw.values, atol=1e-12, rtol=0)
 
     def test_requires_two_rows(self):
         with pytest.raises(ValueError):
@@ -224,11 +217,3 @@ class TestEncodeWindows:
         m2, _ = encode_windows(table(records), 60, 4, workers=4)
         assert np.array_equal(m1.values, m2.values)
         assert m1.endpoints == m2.endpoints
-
-    def test_csv_export_shape(self):
-        records = [line("10.0.0.1", "10.0.0.2")]
-        matrix, schema = encode_windows(table(records), 60, 4)
-        text = matrix_to_csv(matrix)
-        lines = text.strip().split("\n")
-        assert lines[0].startswith("endpoint,window,f0")
-        assert len(lines) == 1 + matrix.n_rows

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from microseg.flows import DataError, load_scope, parse_flow_log
 from microseg.pipeline import PipelineConfig, UsageError, parse_config_text
-from microseg.rules import load_ruleset
+from microseg.rules import (
+    EntityRef,
+    FirewallRule,
+    RuleSet,
+    ServiceTuple,
+    load_ruleset,
+    ruleset_to_csv,
+)
 
 from conftest import as_records
 from oracles import reference_parse_flow_log
@@ -143,3 +150,31 @@ def test_load_ruleset(ruleset_path, data):
         load_ruleset(ruleset_path)
     except DataError:
         pass
+
+
+# Scopes that load_scope mostly accepts, so that the object names vary.
+NAMES = st.one_of(TOKEN, st.text(min_size=1, max_size=8), st.sampled_from(["web,proxy", ","]))
+NAMED_SCOPES = st.lists(NAMES, max_size=4).map(
+    lambda names: "\n".join(
+        ["member 10.0.0.0/24"]
+        + [f"object 198.51.100.{i}/32 {name}" for i, name in enumerate(names)]
+    )
+)
+
+
+@FUZZ
+@given(st.one_of(SCOPE_LINES, NAMED_SCOPES))
+def test_scope_object_names_survive_ruleset_csv(ruleset_path, text):
+    # Whatever name the scope accepts, rules naming it load back unchanged.
+    try:
+        scope = load_scope(text)
+    except DataError:
+        return
+    service, group = ServiceTuple("TCP", 443), EntityRef.group(1)
+    rules = []
+    for name in scope.object_names:
+        ref = EntityRef.network_object(name)
+        rules += [FirewallRule(ref, group, service, 1), FirewallRule(group, ref, service, 2)]
+    ruleset = RuleSet.from_rules(rules)
+    ruleset_path.write_text(ruleset_to_csv(ruleset))
+    assert load_ruleset(ruleset_path) == ruleset

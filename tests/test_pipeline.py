@@ -95,6 +95,11 @@ class TestConfigParsing:
         with pytest.raises(UsageError, match="unknown key"):
             parse_config_text("frobnicate = 3")
 
+    def test_removed_export_features_key_rejected(self):
+        # An older tune's best_config.txt still sets it.
+        with pytest.raises(UsageError, match="unknown key 'export_features'"):
+            parse_config_text("export_features = true")
+
     def test_bad_value_rejected(self):
         with pytest.raises(UsageError):
             parse_config_text("window_seconds = soon")
@@ -202,13 +207,6 @@ class TestRunGroup:
         run_group(config)
         for name in ARTIFACTS:
             assert (Path(config.out_dir) / name).read_bytes() == first[name], name
-
-    def test_feature_export_flag(self, tmp_path):
-        config = synth_setup(tmp_path)
-        config.export_features = True
-        run_group(config)
-        text = (Path(config.out_dir) / "features.csv").read_text()
-        assert text.startswith("endpoint,window,f0")
 
     def test_failed_write_keeps_earlier_artifact(self, tmp_path, monkeypatch):
         config = synth_setup(tmp_path)
@@ -588,6 +586,11 @@ class TestCli:
             ("eval", "groups.json", "unreferenced member not an address"),
             ("eval", "timing.json", "garbage\n"),
             ("eval", "timing.json", "{}\n"),
+            ("eval", "timing.json", '{"grouping_seconds": NaN}\n'),
+            ("eval", "timing.json", '{"grouping_seconds": Infinity}\n'),
+            ("eval", "timing.json", '{"grouping_seconds": -3}\n'),
+            ("eval", "timing.json", '{"grouping_seconds": "7"}\n'),
+            ("eval", "timing.json", '{"grouping_seconds": true}\n'),
             ("rules", "groups.json", "suggested_qty off"),
             ("eval", "groups.json", "suggested_qty off"),
             ("eval", "groups.json", "padded id"),
@@ -606,6 +609,11 @@ class TestCli:
             "groups-unreferenced-member-not-ipv4-eval",
             "timing-garbage",
             "timing-empty",
+            "timing-nan",
+            "timing-infinity",
+            "timing-negative",
+            "timing-string",
+            "timing-bool",
             "groups-suggested-qty-mismatch-rules",
             "groups-suggested-qty-mismatch-eval",
             "groups-padded-id",
@@ -675,6 +683,7 @@ class TestCli:
             ("group", "k = 0"),
             ("group", "tol = 0"),
             ("group", "tol = nan"),
+            ("group", "dataset = a,b"),
             ("synth", "synth_endpoints_per_group = 0"),
             ("synth", "synth_windows = 0"),
             ("synth", "synth_flows_per_endpoint_window = 0"),
@@ -732,6 +741,19 @@ class TestCli:
         scope.write_text("\n".join(l for i, l in enumerate(lines) if i not in objects[:2]))
         assert main(["rules", "--config", str(run_cfg)]) == 2
         assert main(["eval", "--config", str(run_cfg)]) == 2
+
+    def test_object_name_with_comma_exit_two(self, tmp_path, capsys):
+        # ruleset.csv could not hold the name, so the scope is refused
+        # before group writes anything.
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        scope = tmp_path / "data" / "scope.txt"
+        lines = scope.read_text().split("\n")
+        with scope.open("a") as f:
+            f.write("object 198.51.100.1/32 web,proxy\n")
+        assert main(["group", "--config", str(run_cfg)]) == 2
+        assert f"scope line {len(lines)}: object name 'web,proxy'" in capsys.readouterr().err
+        assert not (tmp_path / "artifacts").exists()
 
     def test_ported_protocol_with_port_zero_is_malformed(self, tmp_path):
         # group and rules read the log by one rule, so a line that group
