@@ -87,6 +87,10 @@ def _sq_dists(X: np.ndarray, C: np.ndarray, xx: np.ndarray) -> np.ndarray:
     return G
 
 
+#: Upper bound on single-sample refinement rounds per polish pass.
+POLISH_ROUNDS = 1000
+
+
 def _distinct_rows(X: np.ndarray) -> int:
     return np.unique(X, axis=0).shape[0]
 
@@ -109,8 +113,9 @@ def kmeans_pp_init(samples: np.ndarray, k: int, seed: int) -> np.ndarray:
     X = np.asarray(samples, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > _distinct_rows(X):
-        raise ValueError(f"k={k} exceeds the {_distinct_rows(X)} distinct sample rows")
+    distinct = _distinct_rows(X)
+    if k > distinct:
+        raise ValueError(f"k={k} exceeds the {distinct} distinct sample rows")
     return _pp_seed(X, k, np.random.default_rng(seed), _row_sq(X))
 
 
@@ -140,8 +145,7 @@ def _update_centroids(
 
 
 def _hartigan_polish(
-    X: np.ndarray, xx: np.ndarray, labels: np.ndarray, k: int,
-    prev_centroids: np.ndarray, max_rounds: int = 1000
+    X: np.ndarray, xx: np.ndarray, labels: np.ndarray, k: int, prev_centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Single-sample refinement after Lloyd convergence.
 
@@ -169,7 +173,7 @@ def _hartigan_polish(
     rows = np.arange(n)
     cost[rows, labels] = np.inf
     moves = 0
-    for _ in range(max_rounds):
+    for _ in range(POLISH_ROUNDS):
         own = D[rows, labels]
         # Removing a sample from a singleton cluster would empty it; bar
         # those moves by making their gain infinitely unattractive.
@@ -361,11 +365,7 @@ def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
     row_endpoints = std.endpoints
     projected = project(fit_pca(std, params.pca_target), std.values)
     del std
-    endpoints = sorted(set(row_endpoints))
-    rows_of: dict[str, list[int]] = {ep: [] for ep in endpoints}
-    for i, ep in enumerate(row_endpoints):
-        rows_of[ep].append(i)
-
+    endpoints, starts, counts = np.unique(row_endpoints, return_index=True, return_counts=True)
     k = min(resolve_k(params.k, len(endpoints)), len(endpoints), _distinct_rows(projected))
     cluster_model = kmeans_fit(
         projected,
@@ -376,7 +376,8 @@ def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
         restarts=params.restarts,
     )
     assignments = [
-        assign_endpoint(ep, projected[rows_of[ep]], cluster_model) for ep in endpoints
+        assign_endpoint(ep, projected[start : start + n], cluster_model)
+        for ep, start, n in zip(endpoints.tolist(), starts.tolist(), counts.tolist())
     ]
     return GroupingResult(assignments=assignments, groups=derive_groups(assignments))
 

@@ -57,7 +57,8 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """Sample vectors stacked row-wise, one row per (endpoint, window)."""
+    """Sample vectors stacked row-wise, one row per (endpoint, window), sorted
+    by endpoint string, then window: each endpoint's rows are one slice."""
 
     endpoints: tuple[str, ...]
     windows: tuple[int, ...]
@@ -106,9 +107,11 @@ def encode_windows(
         peer_vocab=tuple(sorted(set(objects.values()))),
     )
     p, q, r = (len(v) + 1 for v in (schema.protocol_vocab, top, schema.peer_vocab))
-    # Slot of each protocol code and of each address code as a far peer.
+    # Slot of each protocol code, destination port and far-peer address code.
     proto_slot = np.full(len(flows.protocols), p - 1)
     proto_slot[protocols] = np.arange(p - 1)
+    port_slot = np.full(65536, q - 1)
+    port_slot[top] = np.arange(q - 1)
     peer_slot = np.full(len(flows.addrs), r - 1)
     for c, name in objects.items():
         peer_slot[c] = schema.peer_vocab.index(name)
@@ -125,27 +128,23 @@ def encode_windows(
     first, row, _ = distinct_rows(endpoint, window)
     n = len(first)
 
-    width = 2 * p + 2 * q + r
-    port_slot = np.where(np.isin(port, top), np.searchsorted(top, port), q - 1)
-    slots = np.concatenate([
-        proto_slot[protocol] + p * inbound,
-        2 * p + port_slot + q * inbound,
-        2 * p + 2 * q + far,
-    ])
+    def count(size: int, slot: np.ndarray) -> np.ndarray:
+        return np.bincount(row * size + slot, minlength=n * size).reshape(n, size)
+
     values = np.empty((n, schema.dimension))
-    values[:, :width] = np.bincount(
-        np.tile(row, 3) * width + slots, minlength=n * width
-    ).reshape(n, width)
+    values[:, : 2 * p] = count(2 * p, proto_slot[protocol] + p * inbound)
+    values[:, 2 * p : 2 * p + 2 * q] = count(2 * q, port_slot[port] + q * inbound)
+    values[:, 2 * p + 2 * q : -3] = count(r, far)
     services, _, _ = distinct_rows(row, inbound, protocol, port, far)
-    values[:, width] = np.bincount(row[services], minlength=n)
-    values[:, width + 1] = np.bincount(row, minlength=n)
+    values[:, -3] = np.bincount(row[services], minlength=n)
+    values[:, -2] = np.bincount(row, minlength=n)
     # Exact byte totals: the high and low 32 bits are summed apart, so an
     # int64 sum cannot wrap below 2**31 contributions per row.
     nbytes = flows.byte_count[flow_of]
     high, low = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     np.add.at(high, row, nbytes >> 32)
     np.add.at(low, row, nbytes & 0xFFFFFFFF)
-    values[:, width + 2] = [
+    values[:, -1] = [
         math.log1p((h << 32) + lo) for h, lo in zip(high.tolist(), low.tolist())
     ]
     endpoints = tuple(flows.addrs[c] for c in endpoint[first].tolist())

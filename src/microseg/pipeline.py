@@ -28,6 +28,7 @@ from .clustering import (
 from .features import write_atomic
 from .flows import (
     DROP_UNKNOWN,
+    INT64_MAX,
     POLICIES,
     DataError,
     FlowTable,
@@ -163,8 +164,10 @@ def _validate_config(config: PipelineConfig) -> None:
         raise UsageError(
             f"unknown_policy must be one of {POLICIES}, got {config.unknown_policy!r}"
         )
-    if config.window_seconds < 1 or config.top_k_ports < 1:
-        raise UsageError("window_seconds and top_k_ports must be >= 1")
+    if not 1 <= config.window_seconds <= INT64_MAX:
+        raise UsageError("window_seconds must be in [1, 2**63 - 1]")
+    if config.top_k_ports < 1:
+        raise UsageError("top_k_ports must be >= 1")
     if isinstance(config.pca_target, float) and not 0.0 < config.pca_target <= 1.0:
         raise UsageError("pca_target fraction must be in (0, 1]")
     if isinstance(config.pca_target, int) and config.pca_target < 1:
@@ -181,6 +184,8 @@ def _validate_config(config: PipelineConfig) -> None:
         raise UsageError("seed must be >= 0")
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
+    if not 0.0 <= config.homogeneity_floor <= 1.0:
+        raise UsageError("homogeneity_floor must be in [0, 1]")
     if "," in config.dataset:
         raise UsageError(f"dataset {config.dataset!r} holds a comma, which splits report rows")
     for name in ("group_count", "endpoints_per_group", "windows",
@@ -297,6 +302,15 @@ def groups_payload(groups: SecurityGroups, fp: str, config: PipelineConfig) -> s
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
+def _is_group_id(gid: str) -> bool:
+    """A canonical decimal that ``int`` reads; it refuses one longer than
+    the interpreter's digit limit, which no run writes."""
+    try:
+        return gid.isdecimal() and gid == str(int(gid))
+    except ValueError:
+        return False
+
+
 def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
     try:
         payload = json.loads(Path(path).read_text())
@@ -311,7 +325,7 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
     fp = payload.get("fingerprint")
     if not (
         isinstance(raw, dict)
-        and all(gid.isdecimal() and gid == str(int(gid)) for gid in raw)
+        and all(_is_group_id(gid) for gid in raw)
         and all(
             isinstance(members, list) and all(isinstance(ep, str) for ep in members)
             for members in raw.values()

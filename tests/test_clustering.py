@@ -16,6 +16,7 @@ from microseg.clustering import (
     resolve_k,
     select_best,
 )
+from microseg.features import standardize
 from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, filter_flows, parse_flow_log
 from microseg.metrics import EvalReport
 from microseg.synth import ScenarioSpec, ServiceTemplate, generate, random_scenario
@@ -303,6 +304,37 @@ class TestFitGroups:
         monkeypatch.setattr(clustering, "kmeans_fit", checked_kmeans_fit)
         fit_groups(kept, GroupingParams(seed=1, top_k_ports=16))
         assert alive == [False, False]
+
+    def test_endpoint_row_slices_match_masks(self, monkeypatch):
+        # fit_groups takes each endpoint's rows as one slice of the sorted
+        # row order. Rebuilding them with a mask over the row endpoints must
+        # give bit-equal distances. With 12 endpoints, string order puts
+        # 10.0.0.10 before 10.0.0.9, unlike numeric order.
+        spec = random_scenario(
+            4, 3, 4, 20, services_per_group=4, port_pool=32, noise_rate=0.05, seed=11
+        )
+        _, kept = _scenario_records(spec)
+        seen = {}
+
+        def recording_standardize(matrix):
+            seen["rows"] = np.array(matrix.endpoints)
+            return standardize(matrix)
+
+        def recording_kmeans_fit(samples, *args, **kwargs):
+            seen["samples"] = samples
+            seen["model"] = kmeans_fit(samples, *args, **kwargs)
+            return seen["model"]
+
+        monkeypatch.setattr(clustering, "standardize", recording_standardize)
+        monkeypatch.setattr(clustering, "kmeans_fit", recording_kmeans_fit)
+        result = fit_groups(kept, GroupingParams(seed=3, top_k_ports=16))
+        endpoints = [a.endpoint for a in result.assignments]
+        assert endpoints == sorted(set(seen["rows"].tolist()))
+        assert endpoints.index("10.0.0.10") < endpoints.index("10.0.0.9")
+        for a in result.assignments:
+            mask = seen["rows"] == a.endpoint
+            expected = assign_endpoint(a.endpoint, seen["samples"][mask], seen["model"])
+            assert expected.mean_distances.tobytes() == a.mean_distances.tobytes()
 
 
 class TestRetrain:

@@ -596,6 +596,8 @@ class TestCli:
             ("eval", "groups.json", "padded id"),
             ("eval", "groups.json", "no groups"),
             ("eval", "groups.json", "empty group"),
+            ("rules", "groups.json", "id over digit limit"),
+            ("eval", "groups.json", "id over digit limit"),
             ("verify", "ruleset.csv", "deny"),
         ],
         ids=[
@@ -619,6 +621,8 @@ class TestCli:
             "groups-padded-id",
             "groups-none",
             "groups-empty-group",
+            "groups-id-over-digit-limit-rules",
+            "groups-id-over-digit-limit-eval",
             "ruleset-deny-action",
         ],
     )
@@ -636,6 +640,7 @@ class TestCli:
         elif content in (
             "endpoint in two groups", "member not an address", "suggested_qty off",
             "padded id", "no groups", "empty group", "unreferenced member not an address",
+            "id over digit limit",
         ):
             # Edit the real artifact, so its fingerprint still matches.
             payload = json.loads(path.read_text())
@@ -657,6 +662,9 @@ class TestCli:
                 # No rule names a new group, so only load_groups can see it.
                 groups["999"] = ["not-an-ip"]
                 payload["suggested_qty"] = len(groups)
+            elif content == "id over digit limit":
+                # Longer than the 4,300 digits int() reads by default.
+                groups["1" * 5000] = groups.pop(next(iter(groups)))
             else:
                 # "0<id>" after "<id>" names the same int and would replace
                 # that group; only the id check catches it, because the
@@ -684,6 +692,10 @@ class TestCli:
             ("group", "tol = 0"),
             ("group", "tol = nan"),
             ("group", "dataset = a,b"),
+            ("group", "window_seconds = 1000000000000000000000000000000"),
+            ("group", "homogeneity_floor = 1.5"),
+            ("group", "homogeneity_floor = -0.1"),
+            ("group", "homogeneity_floor = nan"),
             ("synth", "synth_endpoints_per_group = 0"),
             ("synth", "synth_windows = 0"),
             ("synth", "synth_flows_per_endpoint_window = 0"),
