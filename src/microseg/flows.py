@@ -174,7 +174,9 @@ class FlowTable:
     holds codes into the sorted ``protocols``. ``classes`` is empty on a
     parsed table; :func:`filter_flows` sets it to each address's class,
     indexed by code. Iterating builds a :class:`FlowRecord` per row (a
-    :class:`ClassifiedFlow` once classified); no stage does.
+    :class:`ClassifiedFlow` once classified). No pipeline stage does; the
+    rule-completeness check :func:`~microseg.pipeline.verify_ruleset_completeness`
+    iterates one row per distinct (src, dst, protocol, port).
     """
 
     timestamp: np.ndarray
@@ -328,14 +330,16 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
             f"corrupt input: {malformed} of {content} lines malformed "
             f"(first: {first_error})"
         )
+    # Code lookups copy the src, dst and protocol rows; copy only the other
+    # four, so no column keeps the whole row buffer alive.
     ts, src, dst, proto, port, packets, nbytes = (
-        np.frombuffer(cells, dtype=np.int64).reshape(-1, len(COLUMNS)).T.copy()
+        np.frombuffer(cells, dtype=np.int64).reshape(-1, len(COLUMNS)).T
     )
     addrs, addr_rank = addr_codes.sorted_tokens()
     protocol_vocab, protocol_rank = protocols.sorted_tokens()
     table = FlowTable(
-        ts, addr_rank[src], addr_rank[dst], protocol_rank[proto], port, packets, nbytes,
-        addrs, protocol_vocab,
+        ts.copy(), addr_rank[src], addr_rank[dst], protocol_rank[proto],
+        port.copy(), packets.copy(), nbytes.copy(), addrs, protocol_vocab,
     )
     return table, malformed
 

@@ -1,28 +1,19 @@
 """Clustering validity metrics: homogeneity, completeness, V-measure.
 
-All three are ratios of natural-log entropies over the exact contingency
-table, with the usual degenerate conventions: homogeneity is 1 when the
-class entropy is zero, completeness is 1 when the cluster entropy is zero,
-and the V-measure is 0 when homogeneity and completeness are both 0.
+Homogeneity is 1 - H(C|K)/H(C) over natural-log entropies of the exact
+joint counts, and 1 when the class entropy H(C) is zero. Completeness is
+homogeneity with the two labelings swapped. The V-measure is their
+harmonic mean, and 0 when both are 0.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from .flows import DataError
-
-
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Joint (true class, predicted group) counts with marginals."""
-
-    counts: dict[tuple[Hashable, Hashable], int]
-    n: int
-    class_totals: dict[Hashable, int]
-    group_totals: dict[Hashable, int]
 
 
 @dataclass(frozen=True)
@@ -36,63 +27,28 @@ class EvalReport:
     run_time_seconds: float = 0.0
 
 
-def contingency(
+def homogeneity(
     true_labels: Sequence[Hashable], predicted_labels: Sequence[Hashable]
-) -> ContingencyTable:
+) -> float:
+    """1 - H(C|K)/H(C), C the true classes and K the predicted groups;
+    1.0 when every group holds a single class. Each sum runs over classes
+    and (class, group) pairs in order of first appearance."""
     if len(true_labels) != len(predicted_labels):
         raise ValueError(
             f"label lists differ in length: {len(true_labels)} vs {len(predicted_labels)}"
         )
     if not true_labels:
         raise ValueError("labels must be non-empty")
-    counts: dict[tuple[Hashable, Hashable], int] = {}
-    class_totals: dict[Hashable, int] = {}
-    group_totals: dict[Hashable, int] = {}
-    for c, g in zip(true_labels, predicted_labels):
-        counts[(c, g)] = counts.get((c, g), 0) + 1
-        class_totals[c] = class_totals.get(c, 0) + 1
-        group_totals[g] = group_totals.get(g, 0) + 1
-    return ContingencyTable(
-        counts=counts,
-        n=len(true_labels),
-        class_totals=class_totals,
-        group_totals=group_totals,
-    )
-
-
-def _entropy(totals: Mapping[Hashable, int], n: int) -> float:
-    h = 0.0
-    for count in totals.values():
-        if count > 0:
-            p = count / n
-            h -= p * math.log(p)
-    return h
-
-
-def _score(table: ContingencyTable, side: int) -> float:
-    """1 - H(X|Y)/H(X), where Y is the labeling at position ``side`` of each
-    ``counts`` key (0 true class, 1 predicted group) and X the other one;
-    1.0 when H(X) is zero."""
-    marginals = (table.class_totals, table.group_totals)
-    given, totals = marginals[side], marginals[1 - side]
-    h_x = _entropy(totals, table.n)
-    if h_x == 0.0:
+    n = len(true_labels)
+    h_c = -sum(count / n * math.log(count / n) for count in Counter(true_labels).values())
+    if h_c == 0.0:
         return 1.0
-    h_x_given_y = 0.0
-    for key, count in table.counts.items():
-        if count > 0:
-            h_x_given_y -= (count / table.n) * math.log(count / given[key[side]])
-    return min(1.0, max(0.0, 1.0 - h_x_given_y / h_x))
-
-
-def homogeneity(table: ContingencyTable) -> float:
-    """1 - H(C|K)/H(C); 1.0 when every cluster holds a single class."""
-    return _score(table, side=1)
-
-
-def completeness(table: ContingencyTable) -> float:
-    """1 - H(K|C)/H(K); 1.0 when every class lands in a single cluster."""
-    return _score(table, side=0)
+    group_totals = Counter(predicted_labels)
+    h_c_given_k = -sum(
+        count / n * math.log(count / group_totals[g])
+        for (_, g), count in Counter(zip(true_labels, predicted_labels)).items()
+    )
+    return min(1.0, max(0.0, 1.0 - h_c_given_k / h_c))
 
 
 def v_measure(h: float, c: float) -> float:
@@ -122,9 +78,8 @@ def evaluate(
         )
     true_labels = [ground_truth[ep] for ep in endpoints]
     pred_labels = [endpoint_group[ep] for ep in endpoints]
-    table = contingency(true_labels, pred_labels)
-    h = homogeneity(table)
-    c = completeness(table)
+    h = homogeneity(true_labels, pred_labels)
+    c = homogeneity(pred_labels, true_labels)
     return EvalReport(
         homogeneity=h,
         completeness=c,

@@ -56,6 +56,10 @@ class UsageError(Exception):
     """Bad command line or configuration."""
 
 
+#: Upper bound on ``restarts``: each restart is a full k-means fit, and the
+#: restart seeds are drawn as one array before the first fit starts.
+MAX_RESTARTS = 1000
+
 #: Config fields that define artifact content (hashed into fingerprints).
 SEMANTIC_FIELDS = ("unknown_policy",) + tuple(f.name for f in fields(GroupingParams))
 
@@ -180,6 +184,8 @@ def _validate_config(config: PipelineConfig) -> None:
         raise UsageError("tol must be > 0")
     if config.max_iter < 1 or config.restarts < 1:
         raise UsageError("max_iter and restarts must be >= 1")
+    if config.restarts > MAX_RESTARTS:
+        raise UsageError(f"restarts must be <= {MAX_RESTARTS}")
     if config.seed < 0:
         raise UsageError("seed must be >= 0")
     if config.workers < 1:

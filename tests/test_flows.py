@@ -3,6 +3,7 @@ import ipaddress
 import pytest
 
 from microseg.flows import (
+    COLUMNS,
     DROP_UNKNOWN,
     MAP_TO_OBJECTS,
     DataError,
@@ -41,6 +42,15 @@ class TestParseFlowLog:
                 byte_count=9000,
             )
         ]
+
+    def test_columns_own_their_data(self):
+        # A view into the parse's row buffer would keep all seven int64 rows
+        # alive for as long as the table.
+        records, _ = parse_flow_log(
+            "10,10.0.0.1,10.0.0.2,TCP,443,1,80\n11,10.0.0.2,10.0.0.1,UDP,53,2,90\n"
+        )
+        for name in COLUMNS:
+            assert getattr(records, name).base is None, name
 
     def test_portless_protocol(self):
         [record] = parsed("5,10.0.0.1,10.0.0.2,ICMP,0,3,240")

@@ -686,6 +686,8 @@ class TestCli:
             ("group", "--seed -1"),
             ("synth", "--seed -1"),
             ("group", "restarts = 0"),
+            ("group", "restarts = 1001"),
+            ("group", "restarts = 1000000000000000000000000000000"),
             ("group", "max_iter = 0"),
             ("group", "k = 1.5"),
             ("group", "k = 0"),
