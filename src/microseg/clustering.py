@@ -6,6 +6,13 @@ each endpoint then joins the centroid with the smallest average distance
 over all of its samples, which smooths over endpoints whose sample counts
 differ. Non-empty centroids become security groups. Ties break to the
 lowest index everywhere.
+
+Lloyd keeps one upper and one lower distance bound per sample and computes
+distance rows only for the samples the bounds leave open; the refinement
+keeps the distance matrix and each sample's cheapest move, and updates
+them from the columns a round touched. Both give the labels of the full
+distance product bit for bit: a bound decides only with a margin wider
+than the rounding of any evaluation, and a near tie takes the full product.
 """
 
 from __future__ import annotations
@@ -76,15 +83,120 @@ def _row_sq(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)[:, None]
 
 
+#: Elements per block of the elementwise passes over a distance matrix.
+_BLOCK = 1 << 15
+
+
+def _block_rows(k: int) -> int:
+    return max(1, _BLOCK // max(k, 1))
+
+
 def _sq_dists(X: np.ndarray, C: np.ndarray, xx: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, (n_samples, n_centroids), clipped at 0.
-    Computed in the product's buffer: (xx + cc) - 2·X·Cᵀ."""
+    Computed in the product's buffer, one row block at a time, as
+    (xx + cc) - 2·X·Cᵀ, so a call holds a single n_samples×n_centroids
+    matrix."""
     cc = np.einsum("ij,ij->i", C, C)[None, :]
     G = X @ C.T
-    G *= 2.0
-    np.subtract(xx + cc, G, out=G)
-    np.maximum(G, 0.0, out=G)
+    step = _block_rows(G.shape[1])
+    for start in range(0, G.shape[0], step):
+        g = G[start : start + step]
+        g *= 2.0
+        np.subtract(xx[start : start + step] + cc, g, out=g)
+        np.maximum(g, 0.0, out=g)
     return G
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _dist_err(xx: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Per-row bound on how far any evaluation of a squared distance from a
+    sample to a centroid of ``C`` lies from the exact value.
+
+    Whatever the summation order (BLAS blocking, FMA, row subsets), the
+    expanded form (xx + cc) - 2·x·c and the direct form ‖x - c‖² are each
+    within (d + 3)·eps·(‖x‖² + ‖c‖²) of exact. This is at least four times
+    that, with the largest ‖c‖², so the bound tests also absorb their own
+    rounding.
+    """
+    cc_max = float(np.einsum("ij,ij->i", C, C).max())
+    return 4.0 * (C.shape[1] + 4) * _EPS * (xx[:, 0] + cc_max)
+
+
+def _upper(sq: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """An upper bound on the exact distance, from a computed squared one."""
+    return np.sqrt(sq + err) * (1.0 + 2.0 * _EPS)
+
+
+def _lower(sq: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """A lower bound on the exact distance, from a computed squared one."""
+    return np.sqrt(np.maximum(sq - err, 0.0)) * (1.0 - 2.0 * _EPS)
+
+
+_Bounds = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _bounds(D: np.ndarray, err: np.ndarray) -> _Bounds:
+    """Each row's nearest centroid in ``D`` (lowest index on ties), an upper
+    bound on its distance to it and a lower bound on its distance to every
+    other centroid (inf when k = 1). Overwrites ``D``."""
+    rows = np.arange(D.shape[0])
+    labels = np.argmin(D, axis=1)
+    best = D[rows, labels]
+    D[rows, labels] = np.inf
+    return labels, _upper(best, err), _lower(D.min(axis=1), err)
+
+
+def _full_assign(X: np.ndarray, xx: np.ndarray, C: np.ndarray) -> _Bounds:
+    """Labels equal to ``np.argmin(_sq_dists(X, C, xx), axis=1)`` by
+    computing it, with fresh bounds for every row."""
+    return _bounds(_sq_dists(X, C, xx), _dist_err(xx, C))
+
+
+def _assign(X: np.ndarray, xx: np.ndarray, C: np.ndarray, state: _Bounds) -> _Bounds:
+    """Labels equal to ``np.argmin(_sq_dists(X, C, xx), axis=1)``, computing
+    distance rows only where the bounds do not settle them (Hamerly, "Making
+    k-means even faster", SDM 2010).
+
+    ``state`` holds candidate labels and, per row, an upper bound on the
+    exact distance to its candidate and a lower bound on the exact distance
+    to every other centroid of ``C``; it is updated in place. A row keeps
+    its label when the bounds leave more than the rounding margin between
+    the two, first as given, then with the own distance recomputed. The
+    other rows get distance rows from a product over just those rows, whose
+    last bits may differ from the full product's; if any of them has its
+    two nearest centroids within the margin, the full product decides.
+    """
+    labels, upper, lower = state
+    err = _dist_err(xx, C)
+    rows = np.flatnonzero(upper * upper + err >= lower * lower)
+    if rows.size:
+        diff = X[rows] - C[labels[rows]]
+        upper[rows] = _upper(np.einsum("ij,ij->i", diff, diff), err[rows])
+        rows = rows[upper[rows] * upper[rows] + err[rows] >= lower[rows] * lower[rows]]
+    if rows.size:
+        sub_labels, sub_upper, sub_lower = _bounds(
+            _sq_dists(X[rows], C, xx[rows]), err[rows]
+        )
+        if np.any(sub_lower * sub_lower - sub_upper * sub_upper <= err[rows]):
+            return _full_assign(X, xx, C)
+        labels[rows], upper[rows], lower[rows] = sub_labels, sub_upper, sub_lower
+    return labels, upper, lower
+
+
+def _widen(state: _Bounds, shifts: np.ndarray, d: int) -> None:
+    """Keep the bounds valid after each centroid moved by ``shifts``."""
+    labels, upper, lower = state
+    # Each shift is itself computed; widen it past its rounding.
+    shifts = shifts * (1.0 + (d + 4) * _EPS)
+    far = int(np.argmax(shifts))
+    runner_up = float(np.delete(shifts, far).max(initial=0.0))
+    upper += shifts[labels]
+    upper *= 1.0 + 2.0 * _EPS
+    lower -= np.where(labels == far, runner_up, shifts[far])
+    np.maximum(lower, 0.0, out=lower)
+    lower *= 1.0 - 2.0 * _EPS
 
 
 #: Upper bound on single-sample refinement rounds per polish pass.
@@ -98,12 +210,21 @@ def _distinct_rows(X: np.ndarray) -> int:
 def _pp_seed(
     X: np.ndarray, k: int, rng: np.random.Generator, xx: np.ndarray
 ) -> np.ndarray:
+    """k-means++ draws. When every weight rounds to 0 (rows a few ulps
+    apart), the next centroid is the lowest-index row bitwise equal to no
+    chosen centroid, and no draw is made."""
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[int(rng.integers(n))]
     d2 = _sq_dists(X, centroids[0:1], xx)[:, 0]
     for i in range(1, k):
-        centroids[i] = X[int(rng.choice(n, p=d2 / d2.sum()))]
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            seen = {row.tobytes() for row in centroids[:i]}
+            idx = next(j for j, row in enumerate(X) if row.tobytes() not in seen)
+        centroids[i] = X[idx]
         d2 = np.minimum(d2, _sq_dists(X, centroids[i : i + 1], xx)[:, 0])
     return centroids
 
@@ -144,9 +265,29 @@ def _update_centroids(
     return new_centroids
 
 
+def _best_moves(
+    D: np.ndarray, weights: np.ndarray, labels: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``rows``: the cluster with the cheapest move cost
+    ``weights[j] * D[i, j]`` other than its own (lowest index on ties), and
+    that cost. Works one row block at a time."""
+    best = np.empty(rows.size, dtype=np.intp)
+    cost = np.empty(rows.size)
+    step = _block_rows(D.shape[1])
+    for start in range(0, rows.size, step):
+        block = rows[start : start + step]
+        c = D[block]
+        c *= weights
+        r = np.arange(block.size)
+        c[r, labels[block]] = np.inf
+        best[start : start + step] = j = np.argmin(c, axis=1)
+        cost[start : start + step] = c[r, j]
+    return best, cost
+
+
 def _hartigan_polish(
     X: np.ndarray, xx: np.ndarray, labels: np.ndarray, k: int, prev_centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Single-sample refinement after Lloyd convergence.
 
     Applies reassignments of individual samples whose exact objective
@@ -158,8 +299,14 @@ def _hartigan_polish(
     every applied delta stays exact; every move strictly decreases the
     objective, so the refinement terminates. Clusters empty on entry keep
     their previous centroid position (a move into an empty cluster costs
-    nothing wherever it sits). The distance and move-cost matrices persist
-    across rounds; a round recomputes only the columns it touched.
+    nothing wherever it sits).
+
+    The distance matrix persists across rounds; a round recomputes only the
+    columns it touched. Each row keeps its cheapest move target and that
+    move's cost. After a round a row compares its target with the touched
+    columns only, and rescans its whole row only when its target column was
+    touched and no touched column is strictly cheaper. Returns the
+    centroids, labels, move count and the final distance matrix.
     """
     n = X.shape[0]
     labels = labels.copy()
@@ -169,9 +316,8 @@ def _hartigan_polish(
     centroids[nonzero] /= counts[nonzero, None]
     centroids[~nonzero] = prev_centroids[~nonzero]
     D = _sq_dists(X, centroids, xx)
-    cost = counts / (counts + 1.0) * D
     rows = np.arange(n)
-    cost[rows, labels] = np.inf
+    best_b, best_cost = _best_moves(D, counts / (counts + 1.0), labels, rows)
     moves = 0
     for _ in range(POLISH_ROUNDS):
         own = D[rows, labels]
@@ -184,8 +330,7 @@ def _hartigan_polish(
         )
         # Per-row best target is enough: the row's gain term is constant,
         # and blocked rows get another chance next round.
-        best_b = np.argmin(cost, axis=1)
-        delta = cost[rows, best_b] - gain
+        delta = best_cost - gain
         threshold = -1e-12 * max(1.0, float(own.sum()))
         cand = np.flatnonzero(delta < threshold)
         if cand.size == 0:
@@ -205,12 +350,25 @@ def _hartigan_polish(
             labels[i] = b
             moves += 1
         tc = np.flatnonzero(touched)
-        D[:, tc] = d_tc = _sq_dists(X, centroids[tc], xx)
-        cost[:, tc] = counts[tc] / (counts[tc] + 1.0) * d_tc
-        # A row whose own cluster was rewritten needs its move barred again.
+        D[:, tc] = cost_tc = _sq_dists(X, centroids[tc], xx)
+        cost_tc *= counts[tc] / (counts[tc] + 1.0)
         own_tc = np.flatnonzero(touched[labels])
-        cost[own_tc, labels[own_tc]] = np.inf
-    return centroids, labels, moves
+        cost_tc[own_tc, np.searchsorted(tc, labels[own_tc])] = np.inf
+        j = np.argmin(cost_tc, axis=1)
+        tc_best, tc_cost = tc[j], cost_tc[rows, j]
+        # An untouched target is still the cheapest untouched column, so the
+        # touched columns decide between it and themselves; a touched target
+        # that no touched column beats needs the whole row.
+        del cost_tc
+        kept = ~touched[best_b]
+        cheaper = tc_cost < best_cost
+        rescan = np.flatnonzero(~kept & ~cheaper)
+        better = cheaper | (kept & (tc_cost == best_cost) & (tc_best < best_b))
+        best_b[better], best_cost[better] = tc_best[better], tc_cost[better]
+        best_b[rescan], best_cost[rescan] = _best_moves(
+            D, counts / (counts + 1.0), labels, rescan
+        )
+    return centroids, labels, moves, D
 
 
 def _fit_restart(
@@ -223,33 +381,37 @@ def _fit_restart(
     refine the converged state; the alternation repeats until the polish
     pass finds nothing to improve. The final centroids are cluster means of
     a nearest-centroid assignment, so the recorded inertia is exactly the
-    sum of squared sample-to-nearest-centroid distances.
+    sum of squared sample-to-nearest-centroid distances. Every assignment
+    equals the argmin of the full distance product; the bounds only decide
+    which distance rows need computing.
     """
+    d = X.shape[1]
     centroids = _pp_seed(X, k, np.random.default_rng(seed), xx)
+    state = _full_assign(X, xx, centroids)
     history: list[float] = []
     iterations = 0
     while True:
         converged = False
         while iterations < max_iter and not converged:
             iterations += 1
-            labels = np.argmin(_sq_dists(X, centroids, xx), axis=1)
+            labels = state[0]
             diffs = X - centroids[labels]
             point_sq = np.einsum("ij,ij->i", diffs, diffs)
             history.append(float(point_sq.sum()))
 
             new_centroids = _update_centroids(X, labels, k, point_sq)
-            movement = float(
-                np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
-            )
+            shifts = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1))
+            _widen(state, shifts, d)
             centroids = new_centroids
-            if movement < tol:
-                converged = True
-        labels = np.argmin(_sq_dists(X, centroids, xx), axis=1)
-        centroids, labels, moves = _hartigan_polish(X, xx, labels, k, centroids)
+            state = _assign(X, xx, centroids, state)
+            converged = float(shifts.max()) < tol
+        centroids, _, moves, D = _hartigan_polish(X, xx, state[0], k, centroids)
+        state = _bounds(D, _dist_err(xx, centroids))
+        del D
+        state = _assign(X, xx, centroids, state)
         if moves == 0 or iterations >= max_iter:
             break
-    labels = np.argmin(_sq_dists(X, centroids, xx), axis=1)
-    diffs = X - centroids[labels]
+    diffs = X - centroids[state[0]]
     final = float(np.einsum("ij,ij->i", diffs, diffs).sum())
     history.append(final)
     return centroids, final, iterations, history

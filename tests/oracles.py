@@ -8,8 +8,14 @@ encoding are the plain per-line, per-record and per-flow loops over
 ``FlowRecord``s and ``ClassifiedFlow``s that the package's column versions
 must reproduce exactly.
 ``reference_kmeans_fit`` is the straightforward k-means fit (sample norms
-recomputed per distance call, one distance call per polish-touched column,
-``np.add.at`` sums) that the package's fit must reproduce bit for bit.
+recomputed per distance call, the full distance product for every Lloyd
+assignment, the whole move-cost matrix rebuilt every polish round, one
+distance call per polish-touched column, ``np.add.at`` sums) that the
+package's fit must reproduce bit for bit. It stays unbounded: the package
+skips distance rows by Hamerly bounds and updates each row's best polish
+move incrementally, and this fit checks that neither changes a label.
+When every k-means++ weight rounds to 0, both seedings take the lowest-index
+row bitwise equal to no chosen centroid.
 ``semantic_redundant_rules`` finds redundant rules by removing each rule in
 turn and comparing the matcher's verdicts over a set of addresses.
 """
@@ -280,7 +286,12 @@ def _ref_pp_seed(X, k, rng):
     centroids[0] = X[int(rng.integers(n))]
     d2 = _ref_sq_dists(X, centroids[0:1])[:, 0]
     for i in range(1, k):
-        centroids[i] = X[int(rng.choice(n, p=d2 / d2.sum()))]
+        if d2.sum() > 0:
+            idx = int(rng.choice(n, p=d2 / d2.sum()))
+        else:
+            chosen = [row.tobytes() for row in centroids[:i]]
+            idx = next(j for j in range(n) if X[j].tobytes() not in chosen)
+        centroids[i] = X[idx]
         d2 = np.minimum(d2, _ref_sq_dists(X, centroids[i : i + 1])[:, 0])
     return centroids
 

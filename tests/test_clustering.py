@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -47,6 +49,21 @@ class TestKmeansPlusPlusInit:
         X = np.array([[1.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="distinct"):
             kmeans_pp_init(X, 3, seed=0)
+
+    def test_rows_one_ulp_apart(self):
+        # Their expanded-form distance rounds to 0, so every k-means++
+        # weight is 0: the second centroid is the row not yet chosen.
+        X = np.array([[1.0, 2.0], [np.nextafter(1.0, 2.0), 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(4):
+                centroids = kmeans_pp_init(X, 2, seed)
+                assert sorted(row.tobytes() for row in centroids) == sorted(
+                    row.tobytes() for row in X
+                )
+                model = kmeans_fit(X, 2, seed)
+                assert model.k == 2
+                assert model.inertia <= np.spacing(1.0) ** 2
 
 
 class TestKmeansFit:
@@ -109,6 +126,24 @@ class TestKmeansFit:
             kmeans_fit(X, 1, seed=0, tol=0.0)
         with pytest.raises(ValueError):
             kmeans_fit(X, 1, seed=0, max_iter=0)
+
+
+class TestKmeansMemory:
+    def test_peak_stays_under_three_distance_matrices(self):
+        # Aim 3: memory stays bounded as the scenario grows. The fit keeps
+        # one samples x centroids distance matrix (the polish's) plus
+        # row-block temporaries, not a second matrix of move costs.
+        rng = np.random.default_rng(0)
+        centers = rng.normal(scale=8.0, size=(60, 40))
+        X = centers[rng.integers(60, size=4000)] + rng.normal(size=(4000, 40))
+        k = 200
+        tracemalloc.start()
+        try:
+            kmeans_fit(X, k, seed=0, restarts=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * X.shape[0] * k * X.itemsize
 
 
 class TestEmptyClusterRepair:

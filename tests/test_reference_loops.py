@@ -353,10 +353,47 @@ class TestKmeans:
         for seed in range(5):
             assert_same_fit(X, 6, seed, restarts=2)
 
+    def test_many_blobs_with_skipped_rows_matches_reference(self, spy):
+        # 100 blobs and k = 300: the Hamerly bounds settle many rows, so
+        # some Lloyd steps compute distance rows for a subset only.
+        rng = np.random.default_rng(7)
+        centers = rng.normal(scale=8.0, size=(100, 20))
+        X = centers[rng.integers(100, size=3000)] + rng.normal(size=(3000, 20))
+        assert_same_fit(X, 300, 0, restarts=2)
+        assert any(0 < rows < X.shape[0] for rows in spy["distance_rows"])
+
+    def test_near_tie_fallback_matches_reference(self, spy):
+        # On the integer grid some rows sit at equal distance from two
+        # centroids, so a row-subset product cannot decide their label and
+        # the full product does. Each restart also takes it once after
+        # seeding.
+        X = np.random.default_rng(3).integers(0, 4, size=(60, 2)).astype(float)
+        fallbacks = 0
+        for seed in range(5):
+            spy["full_assigns"] = 0
+            assert_same_fit(X, 6, seed, restarts=2)
+            fallbacks += spy["full_assigns"] - 2
+        assert fallbacks > 0
+
+    def test_rows_one_ulp_apart_match_reference(self):
+        X = np.array([[1.0, 2.0], [np.nextafter(1.0, 2.0), 2.0]])
+        for seed in range(4):
+            assert_same_fit(X, 2, seed, restarts=2)
+
     @pytest.fixture
     def spy(self, monkeypatch):
-        seen = {"reseeds": 0, "polish_moves": []}
+        seen = {"reseeds": 0, "polish_moves": [], "full_assigns": 0, "distance_rows": []}
         update, polish = clustering._update_centroids, clustering._hartigan_polish
+        full_assign, sq_dists = clustering._full_assign, clustering._sq_dists
+
+        def full_assign_spy(*args):
+            seen["full_assigns"] += 1
+            return full_assign(*args)
+
+        def sq_dists_spy(X, C, xx):
+            if C.shape[0] > 1:
+                seen["distance_rows"].append(X.shape[0])
+            return sq_dists(X, C, xx)
 
         def update_spy(X, labels, k, point_sq):
             seen["reseeds"] += int(np.bincount(labels, minlength=k).min() == 0)
@@ -369,6 +406,8 @@ class TestKmeans:
 
         monkeypatch.setattr(clustering, "_update_centroids", update_spy)
         monkeypatch.setattr(clustering, "_hartigan_polish", polish_spy)
+        monkeypatch.setattr(clustering, "_full_assign", full_assign_spy)
+        monkeypatch.setattr(clustering, "_sq_dists", sq_dists_spy)
         return seen
 
     def test_empty_cluster_reseed_matches_reference(self, spy):
