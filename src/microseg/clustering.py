@@ -24,8 +24,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .features import encode_windows, standardize, write_atomic
-from .flows import FlowTable
+from .features import encode_windows, standardize
+from .flows import FlowTable, write_atomic
 from .metrics import EvalReport
 from .pca import fit_pca, project
 
@@ -483,7 +483,7 @@ def derive_groups(assignments: Sequence[GroupAssignment]) -> SecurityGroups:
     return SecurityGroups(groups=groups)
 
 
-@dataclass(frozen=True)
+@dataclass
 class GroupingParams:
     """Hyper-parameters of the grouping stage.
 

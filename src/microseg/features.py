@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -164,18 +162,3 @@ def standardize(matrix: SampleMatrix) -> SampleMatrix:
     values /= np.where(scale < CONST_EPS, 1.0, scale)
     return replace(matrix, values=values)
 
-
-def write_atomic(path: Path, text: str) -> None:
-    """Write a temp file beside ``path`` and rename it into place, so a
-    crash never leaves a half-written artifact.
-
-    Every artifact goes through here; it sits in this module because pca,
-    clustering and pipeline all import it.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

@@ -9,15 +9,18 @@ named external network objects, or unknown, once per distinct address, and
 rows are kept by one boolean mask under one of two policies:
 ``drop_unknown`` keeps member-to-member traffic only, ``map_to_objects``
 additionally keeps member traffic whose far side resolves to a declared
-network object.
+network object. The one reader and the one writer of every file a stage
+touches live here too, beside :class:`DataError`.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import os
 from array import array
 from dataclasses import dataclass, replace
-from typing import Iterator
+from pathlib import Path
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -42,6 +45,46 @@ COLUMNS = ("timestamp", "src", "dst", "protocol", "dst_port", "packet_count", "b
 
 class DataError(Exception):
     """Malformed or inconsistent input data (files, logs, artifacts)."""
+
+
+def read_file(
+    path: Union[str, Path], what: str, error: type[Exception] = DataError, *, text: bool = True
+) -> Union[str, bytes]:
+    """The one reader of inputs and artifacts: the file's bytes, or with
+    ``text`` those bytes decoded as strict UTF-8 with every ``\\r`` kept, so
+    no locale changes what is read and only ``\\n`` ends a line. A failure to
+    read or decode raises ``error`` naming ``what``."""
+    try:
+        data = Path(path).read_bytes()
+        return data.decode("utf-8") if text else data
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def make_dir(path: Union[str, Path]) -> Path:
+    """Create a directory and its parents; a failure is a :class:`DataError`."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create directory {path}: {exc}") from exc
+    return Path(path)
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """The one writer of artifacts: ``text`` as UTF-8 bytes, newlines as
+    given, into a temp file beside ``path`` that is renamed into place, so a
+    crash never leaves a half-written artifact. Any failure, removing the
+    temp file included, is a :class:`DataError` naming ``path``."""
+    make_dir(path.parent)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        try:
+            tmp.write_bytes(text.encode("utf-8"))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:

@@ -25,7 +25,6 @@ from .clustering import (
     fit_groups,
     select_best,
 )
-from .features import write_atomic
 from .flows import (
     DROP_UNKNOWN,
     INT64_MAX,
@@ -37,8 +36,11 @@ from .flows import (
     distinct_rows,
     filter_flows,
     load_scope,
+    make_dir,
     parse_flow_log,
+    read_file,
     scope_to_text,
+    write_atomic,
 )
 from .metrics import REPORT_HEADER, EvalReport, evaluate, report_row
 from .rules import (
@@ -49,7 +51,7 @@ from .rules import (
     make_matcher,
     ruleset_to_csv,
 )
-from .synth import generate, random_scenario
+from .synth import MAX_OBJECTS, MAX_PORT_POOL, generate, random_scenario
 
 
 class UsageError(Exception):
@@ -65,7 +67,7 @@ SEMANTIC_FIELDS = ("unknown_policy",) + tuple(f.name for f in fields(GroupingPar
 
 
 @dataclass
-class PipelineConfig:
+class PipelineConfig(GroupingParams):
     # paths
     flow_log: str = ""
     scope: str = ""
@@ -73,16 +75,8 @@ class PipelineConfig:
     ground_truth: str = ""
     grid: str = ""
     dataset: str = "dataset"
-    # regime and grouping hyper-parameters
+    # regime (the grouping hyper-parameters are GroupingParams' fields)
     unknown_policy: str = DROP_UNKNOWN
-    window_seconds: int = 3600
-    top_k_ports: int = 64
-    pca_target: Union[float, int] = 0.95
-    k: Union[int, float, None] = None
-    seed: int = 0
-    tol: float = 1e-6
-    max_iter: int = 300
-    restarts: int = 4
     homogeneity_floor: float = 0.95
     # execution controls (not part of artifact identity)
     workers: int = 1  # accepted; has no effect (bench/trace.py reads it)
@@ -204,14 +198,16 @@ def _validate_config(config: PipelineConfig) -> None:
         raise UsageError("synth_external_fraction must be in [0, 1]")
     if config.synth_object_count < (1 if config.synth_external_fraction > 0 else 0):
         raise UsageError("synth_object_count must be >= 0 (>= 1 with external traffic)")
+    # synth's address and port ranges; the endpoint count is checked where
+    # it is a product of two values, in random_scenario.
+    if config.synth_port_pool > MAX_PORT_POOL:
+        raise UsageError(f"synth_port_pool must be <= {MAX_PORT_POOL}")
+    if config.synth_object_count > MAX_OBJECTS:
+        raise UsageError(f"synth_object_count must be <= {MAX_OBJECTS}")
 
 
 def load_config(path: Union[str, Path]) -> PipelineConfig:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(read_file(path, "config", UsageError))
 
 
 def config_to_text(config: PipelineConfig) -> str:
@@ -243,18 +239,11 @@ def _fingerprint(log_bytes: bytes, scope: MemberScope, config: PipelineConfig) -
 
 
 def _read_log_bytes(config: PipelineConfig) -> bytes:
-    try:
-        return Path(config.flow_log).read_bytes()
-    except OSError as exc:
-        raise DataError(f"ingest: cannot read flow log {config.flow_log}: {exc}") from exc
+    return read_file(config.flow_log, "flow log", text=False)
 
 
 def _load_scope_file(config: PipelineConfig) -> MemberScope:
-    try:
-        text = Path(config.scope).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"ingest: cannot read scope {config.scope}: {exc}") from exc
-    return load_scope(text)
+    return load_scope(read_file(config.scope, "scope"))
 
 
 def ingest(config: PipelineConfig) -> tuple[FlowTable, "IngestOutput"]:
@@ -318,10 +307,9 @@ def _is_group_id(gid: str) -> bool:
 
 
 def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
+    text = read_file(path, "groups artifact")
     try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DataError(f"cannot read groups artifact {path}: {exc}") from exc
+        payload = json.loads(text)
     except ValueError as exc:
         raise DataError(f"groups artifact {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("kind") != "security_groups":
@@ -378,18 +366,17 @@ def run_group(config: PipelineConfig) -> dict:
     Returns a summary dict; wall time covers ingest through assignment and
     is written to timing.json (a measurement, not a fingerprinted artifact).
     """
-    out = Path(config.out_dir)
     t0 = time.perf_counter()
     kept, ingest_out = ingest(config)
     if not kept:
         raise DataError("ingest: no records kept after filtering; nothing to group")
+    out = make_dir(config.out_dir)
     try:
         result = fit_groups(kept, config.grouping_params())
     except ValueError as exc:
         raise DataError(f"grouping: {exc}") from exc
     elapsed = time.perf_counter() - t0
 
-    out.mkdir(parents=True, exist_ok=True)
     write_atomic(out / "assignments.csv", assignments_csv(result.assignments))
     report = ingest_out.report
     write_atomic(
@@ -451,10 +438,7 @@ def run_rules(config: PipelineConfig) -> dict:
 
 
 def load_ground_truth(path: Union[str, Path]) -> dict[str, str]:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"eval: cannot read ground truth {path}: {exc}") from exc
+    text = read_file(path, "ground truth")
     truth: dict[str, str] = {}
     for i, (lineno, line) in enumerate(content_lines(text)):
         parts = line.split(",")
@@ -479,10 +463,9 @@ def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
     groups, stored_fp = load_groups(out / "groups.json")
     _require_fresh("eval", fingerprint(_read_log_bytes(config), config), stored_fp)
     truth = load_ground_truth(config.ground_truth)
+    text = read_file(out / "timing.json", "group-stage timing")
     try:
-        timing = json.loads((out / "timing.json").read_text())
-    except OSError as exc:
-        raise DataError("eval: timing.json missing; run the group stage first") from exc
+        timing = json.loads(text)
     except ValueError as exc:
         raise DataError(f"eval: timing.json is not valid JSON: {exc}") from exc
     seconds = timing.get("grouping_seconds") if isinstance(timing, dict) else None
@@ -528,15 +511,12 @@ def parse_grid(text: str, base: PipelineConfig) -> list[PipelineConfig]:
 
 def run_tune(config: PipelineConfig) -> dict:
     """Sweep the grid, write the winning config and the per-entry report."""
-    try:
-        grid_text = Path(config.grid).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"tune: cannot read grid {config.grid}: {exc}") from exc
-    grid = parse_grid(grid_text, config)
+    grid = parse_grid(read_file(config.grid, "grid", UsageError), config)
     if not grid:
         raise DataError(f"tune: grid {config.grid} contains no configurations")
     kept = {config.unknown_policy: ingest(config)[0]}
     truth = load_ground_truth(config.ground_truth)
+    out = make_dir(config.out_dir)
 
     reports: list[EvalReport] = []
     for entry in grid:
@@ -550,7 +530,6 @@ def run_tune(config: PipelineConfig) -> dict:
         elapsed = time.perf_counter() - t0
         reports.append(evaluate(result.groups, truth, run_time_seconds=elapsed))
     idx, below_floor = select_best(reports, config.homogeneity_floor)
-    out = Path(config.out_dir)
     write_atomic(out / "best_config.txt", config_to_text(grid[idx]))
     rows = [REPORT_HEADER + ",below_floor"]
     for i, rep in enumerate(reports):

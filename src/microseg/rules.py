@@ -25,6 +25,7 @@ from .flows import (
     check_service,
     classify_peer,
     distinct_rows,
+    read_file,
 )
 
 ALLOW = "allow"
@@ -314,14 +315,8 @@ def _parse_ref(token: str) -> EntityRef:
 
 def load_ruleset(path) -> RuleSet:
     """Parse a ruleset CSV back into a RuleSet."""
-    from pathlib import Path
-
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read ruleset {path}: {exc}") from exc
     rules = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(read_file(path, "ruleset").split("\n"), start=1):
         line = raw.strip()
         if not line or line == RULESET_HEADER:
             continue

@@ -22,8 +22,16 @@ import numpy as np
 
 from .flows import MemberScope
 
-MEMBER_CIDR = "10.0.0.0/16"
-OBJECT_BASE = "198.51.100.0"
+#: Members are numbered from the first host address of this network.
+MEMBER_NET = ipaddress.IPv4Network("10.0.0.0/16")
+#: External object ``i`` is the /32 at host address ``i + 1`` of this network.
+OBJECT_NET = ipaddress.IPv4Network("198.51.100.0/24")
+#: Port ``i`` of the template port pool is ``PORT_BASE + PORT_STEP * i``.
+PORT_BASE, PORT_STEP = 2000, 7
+
+MAX_ENDPOINTS = MEMBER_NET.num_addresses - 1
+MAX_OBJECTS = OBJECT_NET.num_addresses - 1
+MAX_PORT_POOL = (65535 - PORT_BASE) // PORT_STEP + 1
 
 NOISE_PROTOCOLS = ("TCP", "UDP", "ICMP")
 
@@ -117,7 +125,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
     draw over (all endpoints + declared objects, protocol, port).
     """
     size = spec.endpoints_per_group
-    base = int(ipaddress.IPv4Address(MEMBER_CIDR.split("/")[0])) + 1
+    base = int(MEMBER_NET.network_address) + 1
     group_members: list[list[str]] = []
     truth: dict[str, int] = {}
     for gid in range(spec.group_count):
@@ -130,7 +138,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
     object_addr = {name: str(ipaddress.IPv4Network(cidr).network_address)
                    for name, cidr in spec.objects}
     scope = MemberScope(
-        member_cidrs=(ipaddress.IPv4Network(MEMBER_CIDR),),
+        member_cidrs=(MEMBER_NET,),
         object_table=tuple(
             (ipaddress.IPv4Network(cidr), name) for name, cidr in spec.objects
         ),
@@ -214,6 +222,11 @@ def random_scenario(
     """
     if services_per_group < 1:
         raise ValueError("services_per_group must be >= 1")
+    if group_count * endpoints_per_group > MAX_ENDPOINTS:
+        raise ValueError(
+            f"{group_count * endpoints_per_group} endpoints do not fit in {MEMBER_NET} "
+            f"(at most {MAX_ENDPOINTS})"
+        )
     overlap_cap = int(0.2 * services_per_group)
     if overlap_cap == 0 and group_count * services_per_group > port_pool:
         raise ValueError(
@@ -221,9 +234,9 @@ def random_scenario(
             f"{group_count * services_per_group}, have {port_pool}"
         )
     rng = np.random.default_rng([seed, 52075])
-    pool = [2000 + 7 * i for i in range(port_pool)]
+    pool = [PORT_BASE + PORT_STEP * i for i in range(port_pool)]
     objects = tuple(
-        (f"ext{i}", f"198.51.100.{i + 1}/32") for i in range(object_count)
+        (f"ext{i}", f"{OBJECT_NET.network_address + i + 1}/32") for i in range(object_count)
     )
     chosen: list[set[int]] = []
     profiles: dict[int, tuple[ServiceTemplate, ...]] = {}

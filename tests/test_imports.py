@@ -1,8 +1,10 @@
-"""Every name a package module imports is referenced in that module.
+"""Every name a package module imports is referenced in that module, and
+every name it defines is referenced somewhere.
 
-The project ships no linter, so this test stands in for an unused-import
-check: a deletion that leaves an import behind fails here. It reads the
-sources with ``ast`` only and imports nothing from the package.
+The project ships no linter, so these tests stand in for unused-import and
+dead-code checks: a deletion that leaves an import or a definition behind
+fails here. They read the sources with ``ast`` only and import nothing from
+the package.
 """
 
 import ast
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "microseg"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "microseg"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,3 +63,81 @@ def test_detects_unused_imports():
         "    return np.asarray(x)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 5: DataError"]
+
+
+def _defined(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each top-level function, class and assigned name, with its statement."""
+    defined: dict[str, ast.stmt] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        defined[name.id] = node
+    return defined
+
+
+def _references(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) for each name read, attribute accessed or name imported."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs.extend((alias.name, node.lineno) for alias in node.names)
+    return refs
+
+
+def dead_names(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """``module: name`` for each top-level definition of a ``package``
+    module that no source references outside the definition's own lines.
+    Both arguments map a source's label to its text."""
+    trees = {label: ast.parse(text) for label, text in {**others, **package}.items()}
+    refs: dict[str, list[tuple[str, int]]] = {}
+    for label, tree in trees.items():
+        for name, line in _references(tree):
+            refs.setdefault(name, []).append((label, line))
+    dead = []
+    for module in package:
+        for name, node in _defined(trees[module]).items():
+            if not any(
+                label != module or not node.lineno <= line <= node.end_lineno
+                for label, line in refs.get(name, ())
+            ):
+                dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_no_dead_names():
+    sources = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for folder in ("src", "bench", "tests")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    package = {label: text for label, text in sources.items() if label.startswith("src/")}
+    others = {label: text for label, text in sources.items() if label not in package}
+    assert dead_names(package, others) == []
+
+
+def test_detects_dead_names():
+    module = (
+        "import os\n"
+        "LIMIT = 3\n"
+        "UNUSED = 4\n"
+        "LOW, HIGH = 0, 1\n"
+        "def helper(n):\n"
+        "    return helper(n - 1) if n else LIMIT\n"
+        "def used():\n"
+        "    return os.sep, LOW\n"
+        "class Kept:\n"
+        "    pass\n"
+    )
+    other = "from mod import used\nprint(used(), Kept)\n"
+    assert dead_names({"mod.py": module}, {"test.py": other}) == [
+        "mod.py: UNUSED", "mod.py: HIGH", "mod.py: helper"
+    ]

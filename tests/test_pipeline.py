@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +10,7 @@ import pytest
 import microseg
 import microseg.pipeline as pipeline
 from microseg.cli import main
+from microseg.clustering import GroupingParams
 from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, DataError, scope_to_text
 from microseg.pipeline import (
     PipelineConfig,
@@ -129,6 +130,27 @@ class TestConfigParsing:
         with pytest.raises(UsageError):
             load_config(tmp_path / "nope.cfg")
 
+    def test_file_lines_end_at_newline_only(self, tmp_path):
+        # The file reads as the text parser reads its text: a lone "\r"
+        # stays inside its comment, and CRLF lines still load.
+        path = tmp_path / "run.cfg"
+        text = "seed = 5  # note\rseed = 9\n"
+        path.write_bytes(text.encode())
+        assert load_config(path) == parse_config_text(text)
+        assert load_config(path).seed == 5
+        path.write_bytes(b"seed = 5\r\ntop_k_ports = 8\r\n")
+        assert (load_config(path).seed, load_config(path).top_k_ports) == (5, 8)
+
+    def test_best_config_lists_grouping_params_first_and_reloads(self, tmp_path):
+        config = parse_config_text("seed = 3\nk = 0.5\nunknown_policy = map_to_objects\n")
+        text = config_to_text(config)
+        keys = [line.partition(" = ")[0] for line in text.splitlines()]
+        assert keys[:8] == [f.name for f in fields(GroupingParams)]
+        assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig))
+        path = tmp_path / "best_config.txt"
+        path.write_text(text)
+        assert load_config(path) == config
+
 
 class TestFingerprint:
     SCOPE = "member 10.0.0.0/24\nobject 8.8.8.0/24 dns\nobject 1.1.1.0/24 cdn\n"
@@ -223,7 +245,7 @@ class TestRunGroup:
             raise OSError("simulated crash")
 
         monkeypatch.setattr(os, "replace", fail_replace)
-        with pytest.raises(OSError, match="simulated crash"):
+        with pytest.raises(DataError, match="simulated crash"):
             run_group(replace(rerun, out_dir=config.out_dir))
         assert {name: (out / name).read_bytes() for name in names} == before
         assert not list(out.glob(".*.tmp"))
@@ -244,7 +266,7 @@ class TestRunGroup:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", fail_timing)
-        with pytest.raises(OSError, match="simulated crash"):
+        with pytest.raises(DataError, match="simulated crash"):
             run_group(rerun)
         monkeypatch.undo()
         with pytest.raises(DataError, match="stale"):
@@ -373,6 +395,14 @@ class TestLoadGroundTruth:
         path.write_text("endpoint,true_group\n10.0.0.1,a\x0c10.0.0.2,b\n")
         with pytest.raises(DataError, match="line 2: expected endpoint,label"):
             load_ground_truth(path)
+
+    def test_file_lines_end_at_newline_only(self, tmp_path):
+        path = tmp_path / "truth.csv"
+        text = "10.0.0.1,a # x\r10.0.0.2,b\n"
+        path.write_bytes(text.encode())
+        assert load_ground_truth(path) == {"10.0.0.1": "a"}
+        path.write_bytes(b"endpoint,true_group\r\n10.0.0.1,a\r\n10.0.0.2,b\r\n")
+        assert load_ground_truth(path) == {"10.0.0.1": "a", "10.0.0.2": "b"}
 
     def test_inline_comment_dropped(self, tmp_path):
         # The same comment rule as the scope, config and grid files.
@@ -708,6 +738,8 @@ class TestCli:
             ("synth", "synth_group_count = 0"),
             ("synth", "synth_services_per_group = 0"),
             ("synth", "synth_port_pool = 0"),
+            ("synth", "synth_port_pool = 9078"),
+            ("synth", "synth_object_count = 256"),
             ("synth", "synth_object_count = -1"),
             ("synth", "synth_object_count = 0\nsynth_external_fraction = 0.5"),
         ],
@@ -737,6 +769,69 @@ class TestCli:
         assert main(["group", "--config", str(run_cfg)]) == 0
         (tmp_path / path).write_bytes(b"\xff\xfe not utf-8\n")
         assert main([command, "--config", str(run_cfg)]) == code
+
+    def test_synth_endpoints_beyond_member_network_exit_two(self, tmp_path, capsys):
+        synth_cfg, _ = self._write_cli_configs(tmp_path)
+        with synth_cfg.open("a") as f:
+            f.write(
+                "synth_group_count = 2\nsynth_endpoints_per_group = 32768\n"
+                "synth_windows = 1\nsynth_flows_per_endpoint_window = 1\n"
+            )
+        assert main(["synth", "--config", str(synth_cfg)]) == 2
+        assert "do not fit in 10.0.0.0/16" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "group", "tune"])
+    def test_out_dir_is_a_file_exit_two_before_fit(self, tmp_path, monkeypatch, capsys, command):
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        fits = []
+        monkeypatch.setattr(pipeline, "fit_groups", lambda *args: fits.append(args))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        grid = tmp_path / "grid.txt"
+        grid.write_text("pca_target = 0.9\n")
+        cfg = synth_cfg if command == "synth" else run_cfg
+        with cfg.open("a") as f:
+            f.write(f"out_dir = {blocker}\ngrid = {grid}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert fits == []
+        assert str(blocker) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["protocol", "scope"])
+    def test_non_ascii_inputs_under_c_locale(self, tmp_path, edit):
+        # Inputs are read and artifacts written as UTF-8 whatever the
+        # locale: a portless protocol "ÉSP" in the log and an object named
+        # "café" in the scope give the bytes a UTF-8 locale gives.
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        data = tmp_path / "data"
+        if edit == "protocol":
+            first = (data / "flows.csv").read_text().split("\n", 1)[0].split(",")
+            first[3:5] = ["ÉSP", "0"]
+            with (data / "flows.csv").open("a", encoding="utf-8") as f:
+                f.write(",".join(first) + "\n")
+        else:
+            with (data / "scope.txt").open("a", encoding="utf-8") as f:
+                f.write("object 198.51.100.0/24 café\n")
+        src = str(Path(microseg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        written = []
+        for locale_env in ({"PYTHONUTF8": "0", "LC_ALL": "C"}, {"PYTHONUTF8": "1"}):
+            out = tmp_path / f"out{len(written)}"
+            cfg = tmp_path / f"run{len(written)}.cfg"
+            cfg.write_text(run_cfg.read_text() + f"out_dir = {out}\n")
+            env = dict(os.environ, PYTHONPATH=path, **locale_env)
+            for command in ("group", "rules"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "microseg", command, "--config", str(cfg)],
+                    capture_output=True, text=True, env=env,
+                )
+                assert proc.returncode == 0, proc.stderr
+            written.append((out / "ruleset.csv").read_bytes())
+        assert written[0] == written[1]
+        if edit == "protocol":
+            assert ",ÉSP,0,allow," in written[0].decode("utf-8")
 
     def test_edited_scope_makes_groups_stale(self, tmp_path):
         # Groups learned under one scope must not pass as current after the

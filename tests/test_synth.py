@@ -6,7 +6,15 @@ import pytest
 from microseg.clustering import GroupingParams, fit_groups
 from microseg.flows import DROP_UNKNOWN, filter_flows, parse_flow_log
 from microseg.metrics import evaluate
-from microseg.synth import ScenarioSpec, ServiceTemplate, generate, random_scenario
+from microseg.synth import (
+    MAX_ENDPOINTS,
+    MAX_OBJECTS,
+    MAX_PORT_POOL,
+    ScenarioSpec,
+    ServiceTemplate,
+    generate,
+    random_scenario,
+)
 
 
 def small_spec(**overrides):
@@ -164,6 +172,22 @@ class TestRandomScenario:
         kinds = [t.peer_kind for g in range(20) for t in spec.profiles[g]]
         assert kinds.count("object") > 0
         assert {name for name, _ in spec.objects} == {"ext0", "ext1"}
+
+    def test_ranges_hold_at_their_largest_values(self):
+        spec = random_scenario(
+            1, MAX_ENDPOINTS, 1, 1,
+            services_per_group=MAX_PORT_POOL,
+            port_pool=MAX_PORT_POOL,
+            object_count=MAX_OBJECTS,
+        )
+        assert max(t.dst_port for t in spec.profiles[0]) == 65532
+        assert spec.objects[-1] == ("ext254", "198.51.100.255/32")
+        # Members are numbered in order, so the last one is the network's last.
+        assert "10.0.255.255" in generate(random_scenario(1, MAX_ENDPOINTS, 1, 1)).truth
+
+    def test_endpoints_beyond_member_network_rejected(self):
+        with pytest.raises(ValueError, match="65536 endpoints do not fit in 10.0.0.0/16"):
+            random_scenario(2, 32768, 1, 1)
 
     def test_deterministic(self):
         a = random_scenario(5, 2, 2, 5, seed=11, port_pool=64)
