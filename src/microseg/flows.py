@@ -53,19 +53,21 @@ def read_file(
     """The one reader of inputs and artifacts: the file's bytes, or with
     ``text`` those bytes decoded as strict UTF-8 with every ``\\r`` kept, so
     no locale changes what is read and only ``\\n`` ends a line. A failure to
-    read or decode raises ``error`` naming ``what``."""
+    read or decode, or a path the filesystem encoding cannot encode, raises
+    ``error`` naming ``what``."""
     try:
         data = Path(path).read_bytes()
         return data.decode("utf-8") if text else data
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def make_dir(path: Union[str, Path]) -> Path:
-    """Create a directory and its parents; a failure is a :class:`DataError`."""
+    """Create a directory and its parents; a failure, an unencodable path
+    included, is a :class:`DataError`."""
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot create directory {path}: {exc}") from exc
     return Path(path)
 
@@ -74,7 +76,8 @@ def write_atomic(path: Path, text: str) -> None:
     """The one writer of artifacts: ``text`` as UTF-8 bytes, newlines as
     given, into a temp file beside ``path`` that is renamed into place, so a
     crash never leaves a half-written artifact. Any failure, removing the
-    temp file included, is a :class:`DataError` naming ``path``."""
+    temp file or encoding the path included, is a :class:`DataError` naming
+    ``path``."""
     make_dir(path.parent)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -83,8 +86,20 @@ def write_atomic(path: Path, text: str) -> None:
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def parse_decimal(text: str) -> int:
+    """The one integer form an artifact holds, as ``str(n)`` writes it for
+    n >= 0: ASCII digits, no sign, space, ``_`` or leading zero. Anything
+    else, or more digits than the interpreter's limit, raises ``ValueError``."""
+    try:
+        if text.isdecimal() and text == str(int(text)):
+            return int(text)
+    except ValueError:
+        pass
+    raise ValueError(f"{text!r} is not a canonical decimal integer")
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:

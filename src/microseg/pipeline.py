@@ -37,6 +37,7 @@ from .flows import (
     filter_flows,
     load_scope,
     make_dir,
+    parse_decimal,
     parse_flow_log,
     read_file,
     scope_to_text,
@@ -132,7 +133,7 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
         if key not in valid:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
         setattr(config, key, _coerce(key, value, valid[key].default))
-    _validate_config(config)
+    validate_config(config)
     return config
 
 
@@ -157,7 +158,7 @@ def _coerce(key: str, value: str, default):
     return value
 
 
-def _validate_config(config: PipelineConfig) -> None:
+def validate_config(config: PipelineConfig) -> None:
     if config.unknown_policy not in POLICIES:
         raise UsageError(
             f"unknown_policy must be one of {POLICIES}, got {config.unknown_policy!r}"
@@ -297,15 +298,6 @@ def groups_payload(groups: SecurityGroups, fp: str, config: PipelineConfig) -> s
     return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _is_group_id(gid: str) -> bool:
-    """A canonical decimal that ``int`` reads; it refuses one longer than
-    the interpreter's digit limit, which no run writes."""
-    try:
-        return gid.isdecimal() and gid == str(int(gid))
-    except ValueError:
-        return False
-
-
 def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
     text = read_file(path, "groups artifact")
     try:
@@ -319,7 +311,6 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
     fp = payload.get("fingerprint")
     if not (
         isinstance(raw, dict)
-        and all(_is_group_id(gid) for gid in raw)
         and all(
             isinstance(members, list) and all(isinstance(ep, str) for ep in members)
             for members in raw.values()
@@ -328,6 +319,10 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
         and isinstance(fp, str)
     ):
         raise DataError(f"{path}: malformed security-groups artifact")
+    try:
+        groups = {parse_decimal(gid): frozenset(members) for gid, members in raw.items()}
+    except ValueError as exc:
+        raise DataError(f"{path}: group id {exc}") from exc
     if qty != len(raw):
         raise DataError(f"{path}: suggested_qty {qty} but {len(raw)} groups listed")
     if not raw or not all(raw.values()):
@@ -345,7 +340,6 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
                 raise DataError(
                     f"{path}: endpoint {ep} is in groups {owner[ep]} and {gid}"
                 )
-    groups = {int(gid): frozenset(members) for gid, members in raw.items()}
     return SecurityGroups(groups=groups), fp
 
 
@@ -357,13 +351,10 @@ def _require_fresh(stage: str, fp: str, stored_fp: str) -> None:
         )
 
 
-GROUP_SUMMARY_HEADER = "dataset,asset_qty,suggested_group_qty,runtime_s"
-
-
-def run_group(config: PipelineConfig) -> dict:
+def run_group(config: PipelineConfig) -> str:
     """Ingest, learn the groups, persist every artifact.
 
-    Returns a summary dict; wall time covers ingest through assignment and
+    Returns the summary CSV; wall time covers ingest through assignment and
     is written to timing.json (a measurement, not a fingerprinted artifact).
     """
     t0 = time.perf_counter()
@@ -401,17 +392,16 @@ def run_group(config: PipelineConfig) -> dict:
     # Last: a crash at any earlier write leaves the previous groups.json,
     # whose fingerprint then rejects this run's inputs in rules and eval.
     write_atomic(out / "groups.json", groups_payload(result.groups, ingest_out.fingerprint, config))
-    summary = {
-        "dataset": config.dataset,
-        "asset_qty": len(result.assignments),
-        "suggested_group_qty": result.groups.suggested_qty,
-        "runtime_s": elapsed,
-    }
-    return summary
+    return (
+        "dataset,asset_qty,suggested_group_qty,runtime_s\n"
+        f"{config.dataset},{len(result.assignments)},"
+        f"{result.groups.suggested_qty},{elapsed:.1f}\n"
+    )
 
 
-def run_rules(config: PipelineConfig) -> dict:
-    """Synthesize and check the ruleset from grouping artifacts."""
+def run_rules(config: PipelineConfig) -> str:
+    """Synthesize and check the ruleset from grouping artifacts; returns the
+    rule and hygiene counts."""
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
     kept, ingest_out = ingest(config)
@@ -429,12 +419,10 @@ def run_rules(config: PipelineConfig) -> dict:
         )
     write_atomic(out / "ruleset.csv", ruleset_to_csv(ruleset))
     write_atomic(out / "hygiene.txt", hygiene.to_text())
-    return {
-        "rules": len(ruleset.rules),
-        "any_to_any": len(hygiene.any_to_any),
-        "duplicates": len(hygiene.duplicates),
-        "redundant": len(hygiene.redundant),
-    }
+    return (
+        f"rules: {len(ruleset.rules)} rules; any_to_any={len(hygiene.any_to_any)} "
+        f"duplicates={len(hygiene.duplicates)} redundant={len(hygiene.redundant)}\n"
+    )
 
 
 def load_ground_truth(path: Union[str, Path]) -> dict[str, str]:
@@ -457,8 +445,9 @@ def load_ground_truth(path: Union[str, Path]) -> dict[str, str]:
     return truth
 
 
-def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
-    """Score the persisted groups against ground truth; emit the report row."""
+def run_eval(config: PipelineConfig) -> str:
+    """Score the persisted groups against ground truth; returns the text of
+    eval_report.csv."""
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
     _require_fresh("eval", fingerprint(_read_log_bytes(config), config), stored_fp)
@@ -474,8 +463,8 @@ def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
     if type(seconds) not in (int, float) or not 0 <= seconds <= sys.float_info.max:
         raise DataError("eval: timing.json has no finite, non-negative grouping_seconds")
     report = evaluate(groups, truth, run_time_seconds=float(seconds))
-    row = report_row(report, config.dataset)
-    write_atomic(out / "eval_report.csv", REPORT_HEADER + "\n" + row + "\n")
+    report_csv = REPORT_HEADER + "\n" + report_row(report, config.dataset) + "\n"
+    write_atomic(out / "eval_report.csv", report_csv)
     write_atomic(
         out / "eval_report.json",
         json.dumps(
@@ -493,7 +482,7 @@ def run_eval(config: PipelineConfig) -> tuple[EvalReport, str]:
         )
         + "\n",
     )
-    return report, row
+    return report_csv
 
 
 def parse_grid(text: str, base: PipelineConfig) -> list[PipelineConfig]:
@@ -509,8 +498,9 @@ def parse_grid(text: str, base: PipelineConfig) -> list[PipelineConfig]:
     return configs
 
 
-def run_tune(config: PipelineConfig) -> dict:
-    """Sweep the grid, write the winning config and the per-entry report."""
+def run_tune(config: PipelineConfig) -> str:
+    """Sweep the grid, write the winning config and the per-entry report;
+    returns the winner's line."""
     grid = parse_grid(read_file(config.grid, "grid", UsageError), config)
     if not grid:
         raise DataError(f"tune: grid {config.grid} contains no configurations")
@@ -536,16 +526,16 @@ def run_tune(config: PipelineConfig) -> dict:
         flag = "1" if below_floor and i == idx else "0"
         rows.append(report_row(rep, f"{config.dataset}@{i}") + "," + flag)
     write_atomic(out / "tune_report.csv", "\n".join(rows) + "\n")
-    return {
-        "winner_index": idx,
-        "below_floor": below_floor,
-        "homogeneity": reports[idx].homogeneity,
-        "v_measure": reports[idx].v_measure,
-    }
+    note = " (below floor)" if below_floor else ""
+    return (
+        f"tune: winner grid entry {idx}{note}, "
+        f"homogeneity={reports[idx].homogeneity:.4f} v_measure={reports[idx].v_measure:.4f}\n"
+    )
 
 
-def run_synth(config: PipelineConfig) -> dict:
-    """Generate a synthetic scenario into out_dir (flows, scope, truth)."""
+def run_synth(config: PipelineConfig) -> str:
+    """Generate a synthetic scenario into out_dir (flows, scope, truth);
+    returns the flow, endpoint and group counts."""
     try:
         spec = random_scenario(
             config.synth_group_count,
@@ -567,12 +557,11 @@ def run_synth(config: PipelineConfig) -> dict:
     write_atomic(out / "flows.csv", scenario.log_text)
     write_atomic(out / "scope.txt", scope_to_text(scenario.scope))
     write_atomic(out / "truth.csv", scenario.truth_csv)
-    return {
-        "flows": scenario.total_flows,
-        "noise_flows": scenario.noise_flows,
-        "endpoints": len(scenario.truth),
-        "groups": config.synth_group_count,
-    }
+    return (
+        f"synth: {scenario.total_flows} flows ({scenario.noise_flows} noise), "
+        f"{len(scenario.truth)} endpoints in {config.synth_group_count} groups "
+        f"-> {config.out_dir}\n"
+    )
 
 
 def verify_ruleset_completeness(config: PipelineConfig) -> tuple[int, int]:

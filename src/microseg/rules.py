@@ -25,6 +25,7 @@ from .flows import (
     check_service,
     classify_peer,
     distinct_rows,
+    parse_decimal,
     read_file,
 )
 
@@ -307,7 +308,7 @@ def ruleset_to_csv(ruleset: RuleSet) -> str:
 def _parse_ref(token: str) -> EntityRef:
     kind, _, value = token.partition(":")
     if kind == GROUP:
-        return EntityRef.group(int(value))
+        return EntityRef.group(parse_decimal(value))
     if kind == OBJ:
         return EntityRef.network_object(value)
     raise ValueError(f"bad entity reference {token!r}")
@@ -330,8 +331,8 @@ def load_ruleset(path) -> RuleSet:
                 FirewallRule(
                     src=_parse_ref(parts[0]),
                     dst=_parse_ref(parts[1]),
-                    service=ServiceTuple(parts[2], int(parts[3])),
-                    evidence_count=int(parts[5]),
+                    service=ServiceTuple(parts[2], parse_decimal(parts[3])),
+                    evidence_count=parse_decimal(parts[5]),
                 )
             )
         except ValueError as exc:

@@ -72,16 +72,21 @@ def _configs(root: Path, name: str, scenario: dict, params: dict, policy: str):
     return synth, run
 
 
+def _eval_report(run) -> dict:
+    """Run eval and read back the scores it wrote to eval_report.json."""
+    run_eval(run)
+    return json.loads((Path(run.out_dir) / "eval_report.json").read_text())
+
+
 @pytest.fixture(scope="session")
 def table1_run(tmp_path_factory):
     """Criterion-1 pipeline run in the drop_unknown regime."""
     root = tmp_path_factory.mktemp("table1")
     synth, run = _configs(root, "t1", TABLE1_SCENARIO, TABLE1_PARAMS, DROP_UNKNOWN)
     run_synth(synth)
-    summary = run_group(run)
+    run_group(run)
     run_rules(run)
-    report, row = run_eval(run)
-    return {"config": run, "summary": summary, "report": report, "row": row}
+    return {"config": run, "report": _eval_report(run)}
 
 
 @pytest.fixture(scope="session")
@@ -97,24 +102,21 @@ def object_regime_runs(tmp_path_factory):
             run_synth(synth)
         run_group(run)
         run_rules(run)
-        report, _ = run_eval(run)
-        results[policy] = {"config": run, "report": report}
+        results[policy] = {"config": run, "report": _eval_report(run)}
     return results
 
 
 def test_criterion_1_synthetic_table1_analog(table1_run):
     report = table1_run["report"]
-    runtime = table1_run["summary"]["runtime_s"]
-    assert report.asset_qty == 300
-    assert report.true_group_qty == 100
-    assert report.homogeneity >= 0.95
-    assert report.v_measure >= 0.85
+    runtime = report["runtime_s"]
+    assert report["asset_qty"] == 300
+    assert report["group_qty"] == 100
+    assert report["homogeneity"] >= 0.95
+    assert report["v_measure"] >= 0.85
     assert runtime < 60.0
     recorded = {
-        "homogeneity": report.homogeneity,
-        "completeness": report.completeness,
-        "v_measure": report.v_measure,
-        "suggested_group_qty": report.suggested_group_qty,
+        key: report[key]
+        for key in ("homogeneity", "completeness", "v_measure", "suggested_group_qty")
     }
     if BASELINE_PATH.exists() and not os.environ.get("MICROSEG_UPDATE_BASELINE"):
         baseline = json.loads(BASELINE_PATH.read_text())
@@ -125,15 +127,15 @@ def test_criterion_1_synthetic_table1_analog(table1_run):
         BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
         BASELINE_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
     print(
-        f"\nCRITERION 1 PASS: h={report.homogeneity:.4f} c={report.completeness:.4f} "
-        f"v={report.v_measure:.4f} suggested={report.suggested_group_qty} "
+        f"\nCRITERION 1 PASS: h={report['homogeneity']:.4f} c={report['completeness']:.4f} "
+        f"v={report['v_measure']:.4f} suggested={report['suggested_group_qty']} "
         f"runtime={runtime:.1f}s"
     )
 
 
 def test_criterion_2_network_object_regime(object_regime_runs):
-    h_drop = object_regime_runs[DROP_UNKNOWN]["report"].homogeneity
-    h_map = object_regime_runs[MAP_TO_OBJECTS]["report"].homogeneity
+    h_drop = object_regime_runs[DROP_UNKNOWN]["report"]["homogeneity"]
+    h_map = object_regime_runs[MAP_TO_OBJECTS]["report"]["homogeneity"]
     assert h_map >= h_drop - 0.01
     print(f"\nCRITERION 2 PASS: homogeneity drop_unknown={h_drop:.4f} "
           f"map_to_objects={h_map:.4f}")
@@ -331,10 +333,10 @@ def test_criterion_8_perfect_separation_ground_case(tmp_path_factory):
     synth, run = _configs(root, "p", scenario, dict(top_k_ports=32, seed=8), DROP_UNKNOWN)
     run_synth(synth)
     run_group(run)
-    report, _ = run_eval(run)
-    assert abs(report.homogeneity - 1.0) <= 1e-12
-    assert abs(report.completeness - 1.0) <= 1e-12
-    assert abs(report.v_measure - 1.0) <= 1e-12
-    assert report.suggested_group_qty == 10
+    report = _eval_report(run)
+    assert abs(report["homogeneity"] - 1.0) <= 1e-12
+    assert abs(report["completeness"] - 1.0) <= 1e-12
+    assert abs(report["v_measure"] - 1.0) <= 1e-12
+    assert report["suggested_group_qty"] == 10
     print("\nCRITERION 8 PASS: h = c = v = 1.0 exactly; "
-          f"suggested groups = planted groups = {report.suggested_group_qty}")
+          f"suggested groups = planted groups = {report['suggested_group_qty']}")

@@ -1,5 +1,6 @@
-"""Every name a package module imports is referenced in that module, and
-every name it defines is referenced somewhere.
+"""Every name a package module imports is referenced in that module, no
+module imports another's private name, and every name a module defines is
+referenced somewhere.
 
 The project ships no linter, so these tests stand in for unused-import and
 dead-code checks: a deletion that leaves an import or a definition behind
@@ -63,6 +64,43 @@ def test_detects_unused_imports():
         "    return np.asarray(x)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 5: DataError"]
+
+
+def private_imports(source: str) -> list[str]:
+    """``line N: name`` for each ``_``-prefixed name the source imports from
+    a package module: a relative import or one from ``microseg``. A private
+    name is its module's own; one that another module needs is public."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").partition(".")[0] == "microseg"
+        ):
+            hits.extend(
+                f"line {node.lineno}: {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            )
+    return hits
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_private_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .pipeline import UsageError, _validate_config\n"
+        "from . import _helpers\n"
+        "from microseg.flows import _parse_value as parse_value\n"
+        "from microseg import cli\n"
+        "from microsegment import _other\n"
+    )
+    assert private_imports(source) == [
+        "line 3: _validate_config", "line 4: _helpers", "line 5: _parse_value"
+    ]
 
 
 def _defined(tree: ast.Module) -> dict[str, ast.stmt]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -43,6 +44,27 @@ def write_config(path: Path, **overrides) -> Path:
     lines = [f"{key} = {value}" for key, value in overrides.items()]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def run_cli(
+    command: str, cfg: Path, env: dict | None = None, **run_args
+) -> subprocess.CompletedProcess:
+    """``python -m microseg <command> --config <cfg>`` in a child process
+    with ``env`` added, output as bytes. The child imports the package this
+    process imported, also when pytest put src on sys.path itself rather
+    than through PYTHONPATH."""
+    src = str(Path(microseg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "microseg", command, "--config", str(cfg)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path, **(env or {})),
+        **run_args,
+    )
+
+
+#: A locale whose filesystem and stdout encoding is ASCII.
+C_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C"}
 
 
 def synth_setup(tmp_path: Path, **synth_overrides) -> PipelineConfig:
@@ -201,9 +223,10 @@ class TestFingerprint:
 class TestRunGroup:
     def test_artifacts_and_summary(self, tmp_path):
         config = synth_setup(tmp_path)
-        summary = run_group(config)
-        assert summary["asset_qty"] == 12
-        assert summary["suggested_group_qty"] == 4
+        header, row = run_group(config).split("\n")[:2]
+        assert header == "dataset,asset_qty,suggested_group_qty,runtime_s"
+        dataset, asset_qty, suggested_group_qty, _ = row.split(",")
+        assert (dataset, asset_qty, suggested_group_qty) == ("synthetic", "12", "4")
         out = Path(config.out_dir)
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS + ["timing.json"])
         assert not (out / "mean_distances.csv").exists()
@@ -273,14 +296,29 @@ class TestRunGroup:
             run_eval(rerun)
         run_eval(config)
 
+
+def rules_summary(text: str) -> dict[str, int]:
+    """The counts in ``run_rules``' summary line, which must match its format."""
+    match = re.fullmatch(
+        r"rules: (\d+) rules; any_to_any=(\d+) duplicates=(\d+) redundant=(\d+)\n", text
+    )
+    assert match, text
+    keys = ("rules", "any_to_any", "duplicates", "redundant")
+    return dict(zip(keys, map(int, match.groups())))
+
+
 class TestRunRules:
     def test_rules_after_group(self, tmp_path):
         config = synth_setup(tmp_path)
         run_group(config)
-        summary = run_rules(config)
+        summary = rules_summary(run_rules(config))
         assert summary["rules"] > 0
         assert summary["any_to_any"] == 0
         assert summary["duplicates"] == 0
+        hygiene = (Path(config.out_dir) / "hygiene.txt").read_text().split("\n")
+        assert hygiene[:3] == [
+            f"{key}: {summary[key]}" for key in ("any_to_any", "duplicates", "redundant")
+        ]
         allowed, total = verify_ruleset_completeness(config)
         assert allowed == total
 
@@ -302,7 +340,7 @@ class TestRunRules:
             top_k_ports=8,
         )
         run_group(config)
-        summary = run_rules(config)
+        summary = rules_summary(run_rules(config))
         ruleset = (Path(config.out_dir) / "ruleset.csv").read_text().strip().split("\n")
         assert len(ruleset) == 1 + summary["rules"]
         # one service per group: at most one rule per ordered group pair seen
@@ -343,13 +381,18 @@ class TestRunEval:
     def test_row_and_artifacts(self, tmp_path):
         config = synth_setup(tmp_path)
         run_group(config)
-        report, row = run_eval(config)
-        assert report.homogeneity == 1.0
-        assert report.v_measure == 1.0
+        text = run_eval(config)
+        out = Path(config.out_dir)
+        assert text == (out / "eval_report.csv").read_text()
+        report = json.loads((out / "eval_report.json").read_text())
+        assert report["homogeneity"] == 1.0
+        assert report["v_measure"] == 1.0
+        header, row, end = text.split("\n")
         fields = row.split(",")
         assert fields[0] == "synthetic"
         assert fields[1] == "12"
-        assert (Path(config.out_dir) / "eval_report.csv").read_text().startswith(
+        assert end == ""
+        assert header.startswith(
             "dataset,asset_qty,group_qty,suggested_group_qty,runtime_s,"
         )
 
@@ -417,8 +460,7 @@ class TestRunTune:
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("pca_target = 0.9\n")
         config.grid = str(grid_path)
-        summary = run_tune(config)
-        assert summary["winner_index"] == 0
+        assert run_tune(config).startswith("tune: winner grid entry 0, homogeneity=")
         best = load_config(Path(config.out_dir) / "best_config.txt")
         assert best.pca_target == 0.9
 
@@ -479,8 +521,7 @@ class TestRunTune:
             out_dir=str(tmp_path / "out"),
             homogeneity_floor=0.95,
         )
-        summary = run_tune(config)
-        assert summary["below_floor"]
+        assert "(below floor)" in run_tune(config)
         rows = (tmp_path / "out" / "tune_report.csv").read_text().strip().split("\n")
         assert rows[0].endswith(",below_floor")
         assert rows[1].endswith(",1")
@@ -832,6 +873,62 @@ class TestCli:
         assert written[0] == written[1]
         if edit == "protocol":
             assert ",ÉSP,0,allow," in written[0].decode("utf-8")
+
+    def test_summaries_print_as_utf8_under_c_locale(self, tmp_path):
+        # A non-ASCII dataset name reaches the group and eval summaries; they
+        # print as UTF-8 under an ASCII locale, as under a UTF-8 one.
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        with run_cfg.open("a", encoding="utf-8") as f:
+            f.write("dataset = café\n")
+        printed = []
+        for locale_env in (C_LOCALE, {"PYTHONUTF8": "1"}):
+            lines = []
+            for command in ("synth", "group", "rules", "eval"):
+                cfg = synth_cfg if command == "synth" else run_cfg
+                proc = run_cli(command, cfg, locale_env)
+                assert proc.returncode == 0, proc.stderr
+                lines += proc.stdout.decode("utf-8").split("\n")
+            printed.append(lines)
+        for lines in printed:
+            assert lines[3].startswith("café,6,") and lines[8].startswith("café,6,")
+            # The measured runtime: the group row's last field, the eval row's fifth.
+            lines[3] = lines[3].rsplit(",", 1)[0]
+            fields = lines[8].split(",")
+            lines[8] = ",".join(fields[:4] + fields[5:])
+        assert printed[0] == printed[1]
+
+    def test_closed_stdout_exit_zero(self, tmp_path):
+        # With fd 1 closed there is no stdout to print to; the run succeeds.
+        synth_cfg, _ = self._write_cli_configs(tmp_path)
+        proc = run_cli("synth", synth_cfg, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "data" / "flows.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, code",
+        [
+            ("group", "flow_log", "nö.csv", 2),
+            ("group", "out_dir", "café", 2),
+            ("synth", "out_dir", "café", 2),
+            ("tune", "grid", "grïd.txt", 1),
+        ],
+        ids=["group-flow-log", "group-out-dir", "synth-out-dir", "tune-grid"],
+    )
+    def test_unencodable_path_under_c_locale(self, tmp_path, command, key, value, code):
+        # Under an ASCII filesystem encoding a non-ASCII path cannot be
+        # opened or made: that is a data error, or a usage error for the
+        # grid, and the message names the path.
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        cfg = synth_cfg if command == "synth" else run_cfg
+        path = tmp_path / value
+        with cfg.open("a", encoding="utf-8") as f:
+            f.write(f"grid = {tmp_path / 'grid.txt'}\n{key} = {path}\n")
+        (tmp_path / "grid.txt").write_text("pca_target = 0.9\n")
+        proc = run_cli(command, cfg, C_LOCALE)
+        assert proc.returncode == code, proc.stderr
+        assert str(path).encode("ascii", "backslashreplace") in proc.stderr
+        assert not path.exists() and not (tmp_path / "artifacts").exists()
 
     def test_edited_scope_makes_groups_stale(self, tmp_path):
         # Groups learned under one scope must not pass as current after the

@@ -319,6 +319,35 @@ class TestRulesetCsv:
         with pytest.raises(DataError, match="line 2: expected 6 fields"):
             load_ruleset(path)
 
+    @pytest.mark.parametrize(
+        "field, cell",
+        [
+            (0, "group:+5"),
+            (0, "group:1_0"),
+            (1, "group:-1"),
+            (1, "group: 7"),
+            (0, "group:\u0663"),  # ARABIC-INDIC DIGIT THREE
+            (0, "group:01"),
+            (3, "+443"),
+            (3, "0443"),
+            (3, "4_43"),
+            (5, " 3"),
+            (5, "+3"),
+            (5, "\u0663"),
+        ],
+    )
+    def test_integer_cells_in_written_form_only(self, tmp_path, field, cell):
+        # Each integer cell is a canonical decimal, as ruleset_to_csv writes
+        # it and as load_groups requires of a group id.
+        fields = "group:1,group:2,TCP,443,allow,3".split(",")
+        path = tmp_path / "rules.csv"
+        path.write_text(",".join(fields) + "\n")
+        assert len(load_ruleset(path).rules) == 1
+        fields[field] = cell
+        path.write_text(",".join(fields) + "\n")
+        with pytest.raises(DataError, match="ruleset line 1: .*not a canonical decimal"):
+            load_ruleset(path)
+
     def test_byte_identical_export(self):
         records = [line("10.0.0.1", "10.0.0.2")]
         t = extract(records, two_groups(), scope_with())
