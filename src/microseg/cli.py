@@ -75,10 +75,15 @@ def main(argv: list[str] | None = None) -> int:
         stage, _ = COMMANDS[args.command]
         text = stage(_configure(args))
         # As UTF-8 whatever the locale: a summary can hold the configured
-        # dataset name or out_dir. No stdout (None) when fd 1 is closed.
+        # dataset name or out_dir. No stdout (None) when fd 1 is closed; a
+        # text-only stream (say an io.StringIO) takes the text as is.
         if sys.stdout is not None:
             sys.stdout.flush()
-            sys.stdout.buffer.write(text.encode("utf-8"))
+            buffer = getattr(sys.stdout, "buffer", None)
+            if buffer is None:
+                sys.stdout.write(text)
+            else:
+                buffer.write(text.encode("utf-8"))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

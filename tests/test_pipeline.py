@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -46,19 +48,24 @@ def write_config(path: Path, **overrides) -> Path:
     return path
 
 
+def child_env(env: dict | None = None) -> dict:
+    """This process's environment with ``env`` added, under which a child
+    imports the package this process imported, also when pytest put src on
+    sys.path itself rather than through PYTHONPATH."""
+    src = str(Path(microseg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **(env or {}))
+
+
 def run_cli(
     command: str, cfg: Path, env: dict | None = None, **run_args
 ) -> subprocess.CompletedProcess:
     """``python -m microseg <command> --config <cfg>`` in a child process
-    with ``env`` added, output as bytes. The child imports the package this
-    process imported, also when pytest put src on sys.path itself rather
-    than through PYTHONPATH."""
-    src = str(Path(microseg.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    under ``child_env(env)``, output as bytes."""
     return subprocess.run(
         [sys.executable, "-m", "microseg", command, "--config", str(cfg)],
         capture_output=True,
-        env=dict(os.environ, PYTHONPATH=path, **(env or {})),
+        env=child_env(env),
         **run_args,
     )
 
@@ -464,7 +471,7 @@ class TestRunTune:
         best = load_config(Path(config.out_dir) / "best_config.txt")
         assert best.pca_target == 0.9
 
-    def test_three_entry_grid_deterministic(self, tmp_path):
+    def test_three_entry_grid_deterministic(self, tmp_path, monkeypatch):
         config = synth_setup(tmp_path)
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text(
@@ -473,9 +480,21 @@ class TestRunTune:
             "top_k_ports = 8\n"
         )
         config.grid = str(grid_path)
+        # The printed line rounds the scores; compare every entry's exact
+        # scores as select_best sees them, the measured runtime aside.
+        scored = []
+        select_best = pipeline.select_best
+
+        def spy_select_best(reports, floor):
+            scored.append([replace(r, run_time_seconds=0.0) for r in reports])
+            return select_best(reports, floor)
+
+        monkeypatch.setattr(pipeline, "select_best", spy_select_best)
         first = run_tune(config)
         second = run_tune(config)
         assert first == second
+        assert len(scored) == 2 and len(scored[0]) == 3
+        assert scored[0] == scored[1]
         report = (Path(config.out_dir) / "tune_report.csv").read_text()
         assert len(report.strip().split("\n")) == 4
 
@@ -855,19 +874,13 @@ class TestCli:
         else:
             with (data / "scope.txt").open("a", encoding="utf-8") as f:
                 f.write("object 198.51.100.0/24 café\n")
-        src = str(Path(microseg.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         written = []
-        for locale_env in ({"PYTHONUTF8": "0", "LC_ALL": "C"}, {"PYTHONUTF8": "1"}):
+        for locale_env in (C_LOCALE, {"PYTHONUTF8": "1"}):
             out = tmp_path / f"out{len(written)}"
             cfg = tmp_path / f"run{len(written)}.cfg"
             cfg.write_text(run_cfg.read_text() + f"out_dir = {out}\n")
-            env = dict(os.environ, PYTHONPATH=path, **locale_env)
             for command in ("group", "rules"):
-                proc = subprocess.run(
-                    [sys.executable, "-m", "microseg", command, "--config", str(cfg)],
-                    capture_output=True, text=True, env=env,
-                )
+                proc = run_cli(command, cfg, locale_env)
                 assert proc.returncode == 0, proc.stderr
             written.append((out / "ruleset.csv").read_bytes())
         assert written[0] == written[1]
@@ -903,6 +916,15 @@ class TestCli:
         proc = run_cli("synth", synth_cfg, preexec_fn=lambda: os.close(1))
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "data" / "flows.csv").exists()
+
+    def test_text_only_stdout_takes_the_summary(self, tmp_path):
+        # An in-process caller may redirect stdout to a stream with no byte
+        # buffer; the summary lands there as text and the run succeeds.
+        synth_cfg, _ = self._write_cli_configs(tmp_path)
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured):
+            assert main(["synth", "--config", str(synth_cfg)]) == 0
+        assert "flows" in captured.getvalue()
 
     @pytest.mark.parametrize(
         "command, key, value, code",
@@ -983,21 +1005,17 @@ class TestCli:
         with synth_cfg.open("a") as f:
             f.write("synth_noise_rate = 0.1\n")
         assert main(["synth", "--config", str(synth_cfg)]) == 0
-        src = str(Path(microseg.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         written = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             cfg = tmp_path / f"threads{threads}.cfg"
             cfg.write_text(run_cfg.read_text() + f"out_dir = {out}\n")
-            env = dict(os.environ, PYTHONPATH=path)
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                env[var] = threads
+            env = {
+                var: threads
+                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+            }
             for command in ("group", "rules"):
-                proc = subprocess.run(
-                    [sys.executable, "-m", "microseg", command, "--config", str(cfg)],
-                    capture_output=True, text=True, env=env,
-                )
+                proc = run_cli(command, cfg, env)
                 assert proc.returncode == 0, proc.stderr
             written.append(
                 {p.name: p.read_bytes() for p in out.iterdir() if p.name != "timing.json"}
@@ -1007,7 +1025,7 @@ class TestCli:
         # At this size no artifact differs even unpinned, so check the pin too.
         probe = "import os, microseg.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
         pinned = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(env)
         )
         assert pinned.stdout.strip() == "1", pinned.stderr
 
@@ -1030,15 +1048,6 @@ class TestCli:
 
     def test_subprocess_entry_point(self, tmp_path):
         synth_cfg, _ = self._write_cli_configs(tmp_path)
-        # The child imports the package this process imported, also when
-        # pytest put src on sys.path itself rather than through PYTHONPATH.
-        src = str(Path(microseg.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "microseg", "synth", "--config", str(synth_cfg)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
+        proc = run_cli("synth", synth_cfg, text=True)
         assert proc.returncode == 0
         assert "flows" in proc.stdout
