@@ -68,22 +68,29 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
     return config
 
 
+def _print_summary(text: str) -> None:
+    """Write a stage's summary to stdout, as UTF-8 whatever the locale: it
+    can hold the configured dataset name or out_dir. No stdout (None) when
+    fd 1 is closed; a text-only stream (say an io.StringIO) takes the text
+    as is. A failed write, to a full disk or a closed pipe, comes after
+    every artifact is written and is a :class:`DataError`."""
+    if sys.stdout is None:
+        return
+    stream = getattr(sys.stdout, "buffer", sys.stdout)
+    try:
+        sys.stdout.flush()
+        stream.write(text if stream is sys.stdout else text.encode("utf-8"))
+        stream.flush()
+    except OSError as exc:
+        raise DataError(f"cannot write the summary to stdout: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         stage, _ = COMMANDS[args.command]
-        text = stage(_configure(args))
-        # As UTF-8 whatever the locale: a summary can hold the configured
-        # dataset name or out_dir. No stdout (None) when fd 1 is closed; a
-        # text-only stream (say an io.StringIO) takes the text as is.
-        if sys.stdout is not None:
-            sys.stdout.flush()
-            buffer = getattr(sys.stdout, "buffer", None)
-            if buffer is None:
-                sys.stdout.write(text)
-            else:
-                buffer.write(text.encode("utf-8"))
+        _print_summary(stage(_configure(args)))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

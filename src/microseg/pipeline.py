@@ -248,19 +248,18 @@ def _load_scope_file(config: PipelineConfig) -> MemberScope:
 
 
 def ingest(config: PipelineConfig) -> tuple[FlowTable, "IngestOutput"]:
-    """Parse and filter the configured flow log; returns the kept table."""
+    """Parse and filter the configured flow log; returns the kept table.
+    The log's bytes are dropped once hashed and decoded, and its text once
+    parsed, so neither is alive through the later steps."""
     log_bytes = _read_log_bytes(config)
     scope = _load_scope_file(config)
-    records, malformed = parse_flow_log(
-        log_bytes.decode("utf-8", errors="replace"), strict=config.strict
-    )
+    fp = _fingerprint(log_bytes, scope, config)
+    text = log_bytes.decode("utf-8", errors="replace")
+    del log_bytes
+    records, malformed = parse_flow_log(text, strict=config.strict)
+    del text
     kept, report = filter_flows(records, scope, config.unknown_policy)
-    return kept, IngestOutput(
-        scope=scope,
-        fingerprint=_fingerprint(log_bytes, scope, config),
-        malformed=malformed,
-        report=report,
-    )
+    return kept, IngestOutput(scope=scope, fingerprint=fp, malformed=malformed, report=report)
 
 
 @dataclass

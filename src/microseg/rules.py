@@ -315,17 +315,22 @@ def _parse_ref(token: str) -> EntityRef:
 
 
 def load_ruleset(path) -> RuleSet:
-    """Parse a ruleset CSV back into a RuleSet."""
+    """Parse a ruleset CSV back into a RuleSet. Only the form
+    :func:`ruleset_to_csv` writes loads: no whitespace around a line, an
+    upper-case protocol."""
     rules = []
-    for lineno, raw in enumerate(read_file(path, "ruleset").split("\n"), start=1):
-        line = raw.strip()
+    for lineno, line in enumerate(read_file(path, "ruleset").split("\n"), start=1):
         if not line or line == RULESET_HEADER:
             continue
+        if line != line.strip():
+            raise DataError(f"ruleset line {lineno}: leading or trailing whitespace")
         parts = line.split(",")
         if len(parts) != 6:
             raise DataError(f"ruleset line {lineno}: expected 6 fields")
         if parts[4] != ALLOW:
             raise DataError(f"ruleset line {lineno}: action {parts[4]!r} is not {ALLOW}")
+        if parts[2] != parts[2].upper():
+            raise DataError(f"ruleset line {lineno}: protocol {parts[2]!r} is not upper case")
         try:
             rules.append(
                 FirewallRule(

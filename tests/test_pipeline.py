@@ -61,10 +61,12 @@ def run_cli(
     command: str, cfg: Path, env: dict | None = None, **run_args
 ) -> subprocess.CompletedProcess:
     """``python -m microseg <command> --config <cfg>`` in a child process
-    under ``child_env(env)``, output as bytes."""
+    under ``child_env(env)``, output as bytes; ``stdout`` may name another
+    sink than a pipe."""
     return subprocess.run(
         [sys.executable, "-m", "microseg", command, "--config", str(cfg)],
-        capture_output=True,
+        stdout=run_args.pop("stdout", subprocess.PIPE),
+        stderr=subprocess.PIPE,
         env=child_env(env),
         **run_args,
     )
@@ -915,6 +917,28 @@ class TestCli:
         synth_cfg, _ = self._write_cli_configs(tmp_path)
         proc = run_cli("synth", synth_cfg, preexec_fn=lambda: os.close(1))
         assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "data" / "flows.csv").exists()
+
+    @pytest.mark.parametrize("sink", ["full-device", "closed-pipe"])
+    def test_failed_summary_write_exit_two(self, tmp_path, sink):
+        # The summary is written last; a full disk or a pipe with no reader
+        # is a data error, reported on one line, after every artifact.
+        synth_cfg, _ = self._write_cli_configs(tmp_path)
+        if sink == "full-device":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            with open("/dev/full", "wb") as full:
+                proc = run_cli("synth", synth_cfg, stdout=full)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = run_cli("synth", synth_cfg, stdout=write_end)
+            finally:
+                os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        [message] = proc.stderr.decode().splitlines()
+        assert message.startswith("data error: cannot write the summary to stdout: ")
         assert (tmp_path / "data" / "flows.csv").exists()
 
     def test_text_only_stdout_takes_the_summary(self, tmp_path):

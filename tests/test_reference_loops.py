@@ -5,6 +5,7 @@ and the ruleset hygiene check against removing each rule and comparing the
 matcher's verdicts."""
 
 import ipaddress
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import microseg.clustering as clustering
+import microseg.flows as flows
 from microseg.clustering import SecurityGroups, kmeans_fit
 from microseg.features import encode_windows, standardize
 from microseg.flows import (
+    COLUMNS,
     MAP_TO_OBJECTS,
     POLICIES,
     DataError,
@@ -112,6 +115,126 @@ class TestParse:
         bare, _ = as_records(parse_flow_log("0,10.0.0.1,10.0.0.2,TCP,443,1,100\n"))
         assert padded == bare
         assert padded[0].src_addr == "10.0.0.1"
+
+
+GOOD_ADDRESSES = st.sampled_from(["10.0.0.1", "10.0.0.2", "8.8.8.8", "255.255.255.255"])
+GOOD_SERVICES = st.one_of(
+    st.tuples(st.sampled_from(["TCP", "udp", "Udp"]), st.sampled_from(["22", "0443", "65535"])),
+    st.tuples(st.sampled_from(["Icmp", "GRE", "P0", "X" * 12]), st.just("0")),
+)
+COUNTS = st.integers(0, 2**63 - 1).map(str)
+# Lines in canonical form that pass every check.
+VALID_LINE = st.tuples(
+    COUNTS, GOOD_ADDRESSES, GOOD_ADDRESSES, GOOD_SERVICES,
+    st.integers(1, 2**63 - 1).map(str), COUNTS,
+).map(lambda f: ",".join([*f[:3], *f[3], *f[4:]]))
+# Lines in canonical form, some of which a check rejects.
+NUMBERS = st.one_of(
+    COUNTS,
+    st.sampled_from(["0", "007", "9" * 19, str(2**63), "1" + "0" * 19, str(2**64 + 1)]),
+)
+CANONICAL = st.tuples(
+    NUMBERS,
+    st.one_of(GOOD_ADDRESSES, st.sampled_from(
+        ["10.0.0.300", "1.2.3", "1.2.3.4.5", "01.2.3.4", "1..2.3", "1" * 16]
+    )),
+    GOOD_ADDRESSES,
+    st.one_of(GOOD_SERVICES, st.tuples(
+        st.sampled_from(["TCP", "Icmp", "X" * 13, "Q" * 40]), st.sampled_from(["0", "22", "65536"])
+    )),
+    NUMBERS,
+    NUMBERS,
+).map(lambda f: ",".join([*f[:3], *f[3], *f[4:]]))
+
+
+def _bend(line, how):
+    """A canonical line out of canonical form: some still valid, some not."""
+    fields = line.split(",")
+    edits = {
+        "crlf": lambda: line + "\r",
+        "leading space": lambda: " " + line,
+        "padded field": lambda: line.replace(",", " , ", 1),
+        "plus sign": lambda: "+" + line,
+        "minus sign": lambda: "-" + line,
+        "underscore": lambda: ",".join(fields[:4] + ["1_0"] + fields[5:]),
+        "arabic digit": lambda: ",".join(fields[:5] + ["\u0661"] + fields[6:]),
+        "eight fields": lambda: line + ",1",
+        "tab": lambda: line.replace(",", "\t,", 2),
+    }
+    return edits[how]()
+
+
+FLOW_LINE = st.one_of(
+    VALID_LINE,
+    VALID_LINE,
+    CANONICAL,
+    st.tuples(VALID_LINE, st.sampled_from(
+        ["crlf", "leading space", "padded field", "plus sign", "minus sign",
+         "underscore", "arabic digit", "eight fields", "tab"]
+    )).map(lambda case: _bend(*case)),
+    st.sampled_from(
+        ["timestamp,src_addr,dst_addr,protocol,dst_port,packets,bytes", "", "   ", "\r",
+         "garbage", "1,2,3", ",,,,,,", "5,10.0.0.1,10.0.0.2,TCP,443,1," + "9" * 60]
+    ),
+)
+
+
+def _outcome(text, strict):
+    try:
+        return as_records(parse_flow_log(text, strict=strict))
+    except DataError as exc:
+        return str(exc)
+
+
+class TestColumnarParse:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(FLOW_LINE, max_size=14),
+        st.sampled_from(["", "\n"]),
+        st.one_of(st.integers(1, 40), st.just(flows.CHUNK_CHARS)),
+    )
+    def test_matches_per_line_parse_across_chunks(self, lines, end, chunk):
+        # Chunks of a few characters put lines of every form across chunk
+        # ends; one chunk puts canonical and other lines side by side.
+        text = "\n".join(lines) + end
+        with mock.patch.object(flows, "CHUNK_CHARS", chunk):
+            for strict in (False, True):
+                got = _outcome(text, strict)
+                try:
+                    want = reference_parse_flow_log(text, strict=strict)
+                except DataError as exc:
+                    want = str(exc)
+                assert got == want
+            # A "\r" on every line sends every line to the per-line parse,
+            # which strips it: the same table, vocabularies and dtypes.
+            try:
+                table, _ = parse_flow_log(text)
+            except DataError:
+                return
+            per_line, _ = parse_flow_log("\n".join(l + "\r" for l in lines) + end)
+        assert (table.addrs, table.protocols) == (per_line.addrs, per_line.protocols)
+        for name in COLUMNS:
+            got, want = getattr(table, name), getattr(per_line, name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist(), name
+
+    def test_synth_log_takes_no_per_line_parse(self, scenario, monkeypatch):
+        # Timing-free guard: a log in the form synth writes never reaches
+        # the per-line parse, whatever the chunking.
+        calls = []
+        parse_line = flows._parse_line
+
+        def spy(line, *codes):
+            calls.append(line)
+            return parse_line(line, *codes)
+
+        monkeypatch.setattr(flows, "_parse_line", spy)
+        monkeypatch.setattr(flows, "CHUNK_CHARS", 1000)
+        table, malformed = parse_flow_log(scenario.log_text)
+        assert calls == [] and malformed == 0
+        assert len(table) == len(scenario.log_lines)
+        # The spy does see lines out of canonical form.
+        parse_flow_log(scenario.log_text.replace("\n", "\r\n"))
+        assert len(calls) == len(scenario.log_lines)
 
 
 class TestExtract:

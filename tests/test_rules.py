@@ -7,6 +7,7 @@ from microseg.flows import DataError, MemberScope
 from microseg.rules import (
     ALLOW,
     DENY,
+    RULESET_HEADER,
     EntityRef,
     FirewallRule,
     RuleSet,
@@ -346,6 +347,25 @@ class TestRulesetCsv:
         fields[field] = cell
         path.write_text(",".join(fields) + "\n")
         with pytest.raises(DataError, match="ruleset line 1: .*not a canonical decimal"):
+            load_ruleset(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("  group:1,group:2,TCP,443,allow,3  ", "leading or trailing whitespace"),
+            ("group:1,group:2,TCP,443,allow,3\r", "leading or trailing whitespace"),
+            ("group:1,group:2,tcp,443,allow,3", "protocol 'tcp' is not upper case"),
+        ],
+        ids=["padded", "crlf", "lower-case-protocol"],
+    )
+    def test_unwritten_forms_refused(self, tmp_path, text, message):
+        # ruleset_to_csv writes neither form, so neither loads; what it
+        # writes loads and writes back byte for byte.
+        path = tmp_path / "rules.csv"
+        path.write_text(f"{RULESET_HEADER}\ngroup:1,group:2,TCP,443,allow,3\n")
+        assert ruleset_to_csv(load_ruleset(path)) == path.read_text()
+        path.write_text(f"{RULESET_HEADER}\n{text}\n")
+        with pytest.raises(DataError, match=f"^ruleset line 2: {message}$"):
             load_ruleset(path)
 
     def test_byte_identical_export(self):
