@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import microseg.clustering as clustering
@@ -147,31 +147,29 @@ CANONICAL = st.tuples(
 ).map(lambda f: ",".join([*f[:3], *f[3], *f[4:]]))
 
 
-def _bend(line, how):
-    """A canonical line out of canonical form: some still valid, some not."""
+def _set_field(line, index, value):
     fields = line.split(",")
-    edits = {
-        "crlf": lambda: line + "\r",
-        "leading space": lambda: " " + line,
-        "padded field": lambda: line.replace(",", " , ", 1),
-        "plus sign": lambda: "+" + line,
-        "minus sign": lambda: "-" + line,
-        "underscore": lambda: ",".join(fields[:4] + ["1_0"] + fields[5:]),
-        "arabic digit": lambda: ",".join(fields[:5] + ["\u0661"] + fields[6:]),
-        "eight fields": lambda: line + ",1",
-        "tab": lambda: line.replace(",", "\t,", 2),
-    }
-    return edits[how]()
+    fields[index] = value
+    return ",".join(fields)
 
 
+# A valid canonical line taken out of canonical form: some stay valid.
+BENT_LINE = st.tuples(VALID_LINE, st.sampled_from([
+    lambda line: line + "\r",
+    lambda line: " " + line,
+    lambda line: line.replace(",", " , ", 1),
+    lambda line: "+" + line,
+    lambda line: "-" + line,
+    lambda line: _set_field(line, 4, "1_0"),
+    lambda line: _set_field(line, 5, "\u0661"),  # ARABIC-INDIC DIGIT ONE
+    lambda line: line + ",1",
+    lambda line: line.replace(",", "\t,", 2),
+])).map(lambda case: case[1](case[0]))
 FLOW_LINE = st.one_of(
     VALID_LINE,
     VALID_LINE,
     CANONICAL,
-    st.tuples(VALID_LINE, st.sampled_from(
-        ["crlf", "leading space", "padded field", "plus sign", "minus sign",
-         "underscore", "arabic digit", "eight fields", "tab"]
-    )).map(lambda case: _bend(*case)),
+    BENT_LINE,
     st.sampled_from(
         ["timestamp,src_addr,dst_addr,protocol,dst_port,packets,bytes", "", "   ", "\r",
          "garbage", "1,2,3", ",,,,,,", "5,10.0.0.1,10.0.0.2,TCP,443,1," + "9" * 60]
@@ -193,6 +191,31 @@ class TestColumnarParse:
         st.sampled_from(["", "\n"]),
         st.one_of(st.integers(1, 40), st.just(flows.CHUNK_CHARS)),
     )
+    # Rows one check rejects: a port that does not fit the protocol, a
+    # number past int64 or uint64, a bad address beside a good one that
+    # must stay out of the vocabulary, and a non-numeric line after a
+    # columnar line in one chunk, which is malformed, not a header.
+    @example(
+        ["1,10.0.0.1,10.0.0.2,TCP,0,1,1", "2,10.0.0.1,10.0.0.2,ICMP,8,1,1",
+         "3,10.0.0.1,10.0.0.2,TCP,22,1,1", "4,10.0.0.1,10.0.0.2,ICMP,0,1,1",
+         "5,10.0.0.1,10.0.0.2,UDP,53,1,1"],
+        "", flows.CHUNK_CHARS,
+    )
+    @example(
+        ["1,10.0.0.1,10.0.0.2,TCP,22,1,1", "9223372036854775808,10.0.0.1,10.0.0.2,TCP,22,1,1",
+         "2,10.0.0.1,10.0.0.2,TCP,22,18446744073709551617,1", "3,10.0.0.1,10.0.0.2,TCP,22,1,1",
+         "4,10.0.0.1,10.0.0.2,TCP,22,1,1"],
+        "\n", 1,
+    )
+    @example(
+        ["1,10.0.0.300,10.0.0.9,TCP,22,1,1", "2,10.0.0.1,10.0.0.2,TCP,22,1,1",
+         "3,10.0.0.1,10.0.0.2,TCP,22,1,1"],
+        "\n", flows.CHUNK_CHARS,
+    )
+    @example(
+        ["1,10.0.0.1,10.0.0.2,TCP,22,1,1", "garbage", "2,10.0.0.1,10.0.0.2,TCP,22,1,1"],
+        "\n", flows.CHUNK_CHARS,
+    )
     def test_matches_per_line_parse_across_chunks(self, lines, end, chunk):
         # Chunks of a few characters put lines of every form across chunk
         # ends; one chunk puts canonical and other lines side by side.
@@ -211,7 +234,7 @@ class TestColumnarParse:
                 table, _ = parse_flow_log(text)
             except DataError:
                 return
-            per_line, _ = parse_flow_log("\n".join(l + "\r" for l in lines) + end)
+            per_line, _ = parse_flow_log("\n".join(line + "\r" for line in lines) + end)
         assert (table.addrs, table.protocols) == (per_line.addrs, per_line.protocols)
         for name in COLUMNS:
             got, want = getattr(table, name), getattr(per_line, name)
