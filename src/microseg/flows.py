@@ -4,9 +4,9 @@ A flow log is line-oriented CSV with the columns
 ``timestamp,src_addr,dst_addr,protocol,dst_port,packets,bytes``.
 It is parsed once into a :class:`FlowTable`: one numpy column per field, with
 addresses and protocols as integer codes into small sorted vocabularies.
-Lines in the canonical form synth writes are read column-wise, a chunk of
-lines at a time; every other valid line parses the same, only more slowly,
-through the per-line parse.
+Lines in the canonical form synth writes, with LF or CRLF ends, are read
+column-wise, a chunk of lines at a time; every other valid line parses the
+same, only more slowly, through the per-line parse.
 Peers are classified against a :class:`MemberScope` as network members,
 named external network objects, or unknown, once per distinct address, and
 rows are kept by one boolean mask under one of two policies:
@@ -234,7 +234,9 @@ class FlowTable:
     address strings sorted so that code order is string order; ``protocol``
     holds codes into the sorted ``protocols``. ``classes`` is empty on a
     parsed table; :func:`filter_flows` sets it to each address's class,
-    indexed by code. Iterating builds a :class:`FlowRecord` per row (a
+    indexed by code, and feature encoding reads it. The group stage writes
+    the kept table's :func:`conversations` for the rules stage, which reads
+    no table. Iterating builds a :class:`FlowRecord` per row (a
     :class:`ClassifiedFlow` once classified). No pipeline stage does; the
     rule-completeness check :func:`~microseg.pipeline.verify_ruleset_completeness`
     iterates one row per distinct (src, dst, protocol, port).
@@ -285,6 +287,24 @@ def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
         key, return_index=True, return_inverse=True, return_counts=True
     )
     return first, inverse, counts
+
+
+#: One conversation: (src address, dst address, protocol, port, row count).
+Conversation = tuple[str, str, str, int, int]
+
+
+def conversations(table: FlowTable) -> list[Conversation]:
+    """Each distinct (src address, dst address, protocol, port) of a table
+    with its row count, in order of first appearance."""
+    columns = (table.src, table.dst, table.protocol, table.dst_port)
+    first, _, counts = distinct_rows(*columns)
+    order = np.argsort(first)
+    return [
+        (table.addrs[src], table.addrs[dst], table.protocols[protocol], port, count)
+        for src, dst, protocol, port, count in zip(
+            *(column[first[order]].tolist() for column in columns), counts[order].tolist()
+        )
+    ]
 
 
 @dataclass
@@ -426,7 +446,8 @@ def _register(codes: _Codes, tokens: list, inverse: np.ndarray) -> np.ndarray:
 
 def _canonical_rows(data: bytes, addr_codes: _Codes, protocols: _Codes, memos: tuple):
     """Parse the lines of ``data``, whole lines that each end with ``\\n``,
-    that are in canonical form and pass every check of :func:`_parse_line`.
+    that are in canonical form (a ``\\r`` before the ``\\n`` allowed) and
+    pass every check of :func:`_parse_line`.
 
     Returns the indices of the lines parsed, their seven columns, and the
     number of lines. Only the tokens of parsed lines are registered, as
@@ -435,16 +456,19 @@ def _canonical_rows(data: bytes, addr_codes: _Codes, protocols: _Codes, memos: t
     b = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(b == ord("\n"))
     starts = np.concatenate(([0], ends[:-1] + 1))
+    # A "\r" just before the "\n" ends the last field too, as the per-line
+    # parse strips it. (ends[0] - 1 may be -1: the chunk's last byte, a "\n".)
+    stops = ends - (b[ends - 1] == ord("\r"))
     commas = np.flatnonzero(b == ord(","))
     line_of = np.searchsorted(ends, commas)
-    # Candidates have seven fields and end in a digit; a line ending in "\r"
-    # or a space is left to the per-line parse without reading its fields.
+    # Candidates have seven fields and end in a digit; a line ending in a
+    # space is left to the per-line parse without reading its fields.
     seven = np.bincount(line_of, minlength=len(ends)) == 6
-    seven &= _DECIMAL[0][b[ends - 1]] != _NOT_A_DIGIT
+    seven &= _DECIMAL[0][b[stops - 1]] != _NOT_A_DIGIT
     lines = np.flatnonzero(seven)
     # Field f of candidate line i lies strictly between cuts[i, f] and cuts[i, f + 1].
     cuts = np.column_stack(
-        (starts[lines] - 1, commas[seven[line_of]].reshape(-1, 6), ends[lines])
+        (starts[lines] - 1, commas[seven[line_of]].reshape(-1, 6), stops[lines])
     )
     fields, ok = [], np.ones(len(lines), dtype=bool)
     for f, form in enumerate(_FIELD_FORMS):
@@ -503,11 +527,12 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
 
     Lines in canonical form, the form synth writes, are parsed as numpy
     columns, one chunk of lines at a time: seven comma-separated fields
-    and no whitespace, each number 1-19 ASCII digits, each address digits
-    and dots, the protocol 1-12 ASCII letters and digits. Each distinct
-    address or protocol token is checked once. Every other line, and every
-    line a check rejects, goes through the per-line parse in line order, so
-    the table, counts and messages are the same as a per-line parse of all.
+    and no whitespace but a ``\\r`` before the line end, each number 1-19
+    ASCII digits, each address digits and dots, the protocol 1-12 ASCII
+    letters and digits. Each distinct address or protocol token is checked
+    once. Every other line, and every line a check rejects, goes through the
+    per-line parse in line order, so the table, counts and messages are the
+    same as a per-line parse of all.
     """
     rows = text.count("\n") + 1
     columns = [

@@ -1,10 +1,12 @@
 """Batch pipeline wiring: configuration, artifact persistence, stages.
 
-The groups artifact embeds a fingerprint hashing the input flow log, the
-scope and the semantic configuration (window, vocab, projection,
-clustering and policy settings; execution controls and paths are excluded).
-Measured wall time is a side file, not a fingerprinted artifact, so reruns
-stay byte-identical.
+The groups artifact and the conversation table each embed a fingerprint
+hashing the input flow log, the scope and the semantic configuration
+(window, vocab, projection, clustering and policy settings; execution
+controls and paths are excluded). The log is parsed by the stages that need
+its rows, ``group`` and ``tune``; ``rules`` reads the conversation table
+that ``group`` wrote. Measured wall time is a side file, not a fingerprinted
+artifact, so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -29,10 +31,13 @@ from .flows import (
     DROP_UNKNOWN,
     INT64_MAX,
     POLICIES,
+    Conversation,
     DataError,
     FlowTable,
     MemberScope,
+    check_service,
     content_lines,
+    conversations,
     distinct_rows,
     filter_flows,
     load_scope,
@@ -46,11 +51,11 @@ from .flows import (
 from .metrics import REPORT_HEADER, EvalReport, evaluate, report_row
 from .rules import (
     check_ruleset,
-    extract_service_flows,
     generalize,
     load_ruleset,
     make_matcher,
     ruleset_to_csv,
+    tally_conversations,
 )
 from .synth import MAX_OBJECTS, MAX_PORT_POOL, generate, random_scenario
 
@@ -286,6 +291,51 @@ def mean_distances_csv(assignments: list[GroupAssignment]) -> str:
     return "\n".join(lines) + "\n"
 
 
+CONVERSATIONS_HEADER = "src_addr,dst_addr,protocol,dst_port,count"
+
+
+def conversations_csv(rows: list[Conversation], fp: str) -> str:
+    """The conversation table: a fingerprint line, a header, then one line
+    per conversation in the order given."""
+    lines = [f"fingerprint,{fp}", CONVERSATIONS_HEADER]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def load_conversations(path: Path, fp: str) -> list[Conversation]:
+    """The rows of a conversation table written for the run ``fp`` names.
+    Only the form :func:`conversations_csv` writes loads: canonical IPv4
+    addresses, an upper-case protocol, a valid service, canonical decimal
+    port and count, and a line end after the last line."""
+    lines = read_file(path, "conversation table").split("\n")
+    if lines[:2] != [f"fingerprint,{fp}", CONVERSATIONS_HEADER]:
+        raise DataError(
+            f"rules: {path} is stale or damaged (its first two lines are not this "
+            "run's fingerprint and the header); rerun the group stage"
+        )
+    if lines[-1]:
+        raise DataError(f"rules: {path} is truncated: line {len(lines)} has no line end")
+    rows = []
+    for lineno, line in enumerate(lines[2:-1], start=3):
+        fields = line.split(",")
+        try:
+            if len(fields) != 5:
+                raise ValueError(f"expected 5 fields, got {len(fields)}")
+            src, dst, protocol, port, count = fields
+            ipaddress.IPv4Address(src)
+            ipaddress.IPv4Address(dst)
+            if not protocol or protocol != protocol.strip().upper():
+                raise ValueError(f"protocol {protocol!r} is not in the written form")
+            port, count = parse_decimal(port), parse_decimal(count)
+            check_service(protocol, port)
+            if count < 1:
+                raise ValueError("count 0 < 1")
+        except ValueError as exc:
+            raise DataError(f"rules: {path} line {lineno}: {exc}") from exc
+        rows.append((src, dst, protocol, port, count))
+    return rows
+
+
 def groups_payload(groups: SecurityGroups, fp: str, config: PipelineConfig) -> str:
     payload = {
         "kind": "security_groups",
@@ -385,11 +435,15 @@ def run_group(config: PipelineConfig) -> str:
         + "\n",
     )
     write_atomic(
+        out / "conversations.csv", conversations_csv(conversations(kept), ingest_out.fingerprint)
+    )
+    write_atomic(
         out / "timing.json",
         json.dumps({"grouping_seconds": elapsed}, sort_keys=True) + "\n",
     )
     # Last: a crash at any earlier write leaves the previous groups.json,
-    # whose fingerprint then rejects this run's inputs in rules and eval.
+    # whose fingerprint then rejects this run's inputs in rules and eval,
+    # while conversations.csv carries its own.
     write_atomic(out / "groups.json", groups_payload(result.groups, ingest_out.fingerprint, config))
     return (
         "dataset,asset_qty,suggested_group_qty,runtime_s\n"
@@ -399,18 +453,21 @@ def run_group(config: PipelineConfig) -> str:
 
 
 def run_rules(config: PipelineConfig) -> str:
-    """Synthesize and check the ruleset from grouping artifacts; returns the
-    rule and hygiene counts."""
+    """Synthesize and check the ruleset from the groups and the conversation
+    table, both checked against the log and scope; returns the rule and
+    hygiene counts. The log is hashed, not parsed."""
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
-    kept, ingest_out = ingest(config)
-    _require_fresh("rules", ingest_out.fingerprint, stored_fp)
+    scope = _load_scope_file(config)
+    fp = _fingerprint(_read_log_bytes(config), scope, config)
+    _require_fresh("rules", fp, stored_fp)
+    table = out / "conversations.csv"
+    rows = load_conversations(table, fp)
     try:
-        tuples = extract_service_flows(kept, groups, ingest_out.scope)
-        ruleset = generalize(tuples)
-        hygiene = check_ruleset(ruleset, groups, ingest_out.scope)
-    except ValueError as exc:
-        raise DataError(f"rules: {exc}") from exc
+        ruleset = generalize(tally_conversations(rows, groups, scope))
+        hygiene = check_ruleset(ruleset, groups, scope)
+    except (DataError, ValueError) as exc:
+        raise DataError(f"rules: {table}: {exc}") from exc
     if hygiene.any_to_any or hygiene.duplicates:
         raise RuntimeError(
             "rules: synthesized ruleset failed structural guarantees "
@@ -565,8 +622,10 @@ def run_synth(config: PipelineConfig) -> str:
 
 def verify_ruleset_completeness(config: PipelineConfig) -> tuple[int, int]:
     """Count (allowed, total) over the records a persisted ruleset was built
-    from; used by the acceptance checks. The matcher runs once per distinct
-    (source, destination, protocol, port), weighted by its row count."""
+    from; used by the acceptance checks. It parses the log itself rather
+    than read conversations.csv, so a table that lost rows shows here. The
+    matcher runs once per distinct (source, destination, protocol, port),
+    weighted by its row count."""
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
     kept, ingest_out = ingest(config)

@@ -1,30 +1,29 @@
-"""Group-level firewall rule synthesis from a filtered flow table.
+"""Group-level firewall rule synthesis from the conversation table.
 
-Endpoint addresses are replaced by their security group (members) or
-network object (externals) at extraction time, once per distinct
-(source, destination, protocol, port) of the table, so generalization
-reduces to deduplication plus canonical ordering: one allow rule per
-distinct (source, destination, service) triple over a default-deny base.
+A conversation is one distinct (source, destination, protocol, port) of the
+kept flows with its row count; the group stage writes them all. Endpoint
+addresses are replaced by their security group (members) or network object
+(externals) once per conversation, so generalization reduces to
+deduplication plus canonical ordering: one allow rule per distinct
+(source, destination, service) triple over a default-deny base.
 """
 
 from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Sequence
 
 from .clustering import SecurityGroups
 from .flows import (
+    Conversation,
     DataError,
     FlowRecord,
     FlowTable,
     MemberScope,
-    PeerClass,
     check_service,
     classify_peer,
-    distinct_rows,
+    conversations,
     parse_decimal,
     read_file,
 )
@@ -106,53 +105,49 @@ class RuleSet:
         return cls(rules=ordered)
 
 
+def tally_conversations(
+    rows: Iterable[Conversation],
+    groups: SecurityGroups,
+    scope: MemberScope,
+) -> dict[tuple[EntityRef, EntityRef, ServiceTuple], int]:
+    """Map each conversation to (src ref, dst ref, service), summing row
+    counts. An address resolves as :func:`make_matcher` resolves it: a member
+    to its security group, any other address to its network object. The
+    first address, in row order, that resolves to nothing raises
+    :class:`DataError` naming it; grouping must have covered every member.
+    """
+    resolve = _resolver(groups, scope)
+    services: dict[tuple[str, int], ServiceTuple] = {}
+
+    def ref(addr: str) -> EntityRef:
+        resolved = resolve(addr)
+        if resolved is not None:
+            return resolved
+        if classify_peer(addr, scope).is_member:
+            raise DataError(
+                f"member endpoint {addr} is not in any security group; "
+                "grouping must precede rule synthesis"
+            )
+        raise DataError(f"address {addr} is neither a member nor in a network object")
+
+    counts: dict[tuple[EntityRef, EntityRef, ServiceTuple], int] = {}
+    for src, dst, protocol, port, count in rows:
+        src_ref, dst_ref = ref(src), ref(dst)
+        service = services.get((protocol, port)) or services.setdefault(
+            (protocol, port), ServiceTuple(protocol, port)
+        )
+        key = (src_ref, dst_ref, service)
+        counts[key] = counts.get(key, 0) + count
+    return counts
+
+
 def extract_service_flows(
     flows: FlowTable,
     groups: SecurityGroups,
     scope: MemberScope,
 ) -> dict[tuple[EntityRef, EntityRef, ServiceTuple], int]:
-    """Map every row of a filtered table to (src ref, dst ref, service),
-    summing evidence. Member peers become their security group, external
-    peers their network object; grouping must have covered every member.
-
-    Rows are counted per distinct (source, destination, protocol, port);
-    each distinct key is then resolved once, in order of first appearance,
-    so errors name the same row as a per-row pass would.
-    """
-    endpoint_group = groups.endpoint_to_group()
-    refs: dict[int, EntityRef] = {}
-    services: dict[tuple[int, int], ServiceTuple] = {}
-
-    def ref(code: int) -> EntityRef:
-        if code not in refs:
-            peer = flows.classes[code]
-            resolved = _peer_ref(peer, endpoint_group)
-            if peer.is_member and resolved is None:
-                raise DataError(
-                    f"member endpoint {peer.value} is not in any security group; "
-                    "grouping must precede rule synthesis"
-                )
-            if peer.is_object and peer.value not in scope.object_names:
-                raise DataError(f"network object {peer.value!r} not in scope")
-            if resolved is None:
-                raise ValueError("records with unknown peers cannot produce rules")
-            refs[code] = resolved
-        return refs[code]
-
-    columns = (flows.src, flows.dst, flows.protocol, flows.dst_port)
-    first, _, n = distinct_rows(*columns)
-    order = np.argsort(first)
-    counts: dict[tuple[EntityRef, EntityRef, ServiceTuple], int] = {}
-    for src, dst, protocol, port, count in zip(
-        *(column[first[order]].tolist() for column in columns), n[order].tolist()
-    ):
-        src_ref, dst_ref = ref(src), ref(dst)
-        service = services.get((protocol, port)) or services.setdefault(
-            (protocol, port), ServiceTuple(flows.protocols[protocol], port)
-        )
-        key = (src_ref, dst_ref, service)
-        counts[key] = counts.get(key, 0) + count
-    return counts
+    """:func:`tally_conversations` over the conversations of a filtered table."""
+    return tally_conversations(conversations(flows), groups, scope)
 
 
 def generalize(
@@ -167,15 +162,6 @@ def generalize(
     )
 
 
-def _peer_ref(peer: PeerClass, endpoint_group: dict[str, int]) -> EntityRef | None:
-    """A member's security group, an object's name, or nothing (unknown
-    peers and ungrouped members)."""
-    if peer.is_member:
-        gid = endpoint_group.get(peer.value)
-        return None if gid is None else EntityRef.group(gid)
-    return EntityRef.network_object(peer.value) if peer.is_object else None
-
-
 def _resolver(
     groups: SecurityGroups, scope: MemberScope
 ) -> Callable[[str], EntityRef | None]:
@@ -188,7 +174,12 @@ def _resolver(
 
     def resolve(addr: str) -> EntityRef | None:
         if addr not in cache:
-            cache[addr] = _peer_ref(classify_peer(addr, scope), endpoint_group)
+            peer = classify_peer(addr, scope)
+            if peer.is_member:
+                gid = endpoint_group.get(addr)
+                cache[addr] = None if gid is None else EntityRef.group(gid)
+            else:
+                cache[addr] = EntityRef.network_object(peer.value) if peer.is_object else None
         return cache[addr]
 
     return resolve

@@ -263,6 +263,7 @@ DETERMINISTIC_ARTIFACTS = [
     "groups.json",
     "assignments.csv",
     "ingest_report.json",
+    "conversations.csv",
     "ruleset.csv",
     "hygiene.txt",
 ]

@@ -39,6 +39,7 @@ ARTIFACTS = [
     "groups.json",
     "assignments.csv",
     "ingest_report.json",
+    "conversations.csv",
 ]
 
 
@@ -305,6 +306,32 @@ class TestRunGroup:
             run_eval(rerun)
         run_eval(config)
 
+    def test_crash_after_conversations_then_reverted_inputs(self, tmp_path, monkeypatch):
+        # A run on an edited log writes conversations.csv and crashes before
+        # groups.json. With the old log back the old groups.json is current
+        # again, and the table's own fingerprint keeps rules from reading it.
+        config = synth_setup(tmp_path)
+        run_group(config)
+        log = Path(config.flow_log)
+        original = log.read_bytes()
+        log.write_bytes(original[: original.rindex(b"\n", 0, -1) + 1])
+        real_replace = os.replace
+
+        def fail_timing(src, dst):
+            if Path(dst).name == "timing.json":
+                raise OSError("simulated crash")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_timing)
+        with pytest.raises(DataError, match="simulated crash"):
+            run_group(config)
+        monkeypatch.undo()
+        log.write_bytes(original)
+        with pytest.raises(DataError, match="conversations.csv is stale"):
+            run_rules(config)
+        run_group(config)
+        run_rules(config)
+
 
 def rules_summary(text: str) -> dict[str, int]:
     """The counts in ``run_rules``' summary line, which must match its format."""
@@ -380,10 +407,51 @@ class TestRunRules:
         run_group(config)
         run_rules(config)
         out = Path(config.out_dir)
-        first = {n: (out / n).read_bytes() for n in ("ruleset.csv", "hygiene.txt")}
+        names = ("conversations.csv", "ruleset.csv", "hygiene.txt")
+        first = {n: (out / n).read_bytes() for n in names}
         run_rules(config)
-        for name, blob in first.items():
-            assert (out / name).read_bytes() == blob
+        assert {n: (out / n).read_bytes() for n in names} == first
+        run_group(config)
+        run_rules(config)
+        assert {n: (out / n).read_bytes() for n in names} == first
+
+    def test_rules_parses_no_log_line(self, tmp_path, monkeypatch):
+        config = synth_setup(tmp_path)
+        calls = []
+        parse = pipeline.parse_flow_log
+
+        def spy(text, **kwargs):
+            calls.append(len(text))
+            return parse(text, **kwargs)
+
+        monkeypatch.setattr(pipeline, "parse_flow_log", spy)
+        run_group(config)
+        assert len(calls) == 1
+        run_rules(config)
+        assert len(calls) == 1
+
+    def test_completeness_check_sees_a_lost_conversation(self, tmp_path):
+        # rules trusts the table; the completeness check parses the log, so
+        # a table that lost the only row behind a rule shows as flows denied.
+        config = synth_setup(tmp_path, noise=0.1)
+        run_group(config)
+        out = Path(config.out_dir)
+        groups = load_groups(out / "groups.json")[0].endpoint_to_group()
+        path = out / "conversations.csv"
+        lines = path.read_text().split("\n")
+
+        def rule_key(row):
+            src, dst, protocol, port, _ = row.split(",")
+            return groups[src], groups[dst], protocol, port
+
+        keys = [rule_key(row) for row in lines[2:-1]]
+        lost = next(i for i, key in enumerate(keys) if keys.count(key) == 1)
+        count = int(lines[2 + lost].rsplit(",", 1)[1])
+        del lines[2 + lost]
+        path.write_text("\n".join(lines))
+        run_rules(config)
+        allowed, total = verify_ruleset_completeness(config)
+        assert allowed == total - count
 
 
 class TestRunEval:
@@ -691,6 +759,13 @@ class TestCli:
             ("rules", "groups.json", "id over digit limit"),
             ("eval", "groups.json", "id over digit limit"),
             ("verify", "ruleset.csv", "deny"),
+            ("rules", "conversations.csv", "missing"),
+            ("rules", "conversations.csv", "cut mid-line"),
+            ("rules", "conversations.csv", "other fingerprint"),
+            ("rules", "conversations.csv", "padded count"),
+            ("rules", "conversations.csv", "TCP port 0"),
+            ("rules", "conversations.csv", "address not IPv4"),
+            ("rules", "conversations.csv", "address outside scope"),
         ],
         ids=[
             "groups-truncated",
@@ -716,15 +791,59 @@ class TestCli:
             "groups-id-over-digit-limit-rules",
             "groups-id-over-digit-limit-eval",
             "ruleset-deny-action",
+            "conversations-missing",
+            "conversations-cut-mid-line",
+            "conversations-other-fingerprint",
+            "conversations-padded-count",
+            "conversations-tcp-port-zero",
+            "conversations-address-not-ipv4",
+            "conversations-address-outside-scope",
         ],
     )
-    def test_corrupt_artifact_exit_two(self, tmp_path, command, artifact, content):
+    def test_corrupt_artifact_exit_two(self, tmp_path, capsys, command, artifact, content):
         synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
         assert main(["synth", "--config", str(synth_cfg)]) == 0
         assert main(["group", "--config", str(run_cfg)]) == 0
         if command == "verify":
             assert main(["rules", "--config", str(run_cfg)]) == 0
         path = tmp_path / "artifacts" / artifact
+        if artifact == "conversations.csv":
+            text = path.read_text()
+            lines = text.split("\n")
+            src, dst, protocol, port, count = lines[2].split(",")
+
+            def first_row(row):
+                return "\n".join(lines[:2] + [row] + lines[3:])
+
+            # The new text (None deletes the file) and what the message says.
+            text, said = {
+                "missing": (None, f"{path}: [Errno 2]"),
+                "cut mid-line": (text[:-3], f"{path} is truncated"),
+                "other fingerprint": (
+                    "\n".join(["fingerprint," + "0" * 64] + lines[1:]),
+                    f"{path} is stale or damaged",
+                ),
+                "padded count": (
+                    first_row(f"{src},{dst},{protocol},{port},0{count}"), f"{path} line 3: '0"
+                ),
+                "TCP port 0": (first_row(f"{src},{dst},TCP,0,{count}"), f"{path} line 3: dst_port 0"),
+                "address not IPv4": (
+                    first_row(f"10.0.0.300,{dst},{protocol},{port},{count}"),
+                    f"{path} line 3: Octet 300",
+                ),
+                "address outside scope": (
+                    first_row(f"{src},192.0.2.1,{protocol},{port},{count}"),
+                    f"{path}: address 192.0.2.1 is neither a member",
+                ),
+            }[content]
+            if text is None:
+                path.unlink()
+            else:
+                path.write_text(text)
+            capsys.readouterr()
+            assert main([command, "--config", str(run_cfg)]) == 2
+            assert said in capsys.readouterr().err
+            return
         if content == "truncated":
             content = path.read_text()[:40]
         elif content == "deny":

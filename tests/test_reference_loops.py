@@ -221,20 +221,22 @@ class TestColumnarParse:
         # ends; one chunk puts canonical and other lines side by side.
         text = "\n".join(lines) + end
         with mock.patch.object(flows, "CHUNK_CHARS", chunk):
-            for strict in (False, True):
-                got = _outcome(text, strict)
-                try:
-                    want = reference_parse_flow_log(text, strict=strict)
-                except DataError as exc:
-                    want = str(exc)
-                assert got == want
-            # A "\r" on every line sends every line to the per-line parse,
-            # which strips it: the same table, vocabularies and dtypes.
+            # CRLF line ends keep canonical lines canonical.
+            for log in (text, text.replace("\n", "\r\n")):
+                for strict in (False, True):
+                    got = _outcome(log, strict)
+                    try:
+                        want = reference_parse_flow_log(log, strict=strict)
+                    except DataError as exc:
+                        want = str(exc)
+                    assert got == want
+            # A space before every line sends every line to the per-line
+            # parse, which strips it: the same table, vocabularies and dtypes.
             try:
                 table, _ = parse_flow_log(text)
             except DataError:
                 return
-            per_line, _ = parse_flow_log("\n".join(line + "\r" for line in lines) + end)
+            per_line, _ = parse_flow_log("\n".join(" " + line for line in lines) + end)
         assert (table.addrs, table.protocols) == (per_line.addrs, per_line.protocols)
         for name in COLUMNS:
             got, want = getattr(table, name), getattr(per_line, name)
@@ -255,8 +257,14 @@ class TestColumnarParse:
         table, malformed = parse_flow_log(scenario.log_text)
         assert calls == [] and malformed == 0
         assert len(table) == len(scenario.log_lines)
+        # Nor does its CRLF copy, which parses to the same table.
+        crlf, crlf_malformed = parse_flow_log(scenario.log_text.replace("\n", "\r\n"))
+        assert calls == [] and crlf_malformed == 0
+        assert (crlf.addrs, crlf.protocols) == (table.addrs, table.protocols)
+        for name in COLUMNS:
+            assert getattr(crlf, name).tolist() == getattr(table, name).tolist(), name
         # The spy does see lines out of canonical form.
-        parse_flow_log(scenario.log_text.replace("\n", "\r\n"))
+        parse_flow_log("".join(" " + line + "\n" for line in scenario.log_lines))
         assert len(calls) == len(scenario.log_lines)
 
 
