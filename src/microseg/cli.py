@@ -54,7 +54,8 @@ def build_parser() -> _Parser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to key = value config")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--strict", action="store_true", help="fail on any malformed line")
+        if name in ("group", "tune"):  # the stages that parse the flow log
+            cmd.add_argument("--strict", action="store_true", help="fail on any malformed line")
     return parser
 
 
@@ -62,7 +63,7 @@ def _configure(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    if args.strict:
+    if getattr(args, "strict", False):
         config.strict = True
     validate_config(config)
     return config

@@ -13,14 +13,23 @@ keeps the distance matrix and each sample's cheapest move, and updates
 them from the columns a round touched. Both give the labels of the full
 distance product bit for bit: a bound decides only with a margin wider
 than the rounding of any evaluation, and a near tie takes the full product.
+
+The restarts run in parallel processes, one per CPU in the affinity mask
+and at most one per restart, forked after the samples are built, so the
+results are identical whatever the CPU count. Peak RSS is per process and
+stays the serial peak; machine-wide memory grows by about one restart's
+working set per extra process.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -371,9 +380,12 @@ def _hartigan_polish(
     return centroids, labels, moves, D
 
 
+_Run = tuple[np.ndarray, float, int, list[float]]
+
+
 def _fit_restart(
     X: np.ndarray, xx: np.ndarray, k: int, seed: int, tol: float, max_iter: int
-) -> tuple[np.ndarray, float, int, list[float]]:
+) -> _Run:
     """One restart: Lloyd iterations alternated with Hartigan polish.
 
     Lloyd runs until the largest centroid movement drops below ``tol`` (or
@@ -417,6 +429,27 @@ def _fit_restart(
     return centroids, final, iterations, history
 
 
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _child(write_fd: int, fit: Callable[[], object]) -> NoReturn:
+    """In a forked child: send ``fit()``'s result, or what it raised,
+    pickled through ``write_fd``, then exit without the parent's cleanup."""
+    try:
+        try:
+            out = fit()
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+            out = exc
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(out, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
 def kmeans_fit(
     samples: np.ndarray,
     k: int,
@@ -432,6 +465,11 @@ def kmeans_fit(
     drops below ``tol`` or after ``max_iter`` rounds) alternated with a
     single-sample refinement pass. Ties on final inertia keep the earliest
     restart, so results are bit-reproducible for a fixed seed.
+
+    With W = min(restarts, CPUs) workers, this process runs restarts
+    0, W, 2W, ... and forks a child w for restarts w, w + W, ...; each
+    child pipes back only its best run. What a child raises is raised here;
+    every child is killed and reaped before this returns or raises.
     """
     X = np.asarray(samples, dtype=np.float64)
     if k < 1 or tol <= 0 or max_iter < 1 or restarts < 1:
@@ -442,12 +480,43 @@ def kmeans_fit(
     rng = np.random.default_rng(seed)
     sub_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=restarts)]
     xx = _row_sq(X)
-    best: tuple[np.ndarray, float, int, list[float]] | None = None
-    for sub in sub_seeds:
-        run = _fit_restart(X, xx, k, sub, tol, max_iter)
-        if best is None or run[1] < best[1]:
-            best = run
-    centroids, inertia, iterations, history = best
+    workers = min(restarts, _cpus())
+
+    def fit(w: int) -> tuple[float, int, _Run]:
+        """The lowest-inertia run of restarts w, w + W, ... (the earliest on
+        ties), as (inertia, restart, run)."""
+        best = None
+        for i in range(w, restarts, workers):
+            run = _fit_restart(X, xx, k, sub_seeds[i], tol, max_iter)
+            if best is None or run[1] < best[0]:
+                best = (run[1], i, run)
+        return best
+
+    children = []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _child(write_fd, lambda: fit(w))
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        bests = [fit(0)]
+        for pid, pipe in children:
+            try:
+                out = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError) as exc:
+                raise RuntimeError(f"k-means worker {pid} sent no result") from exc
+            if isinstance(out, BaseException):
+                raise out
+            bests.append(out)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    _, _, (centroids, inertia, iterations, history) = min(bests, key=lambda b: b[:2])
     return ClusterModel(
         centroids=centroids,
         inertia=inertia,

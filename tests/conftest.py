@@ -1,8 +1,15 @@
 import ipaddress
+import os
 
-import pytest
+# One BLAS thread before numpy loads, as the CLI sets: k-means runs its
+# restarts in one process per CPU, and a multi-threaded BLAS in each would
+# put more busy threads than cores on the box.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from microseg.flows import MAP_TO_OBJECTS, FlowRecord, MemberScope, filter_flows, parse_flow_log
+import pytest  # noqa: E402
+
+from microseg.flows import MAP_TO_OBJECTS, FlowRecord, MemberScope, filter_flows, parse_flow_log  # noqa: E402
 
 
 @pytest.fixture

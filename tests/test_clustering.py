@@ -1,3 +1,5 @@
+import os
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -144,6 +146,85 @@ class TestKmeansMemory:
         finally:
             tracemalloc.stop()
         assert peak < 3 * X.shape[0] * k * X.itemsize
+
+
+class TestKmeansWorkers:
+    """Restarts split over forked workers: the CPU count is patched, so
+    these fork on any box."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _fit(monkeypatch, cpus, X, k, restarts):
+        monkeypatch.setattr(clustering, "_cpus", lambda: cpus)
+        model = kmeans_fit(X, k, seed=7, restarts=restarts)
+        return (
+            model.centroids.tobytes(),
+            model.inertia,
+            model.iterations_run,
+            model.inertia_history,
+        )
+
+    @pytest.mark.parametrize("restarts", [2, 3, 4, 5])
+    def test_same_fit_for_any_worker_count(self, monkeypatch, restarts):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(300, 3))
+        # Every restart reaches inertia 0 on 16 distinct grid rows, so only
+        # the earliest-restart tie-break fixes the centroid order.
+        grid = rng.integers(0, 4, size=(80, 2)).astype(float)
+        for data, k in ((X, 12), (grid, len(np.unique(grid, axis=0)))):
+            serial = self._fit(monkeypatch, 1, data, k, restarts)
+            assert self._fit(monkeypatch, 4, data, k, restarts) == serial
+
+    def test_a_child_restart_can_win(self, monkeypatch):
+        # Guards the test above: on this data restart 3, which a child runs
+        # when there are 4 workers, beats restarts 0-2.
+        X = np.random.default_rng(5).normal(size=(300, 3))
+        assert self._fit(monkeypatch, 4, X, 12, 4)[1] < self._fit(monkeypatch, 4, X, 12, 3)[1]
+
+    def test_child_exception_raised_unchanged(self, monkeypatch):
+        parent, fit_restart = os.getpid(), clustering._fit_restart
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise ValueError("restart failed in a child")
+            return fit_restart(*args)
+
+        monkeypatch.setattr(clustering, "_fit_restart", failing)
+        with pytest.raises(ValueError, match="^restart failed in a child$"):
+            self._fit(monkeypatch, 4, np.random.default_rng(1).normal(size=(40, 2)), 3, 4)
+
+    def test_child_without_result_is_an_error(self, monkeypatch):
+        parent, fit_restart = os.getpid(), clustering._fit_restart
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            return fit_restart(*args)
+
+        monkeypatch.setattr(clustering, "_fit_restart", dying)
+        with pytest.raises(RuntimeError, match="sent no result"):
+            self._fit(monkeypatch, 2, np.random.default_rng(1).normal(size=(40, 2)), 3, 2)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_failure_kills_children(self, monkeypatch, error):
+        parent = os.getpid()
+
+        def stuck_children(*args):
+            if os.getpid() == parent:
+                raise error("parent restart failed")
+            time.sleep(60)
+
+        monkeypatch.setattr(clustering, "_fit_restart", stuck_children)
+        start = time.perf_counter()
+        with pytest.raises(error, match="parent restart failed"):
+            self._fit(monkeypatch, 4, np.random.default_rng(1).normal(size=(40, 2)), 3, 4)
+        # Killed, not waited for.
+        assert time.perf_counter() - start < 30
 
 
 class TestEmptyClusterRepair:

@@ -12,7 +12,7 @@ import pytest
 
 import microseg
 import microseg.pipeline as pipeline
-from microseg.cli import main
+from microseg.cli import build_parser, main
 from microseg.clustering import GroupingParams
 from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, DataError, scope_to_text
 from microseg.pipeline import (
@@ -727,6 +727,18 @@ class TestCli:
     def test_usage_error_exit_one(self, capsys):
         assert main(["group"]) == 1  # --config required
         assert main(["nonsense"]) == 1
+
+    @pytest.mark.parametrize("command", ["rules", "eval", "synth"])
+    def test_strict_on_a_stage_that_parses_no_log_exit_one(self, tmp_path, capsys, command):
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        cfg = synth_cfg if command == "synth" else run_cfg
+        assert main([command, "--config", str(cfg), "--strict"]) == 1
+        assert "unrecognized arguments: --strict" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["group", "tune"])
+    def test_strict_offered_where_the_log_is_parsed(self, command):
+        args = build_parser().parse_args([command, "--config", "run.cfg", "--strict"])
+        assert args.strict
 
     @pytest.mark.parametrize(
         "command,artifact,content",

@@ -536,6 +536,8 @@ class TestKmeans:
 
     @pytest.fixture
     def spy(self, monkeypatch):
+        # The spies count in this process only, so the fit must not fork.
+        monkeypatch.setattr(clustering, "_cpus", lambda: 1)
         seen = {"reseeds": 0, "polish_moves": [], "full_assigns": 0, "distance_rows": []}
         update, polish = clustering._update_centroids, clustering._hartigan_polish
         full_assign, sq_dists = clustering._full_assign, clustering._sq_dists
