@@ -211,10 +211,6 @@ class MemberScope:
                         f"object table entry {early} shadows later entry {late}"
                     )
 
-    @property
-    def object_names(self) -> frozenset[str]:
-        return frozenset(name for _, name in self.object_table)
-
 
 @dataclass(frozen=True)
 class ClassifiedFlow:

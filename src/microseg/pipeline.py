@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from .clustering import (
     GroupAssignment,
@@ -35,7 +35,6 @@ from .flows import (
     DataError,
     FlowTable,
     MemberScope,
-    check_service,
     content_lines,
     conversations,
     distinct_rows,
@@ -302,11 +301,16 @@ def conversations_csv(rows: list[Conversation], fp: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_conversations(path: Path, fp: str) -> list[Conversation]:
-    """The rows of a conversation table written for the run ``fp`` names.
-    Only the form :func:`conversations_csv` writes loads: canonical IPv4
-    addresses, an upper-case protocol, a valid service, canonical decimal
-    port and count, and a line end after the last line."""
+def load_conversations(path: Path, fp: str) -> Iterator[Conversation]:
+    """Yield the rows of a conversation table written for the run ``fp``
+    names, in file order. Only the table's own form, as
+    :func:`conversations_csv` writes it, is checked here: this run's
+    fingerprint line and the header, a line end after the last line, and per
+    row five fields, an upper-case protocol and a canonical decimal port and
+    count, the count >= 1. A fault raises :class:`DataError` naming the file,
+    and the line for a row. The addresses and the service are checked once
+    per distinct value by :func:`rules.tally_conversations`, which raises
+    ``ValueError``."""
     lines = read_file(path, "conversation table").split("\n")
     if lines[:2] != [f"fingerprint,{fp}", CONVERSATIONS_HEADER]:
         raise DataError(
@@ -315,25 +319,20 @@ def load_conversations(path: Path, fp: str) -> list[Conversation]:
         )
     if lines[-1]:
         raise DataError(f"rules: {path} is truncated: line {len(lines)} has no line end")
-    rows = []
     for lineno, line in enumerate(lines[2:-1], start=3):
         fields = line.split(",")
         try:
             if len(fields) != 5:
                 raise ValueError(f"expected 5 fields, got {len(fields)}")
             src, dst, protocol, port, count = fields
-            ipaddress.IPv4Address(src)
-            ipaddress.IPv4Address(dst)
             if not protocol or protocol != protocol.strip().upper():
                 raise ValueError(f"protocol {protocol!r} is not in the written form")
             port, count = parse_decimal(port), parse_decimal(count)
-            check_service(protocol, port)
             if count < 1:
                 raise ValueError("count 0 < 1")
         except ValueError as exc:
             raise DataError(f"rules: {path} line {lineno}: {exc}") from exc
-        rows.append((src, dst, protocol, port, count))
-    return rows
+        yield src, dst, protocol, port, count
 
 
 def groups_payload(groups: SecurityGroups, fp: str, config: PipelineConfig) -> str:
@@ -462,11 +461,10 @@ def run_rules(config: PipelineConfig) -> str:
     fp = _fingerprint(_read_log_bytes(config), scope, config)
     _require_fresh("rules", fp, stored_fp)
     table = out / "conversations.csv"
-    rows = load_conversations(table, fp)
     try:
-        ruleset = generalize(tally_conversations(rows, groups, scope))
+        ruleset = generalize(tally_conversations(load_conversations(table, fp), groups, scope))
         hygiene = check_ruleset(ruleset, groups, scope)
-    except (DataError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"rules: {table}: {exc}") from exc
     if hygiene.any_to_any or hygiene.duplicates:
         raise RuntimeError(

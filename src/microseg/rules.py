@@ -111,10 +111,12 @@ def tally_conversations(
     scope: MemberScope,
 ) -> dict[tuple[EntityRef, EntityRef, ServiceTuple], int]:
     """Map each conversation to (src ref, dst ref, service), summing row
-    counts. An address resolves as :func:`make_matcher` resolves it: a member
-    to its security group, any other address to its network object. The
-    first address, in row order, that resolves to nothing raises
-    :class:`DataError` naming it; grouping must have covered every member.
+    counts, pulling the rows in order. An address resolves as
+    :func:`make_matcher` resolves it: a member to its security group, any
+    other address to its network object. Each distinct address is parsed
+    and each distinct service checked once, here; the first, in row order,
+    that is not an IPv4 address, not a valid service, or resolves to nothing
+    raises ``ValueError`` naming it. Grouping must have covered every member.
     """
     resolve = _resolver(groups, scope)
     services: dict[tuple[str, int], ServiceTuple] = {}
@@ -124,11 +126,11 @@ def tally_conversations(
         if resolved is not None:
             return resolved
         if classify_peer(addr, scope).is_member:
-            raise DataError(
+            raise ValueError(
                 f"member endpoint {addr} is not in any security group; "
                 "grouping must precede rule synthesis"
             )
-        raise DataError(f"address {addr} is neither a member nor in a network object")
+        raise ValueError(f"address {addr} is neither a member nor in a network object")
 
     counts: dict[tuple[EntityRef, EntityRef, ServiceTuple], int] = {}
     for src, dst, protocol, port, count in rows:

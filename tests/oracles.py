@@ -175,14 +175,14 @@ def reference_extract_service_flows(records, groups, scope):
     def ref(peer, addr):
         if peer.is_member:
             if addr not in endpoint_group:
-                raise DataError(
+                raise ValueError(
                     f"member endpoint {addr} is not in any security group; "
                     "grouping must precede rule synthesis"
                 )
             return EntityRef.group(endpoint_group[addr])
         if peer.is_object:
-            if peer.value not in scope.object_names:
-                raise DataError(f"network object {peer.value!r} not in scope")
+            if peer.value not in {name for _, name in scope.object_table}:
+                raise ValueError(f"network object {peer.value!r} not in scope")
             return EntityRef.network_object(peer.value)
         raise ValueError("records with unknown peers cannot produce rules")
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from microseg import clustering
 from microseg.clustering import kmeans_fit
 from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS
 from microseg.metrics import homogeneity, v_measure
@@ -277,46 +278,61 @@ def _mask_runtime(csv_bytes: bytes) -> bytes:
 
 
 def test_criterion_7_determinism_across_workers_and_reruns(tmp_path_factory):
+    # K-means runs its 4 restarts on W = min(4, CPUs) processes. The CPU
+    # count is patched to 1, 2 and 8, so every box runs W = 1, 2 and 4, and
+    # each fit forks W - 1 children.
     root = tmp_path_factory.mktemp("determinism")
     params = dict(top_k_ports=64, seed=17, unknown_policy=MAP_TO_OBJECTS)
     blobs = {}
-    for workers in (1, 2, 8):
-        synth, run = _configs(
-            root, f"w{workers}", DETERMINISM_SCENARIO, params, MAP_TO_OBJECTS
-        )
+    fork, fit = os.fork, clustering.kmeans_fit
+    for cpus, children in ((1, 0), (2, 1), (8, 3)):
+        synth, run = _configs(root, f"c{cpus}", DETERMINISM_SCENARIO, params, MAP_TO_OBJECTS)
         run.dataset = "determinism"
-        run.workers = workers
-        run_synth(synth)
-        run_group(run)
-        run_rules(run)
-        run_eval(run)
-        out = Path(run.out_dir)
-        blobs[workers] = {
-            name: (out / name).read_bytes() for name in DETERMINISTIC_ARTIFACTS
-        }
-        blobs[workers]["eval_report.csv"] = _mask_runtime(
-            (out / "eval_report.csv").read_bytes()
-        )
-        # Rerunning each command with identical inputs is byte-identical.
-        # timing.json is a wall-clock measurement, not an artifact; eval
-        # embeds the stored grouping time, so rerunning eval alone is
-        # exactly identical while a fresh group run re-measures it.
-        eval_before = (out / "eval_report.csv").read_bytes()
-        run_eval(run)
-        assert (out / "eval_report.csv").read_bytes() == eval_before
-        run_group(run)
-        run_rules(run)
-        run_eval(run)
+        forks, per_fit = [], []
+
+        def counting_fit(*args, **kwargs):
+            before = len(forks)
+            model = fit(*args, **kwargs)
+            per_fit.append(len(forks) - before)
+            return model
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clustering, "_cpus", lambda: cpus)
+            patch.setattr(clustering, "kmeans_fit", counting_fit)
+            # Counted before the fork, so only in this process.
+            patch.setattr(os, "fork", lambda: forks.append(1) or fork())
+            run_synth(synth)
+            run_group(run)
+            run_rules(run)
+            run_eval(run)
+            out = Path(run.out_dir)
+            blobs[cpus] = {
+                name: (out / name).read_bytes() for name in DETERMINISTIC_ARTIFACTS
+            }
+            blobs[cpus]["eval_report.csv"] = _mask_runtime(
+                (out / "eval_report.csv").read_bytes()
+            )
+            # Rerunning each command with identical inputs is byte-identical.
+            # timing.json is a wall-clock measurement, not an artifact; eval
+            # embeds the stored grouping time, so rerunning eval alone is
+            # exactly identical while a fresh group run re-measures it.
+            eval_before = (out / "eval_report.csv").read_bytes()
+            run_eval(run)
+            assert (out / "eval_report.csv").read_bytes() == eval_before
+            run_group(run)
+            run_rules(run)
+            run_eval(run)
+        assert per_fit == [children, children], cpus
         for name in DETERMINISTIC_ARTIFACTS:
-            assert (out / name).read_bytes() == blobs[workers][name], (workers, name)
+            assert (out / name).read_bytes() == blobs[cpus][name], (cpus, name)
         assert _mask_runtime(
             (out / "eval_report.csv").read_bytes()
-        ) == blobs[workers]["eval_report.csv"]
-    for workers in (2, 8):
+        ) == blobs[cpus]["eval_report.csv"]
+    for cpus in (2, 8):
         for name, blob in blobs[1].items():
-            assert blobs[workers][name] == blob, (workers, name)
-    print("\nCRITERION 7 PASS: byte-identical artifacts at workers 1, 2, 8 "
-          "and across reruns")
+            assert blobs[cpus][name] == blob, (cpus, name)
+    print("\nCRITERION 7 PASS: byte-identical artifacts at 1, 2 and 4 k-means "
+          "processes and across reruns")
 
 
 def test_criterion_8_perfect_separation_ground_case(tmp_path_factory):

@@ -207,7 +207,7 @@ class TestMemberScope:
                 (ipaddress.IPv4Network("0.0.0.0/0"), "internet"),
             ),
         )
-        assert scope.object_names == {"partner", "internet"}
+        assert {name for _, name in scope.object_table} == {"partner", "internet"}
 
 
 class TestFilterFlows:
@@ -288,7 +288,7 @@ class TestScopeFile:
         text = "# comment\n\nmember 10.0.0.0/24  # trailing\nobject 0.0.0.0/0 internet\n"
         scope = load_scope(text)
         assert len(scope.member_cidrs) == 1
-        assert scope.object_names == {"internet"}
+        assert {name for _, name in scope.object_table} == {"internet"}
 
     def test_bad_line_reports_number(self):
         with pytest.raises(DataError, match="line 2"):

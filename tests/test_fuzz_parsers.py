@@ -172,7 +172,7 @@ def test_scope_object_names_survive_ruleset_csv(ruleset_path, text):
         return
     service, group = ServiceTuple("TCP", 443), EntityRef.group(1)
     rules = []
-    for name in scope.object_names:
+    for name in {name for _, name in scope.object_table}:
         ref = EntityRef.network_object(name)
         rules += [FirewallRule(ref, group, service, 1), FirewallRule(group, ref, service, 2)]
     ruleset = RuleSet.from_rules(rules)

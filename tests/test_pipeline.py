@@ -1,5 +1,7 @@
+import collections
 import contextlib
 import io
+import ipaddress
 import json
 import os
 import re
@@ -12,6 +14,7 @@ import pytest
 
 import microseg
 import microseg.pipeline as pipeline
+import microseg.rules as rules
 from microseg.cli import build_parser, main
 from microseg.clustering import GroupingParams
 from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, DataError, scope_to_text
@@ -430,6 +433,45 @@ class TestRunRules:
         run_rules(config)
         assert len(calls) == 1
 
+    def test_table_reader_parses_no_address(self, tmp_path, monkeypatch):
+        config = synth_setup(tmp_path)
+        run_group(config)
+        path = Path(config.out_dir) / "conversations.csv"
+        lines = path.read_text().split("\n")
+        parsed, parse = [], ipaddress.IPv4Address
+        monkeypatch.setattr(ipaddress, "IPv4Address", lambda a: parsed.append(a) or parse(a))
+        rows = list(pipeline.load_conversations(path, lines[0].removeprefix("fingerprint,")))
+        assert len(rows) == len(lines) - 3
+        assert parsed == []
+
+    def test_rules_checks_each_table_address_once(self, tmp_path, monkeypatch):
+        # The tally classifies each distinct table address once and the
+        # hygiene check each grouped endpoint once. Loading the groups and
+        # the scope parses endpoints and object addresses too, so the check
+        # is on what an external address costs beyond the scope's parse.
+        config = synth_setup(tmp_path, external_fraction=0.5, services=3, noise=0.1)
+        config.unknown_policy = MAP_TO_OBJECTS
+        run_group(config)
+        out = Path(config.out_dir)
+        table = (out / "conversations.csv").read_text()
+        rows = [row.split(",") for row in table.split("\n")[2:-1]]
+        addresses = {addr for row in rows for addr in row[:2]}
+        grouped = load_groups(out / "groups.json")[0].endpoints
+        external = addresses - grouped
+        assert any(sum(addr in row[:2] for row in rows) > 1 for addr in external)
+        classified, classify = [], rules.classify_peer
+        parsed, parse = collections.Counter(), ipaddress.IPv4Address
+        monkeypatch.setattr(
+            rules, "classify_peer", lambda a, scope: classified.append(a) or classify(a, scope)
+        )
+        monkeypatch.setattr(ipaddress, "IPv4Address", lambda a: parsed.update([a]) or parse(a))
+        pipeline._load_scope_file(config)
+        in_scope = parsed.copy()
+        parsed.clear()
+        run_rules(config)
+        assert len(classified) <= len(addresses) + len(grouped)
+        assert {a: parsed[a] - in_scope[a] for a in external} == dict.fromkeys(external, 1)
+
     def test_completeness_check_sees_a_lost_conversation(self, tmp_path):
         # rules trusts the table; the completeness check parses the log, so
         # a table that lost the only row behind a rule shows as flows denied.
@@ -838,10 +880,10 @@ class TestCli:
                 "padded count": (
                     first_row(f"{src},{dst},{protocol},{port},0{count}"), f"{path} line 3: '0"
                 ),
-                "TCP port 0": (first_row(f"{src},{dst},TCP,0,{count}"), f"{path} line 3: dst_port 0"),
+                "TCP port 0": (first_row(f"{src},{dst},TCP,0,{count}"), f"{path}: dst_port 0"),
                 "address not IPv4": (
                     first_row(f"10.0.0.300,{dst},{protocol},{port},{count}"),
-                    f"{path} line 3: Octet 300",
+                    f"{path}: Octet 300",
                 ),
                 "address outside scope": (
                     first_row(f"{src},192.0.2.1,{protocol},{port},{count}"),
@@ -854,7 +896,12 @@ class TestCli:
                 path.write_text(text)
             capsys.readouterr()
             assert main([command, "--config", str(run_cfg)]) == 2
-            assert said in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert said in err
+            # The stage names itself once, in the reader's message or in
+            # its one wrap of the tally's; a file it cannot read is named
+            # by the shared file reader, which names no stage.
+            assert err.count("rules: ") == (content != "missing")
             return
         if content == "truncated":
             content = path.read_text()[:40]

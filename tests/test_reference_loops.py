@@ -282,9 +282,9 @@ class TestExtract:
         partial = SecurityGroups(
             groups={gid: members - {missing} for gid, members in groups.groups.items()}
         )
-        with pytest.raises(DataError, match=f"member endpoint {missing} ") as got:
+        with pytest.raises(ValueError, match=f"member endpoint {missing} ") as got:
             extract_service_flows(kept, partial, scenario.scope)
-        with pytest.raises(DataError) as want:
+        with pytest.raises(ValueError) as want:
             reference_extract_service_flows(kept, partial, scenario.scope)
         assert str(got.value) == str(want.value)
 

@@ -70,7 +70,7 @@ class TestExtractServiceFlows:
         assert tuples == {key: 1}
 
     def test_ungrouped_member_rejected(self):
-        with pytest.raises(DataError, match="10.0.0.9"):
+        with pytest.raises(ValueError, match="10.0.0.9"):
             extract(
                 [line("10.0.0.9", "10.0.0.2")], two_groups(), scope_with()
             )
@@ -79,7 +79,7 @@ class TestExtractServiceFlows:
         # Filtered under a scope that declares "mystery", extracted under
         # one that does not.
         kept = kept_table([line("10.0.0.1", "8.8.8.8")], scope_with(("0.0.0.0/0", "mystery")))
-        with pytest.raises(DataError, match="address 8.8.8.8 "):
+        with pytest.raises(ValueError, match="address 8.8.8.8 "):
             extract_service_flows(kept, two_groups(), scope_with())
 
 
