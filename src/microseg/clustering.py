@@ -469,7 +469,9 @@ def kmeans_fit(
     With W = min(restarts, CPUs) workers, this process runs restarts
     0, W, 2W, ... and forks a child w for restarts w, w + W, ...; each
     child pipes back only its best run. What a child raises is raised here;
-    every child is killed and reaped before this returns or raises.
+    every child is killed and reaped before this returns or raises. Each
+    worker keeps the caller's BLAS threads: a multi-threaded BLAS
+    oversubscribes the cores. The CLI pins one thread.
     """
     X = np.asarray(samples, dtype=np.float64)
     if k < 1 or tol <= 0 or max_iter < 1 or restarts < 1:

@@ -76,15 +76,15 @@ def encode_windows(
 ) -> tuple[SampleMatrix, FeatureSchema]:
     """Count a filtered table's rows into one raw row per (member endpoint,
     window) key, in sorted key order, and return the rows with the schema
-    found. ``workers`` is accepted and has no effect. Windows count from the
-    earliest timestamp. A flow adds to its source's row as outbound and to
-    its destination's as inbound, each only when that side is a member. The
-    port vocabulary keeps the ``top_k_ports`` most frequent destination
-    ports (ties to the lower port); protocols and object names keep
-    everything observed. Row layout: outbound and inbound protocol counts,
-    outbound and inbound port counts, peer-class counts, then the three
-    numerical features. Every count is an integer count over the columns,
-    so every sum is exact and independent of row order.
+    found. ``workers`` has no effect; only ``bench/trace.py`` passes it.
+    Windows count from the earliest timestamp. A flow adds to its source's
+    row as outbound and to its destination's as inbound, each only when that
+    side is a member. The port vocabulary keeps the ``top_k_ports`` most
+    frequent destination ports (ties to the lower port); protocols and object
+    names keep everything observed. Row layout: outbound and inbound protocol
+    counts, outbound and inbound port counts, peer-class counts, then the
+    three numerical features. Every count is an integer count over the
+    columns, so every sum is exact and independent of row order.
     """
     if not len(flows):
         raise ValueError("cannot build a schema from zero records")

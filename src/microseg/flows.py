@@ -50,6 +50,11 @@ class DataError(Exception):
     """Malformed or inconsistent input data (files, logs, artifacts)."""
 
 
+def _reason(exc: Exception) -> object:
+    """An ``OSError``'s ``strerror``, which repeats no path; else ``exc``."""
+    return getattr(exc, "strerror", None) or exc
+
+
 def read_file(
     path: Union[str, Path], what: str, error: type[Exception] = DataError, *, text: bool = True
 ) -> Union[str, bytes]:
@@ -62,7 +67,7 @@ def read_file(
         data = Path(path).read_bytes()
         return data.decode("utf-8") if text else data
     except (OSError, UnicodeError) as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
+        raise error(f"cannot read {what} {path}: {_reason(exc)}") from exc
 
 
 def make_dir(path: Union[str, Path]) -> Path:
@@ -71,7 +76,7 @@ def make_dir(path: Union[str, Path]) -> Path:
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except (OSError, UnicodeError) as exc:
-        raise DataError(f"cannot create directory {path}: {exc}") from exc
+        raise DataError(f"cannot create directory {path}: {_reason(exc)}") from exc
     return Path(path)
 
 
@@ -90,7 +95,7 @@ def write_atomic(path: Path, text: str) -> None:
         finally:
             tmp.unlink(missing_ok=True)
     except (OSError, UnicodeError) as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {_reason(exc)}") from exc
 
 
 def parse_decimal(text: str) -> int:

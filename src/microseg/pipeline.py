@@ -84,7 +84,6 @@ class PipelineConfig(GroupingParams):
     unknown_policy: str = DROP_UNKNOWN
     homogeneity_floor: float = 0.95
     # execution controls (not part of artifact identity)
-    workers: int = 1  # accepted; has no effect (bench/trace.py reads it)
     strict: bool = False
     # synthetic scenario knobs
     synth_group_count: int = 10
@@ -96,6 +95,7 @@ class PipelineConfig(GroupingParams):
     synth_port_pool: int = 128
     synth_external_fraction: float = 0.0
     synth_object_count: int = 3
+    workers = 1  # no annotation, so no field and no config key; only bench/trace.py reads it
 
     def grouping_params(self) -> GroupingParams:
         return GroupingParams(
@@ -187,8 +187,6 @@ def validate_config(config: PipelineConfig) -> None:
         raise UsageError(f"restarts must be <= {MAX_RESTARTS}")
     if config.seed < 0:
         raise UsageError("seed must be >= 0")
-    if config.workers < 1:
-        raise UsageError("workers must be >= 1")
     if not 0.0 <= config.homogeneity_floor <= 1.0:
         raise UsageError("homogeneity_floor must be in [0, 1]")
     if "," in config.dataset:
@@ -558,7 +556,7 @@ def run_tune(config: PipelineConfig) -> str:
     grid = parse_grid(read_file(config.grid, "grid", UsageError), config)
     if not grid:
         raise DataError(f"tune: grid {config.grid} contains no configurations")
-    kept = {config.unknown_policy: ingest(config)[0]}
+    kept = {grid[0].unknown_policy: ingest(grid[0])[0]}
     truth = load_ground_truth(config.ground_truth)
     out = make_dir(config.out_dir)
 

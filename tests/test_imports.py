@@ -1,14 +1,15 @@
 """Every name a package module imports is referenced in that module, no
-module imports another's private name, and every name a module defines is
-referenced somewhere.
+module imports another's private name, every name a module defines is
+referenced somewhere, and every config key is read by a stage.
 
 The project ships no linter, so these tests stand in for unused-import and
 dead-code checks: a deletion that leaves an import or a definition behind
-fails here. They read the sources with ``ast`` only and import nothing from
-the package.
+fails here. They read the sources with ``ast`` only; the last imports the
+config class to list its keys.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -178,4 +179,48 @@ def test_detects_dead_names():
     other = "from mod import used\nprint(used(), Kept)\n"
     assert dead_names({"mod.py": module}, {"test.py": other}) == [
         "mod.py: UNUSED", "mod.py: HIGH", "mod.py: helper"
+    ]
+
+
+def unread_keys(keys: list[str], sources: list[str]) -> list[str]:
+    """Each key that no source reads as an attribute (``config.key``)
+    outside ``validate_config``: a key only checked there changes no run."""
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        checks = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "validate_config"
+            for node in ast.walk(fn)
+        }
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in checks
+        )
+    return [key for key in keys if key not in read]
+
+
+def test_every_config_key_is_read():
+    from microseg.pipeline import PipelineConfig
+
+    keys = [field.name for field in dataclasses.fields(PipelineConfig)]
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_keys(keys, sources) == []
+
+
+def test_detects_unread_keys():
+    source = (
+        "def validate_config(config):\n"
+        "    if config.checked_only < 1:\n"
+        "        raise ValueError\n"
+        "def run(config):\n"
+        "    config.stored_only = 2\n"
+        "    return config.used\n"
+    )
+    assert unread_keys(["used", "checked_only", "stored_only"], [source]) == [
+        "checked_only", "stored_only"
     ]

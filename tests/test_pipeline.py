@@ -136,6 +136,12 @@ class TestConfigParsing:
         with pytest.raises(UsageError, match="unknown key 'export_features'"):
             parse_config_text("export_features = true")
 
+    def test_removed_workers_key_rejected(self):
+        # An older tune's best_config.txt still sets it.
+        with pytest.raises(UsageError, match="unknown key 'workers'"):
+            parse_config_text("workers = 1")
+        assert PipelineConfig().workers == 1  # bench/trace.py still reads it
+
     def test_bad_value_rejected(self):
         with pytest.raises(UsageError):
             parse_config_text("window_seconds = soon")
@@ -186,6 +192,13 @@ class TestConfigParsing:
         path.write_text(text)
         assert load_config(path) == config
 
+    def test_default_best_config_has_no_workers_line_and_reloads(self, tmp_path):
+        text = config_to_text(PipelineConfig())
+        assert "workers" not in text
+        path = tmp_path / "best_config.txt"
+        path.write_text(text)
+        assert load_config(path) == PipelineConfig()
+
 
 class TestFingerprint:
     SCOPE = "member 10.0.0.0/24\nobject 8.8.8.0/24 dns\nobject 1.1.1.0/24 cdn\n"
@@ -203,9 +216,9 @@ class TestFingerprint:
         changed = PipelineConfig(scope=scope, seed=1)
         assert fingerprint(b"log", changed) != base
 
-    def test_insensitive_to_workers_and_paths(self, tmp_path):
-        a = PipelineConfig(workers=1, out_dir="x", scope=self.scope_file(tmp_path))
-        b = PipelineConfig(workers=8, out_dir="y", scope=self.scope_file(tmp_path, name="s2"))
+    def test_insensitive_to_paths(self, tmp_path):
+        a = PipelineConfig(out_dir="x", scope=self.scope_file(tmp_path))
+        b = PipelineConfig(out_dir="y", scope=self.scope_file(tmp_path, name="s2"))
         assert fingerprint(b"log", a) == fingerprint(b"log", b)
 
     def test_sensitive_to_scope_content_not_its_layout(self, tmp_path):
@@ -695,7 +708,7 @@ class TestRunTune:
 
         mixed = tune(DROP_UNKNOWN, "unknown_policy = map_to_objects ; ")
         plain = tune(MAP_TO_OBJECTS, "")
-        assert mixed[0] == [DROP_UNKNOWN, MAP_TO_OBJECTS]
+        assert mixed[0] == [MAP_TO_OBJECTS]
         assert plain[0] == [MAP_TO_OBJECTS]
         assert mixed[1:] == plain[1:]
         kept = {
@@ -871,7 +884,7 @@ class TestCli:
 
             # The new text (None deletes the file) and what the message says.
             text, said = {
-                "missing": (None, f"{path}: [Errno 2]"),
+                "missing": (None, f"{path}: No such file or directory"),
                 "cut mid-line": (text[:-3], f"{path} is truncated"),
                 "other fingerprint": (
                     "\n".join(["fingerprint," + "0" * 64] + lines[1:]),
@@ -902,6 +915,8 @@ class TestCli:
             # its one wrap of the tally's; a file it cannot read is named
             # by the shared file reader, which names no stage.
             assert err.count("rules: ") == (content != "missing")
+            if content == "missing":
+                assert err.count(str(path)) == 1
             return
         if content == "truncated":
             content = path.read_text()[:40]
@@ -994,6 +1009,17 @@ class TestCli:
                 f.write(setting + "\n")
         assert main([command, "--config", str(cfg), *flags]) == 1
 
+    def test_removed_workers_key_exit_one_before_any_artifact(self, tmp_path, capsys):
+        # Every best_config.txt written by an older tune sets it.
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        with run_cfg.open("a") as f:
+            f.write("workers = 1\n")
+        capsys.readouterr()
+        assert main(["group", "--config", str(run_cfg)]) == 1
+        assert "config line 8: unknown key 'workers'" in capsys.readouterr().err
+        assert not (tmp_path / "artifacts").exists()
+
     @pytest.mark.parametrize(
         "command, path, code",
         [
@@ -1036,7 +1062,7 @@ class TestCli:
             f.write(f"out_dir = {blocker}\ngrid = {grid}\n")
         assert main([command, "--config", str(cfg)]) == 2
         assert fits == []
-        assert str(blocker) in capsys.readouterr().err
+        assert capsys.readouterr().err.count(str(blocker)) == 1
 
     @pytest.mark.parametrize("edit", ["protocol", "scope"])
     def test_non_ascii_inputs_under_c_locale(self, tmp_path, edit):
