@@ -238,9 +238,8 @@ class FlowTable:
     indexed by code, and feature encoding reads it. The group stage writes
     the kept table's :func:`conversations` for the rules stage, which reads
     no table. Iterating builds a :class:`FlowRecord` per row (a
-    :class:`ClassifiedFlow` once classified). No pipeline stage does; the
-    rule-completeness check :func:`~microseg.pipeline.verify_ruleset_completeness`
-    iterates one row per distinct (src, dst, protocol, port).
+    :class:`ClassifiedFlow` once classified). No package code iterates a
+    table; bench/trace.py's match probe and the tests do.
     """
 
     timestamp: np.ndarray

@@ -37,7 +37,6 @@ from .flows import (
     MemberScope,
     content_lines,
     conversations,
-    distinct_rows,
     filter_flows,
     load_scope,
     make_dir,
@@ -52,7 +51,6 @@ from .rules import (
     check_ruleset,
     generalize,
     load_ruleset,
-    make_matcher,
     ruleset_to_csv,
     tally_conversations,
 )
@@ -361,7 +359,7 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
             isinstance(members, list) and all(isinstance(ep, str) for ep in members)
             for members in raw.values()
         )
-        and isinstance(qty, int)
+        and type(qty) is int  # a JSON true is an int too
         and isinstance(fp, str)
     ):
         raise DataError(f"{path}: malformed security-groups artifact")
@@ -618,19 +616,16 @@ def run_synth(config: PipelineConfig) -> str:
 
 def verify_ruleset_completeness(config: PipelineConfig) -> tuple[int, int]:
     """Count (allowed, total) over the records a persisted ruleset was built
-    from; used by the acceptance checks. It parses the log itself rather
-    than read conversations.csv, so a table that lost rows shows here. The
-    matcher runs once per distinct (source, destination, protocol, port),
-    weighted by its row count."""
+    from; used by the acceptance checks. It parses the log rather than read
+    conversations.csv, so a table that lost rows shows here, then tallies the
+    conversations as ``rules`` does and allows the keys the ruleset holds."""
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
     kept, ingest_out = ingest(config)
     _require_fresh("verify", ingest_out.fingerprint, stored_fp)
-    ruleset = load_ruleset(out / "ruleset.csv")
-    matcher = make_matcher(ruleset, groups, ingest_out.scope)
-    first, _, counts = distinct_rows(kept.src, kept.dst, kept.protocol, kept.dst_port)
-    allowed = sum(
-        n for rec, n in zip(kept.take(first), counts.tolist())
-        if matcher(rec.flow) == "allow"
-    )
-    return allowed, len(kept)
+    rules = {(r.src, r.dst, r.service) for r in load_ruleset(out / "ruleset.csv").rules}
+    try:
+        tally = tally_conversations(conversations(kept), groups, ingest_out.scope)
+    except ValueError as exc:
+        raise DataError(f"verify: {exc}") from exc
+    return sum(n for key, n in tally.items() if key in rules), len(kept)

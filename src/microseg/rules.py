@@ -262,7 +262,7 @@ def check_ruleset(
 def make_matcher(
     ruleset: RuleSet, groups: SecurityGroups, scope: MemberScope
 ) -> Callable[[FlowRecord], str]:
-    """Precompiled matcher mapping a flow to allow or deny."""
+    """Flow → allow/deny matcher. Only bench/trace.py's match probe and tests call it."""
     resolve = _resolver(groups, scope)
     allowed = {rule.key() for rule in ruleset.rules}
 
@@ -309,12 +309,15 @@ def _parse_ref(token: str) -> EntityRef:
 
 def load_ruleset(path) -> RuleSet:
     """Parse a ruleset CSV back into a RuleSet. Only the form
-    :func:`ruleset_to_csv` writes loads: no whitespace around a line, an
-    upper-case protocol."""
+    :func:`ruleset_to_csv` writes loads: the header, then rule lines with no
+    whitespace around them and an upper-case protocol, each with a line end."""
+    lines = read_file(path, "ruleset").split("\n")
+    if lines[0] != RULESET_HEADER:
+        raise DataError(f"ruleset line 1: expected the header {RULESET_HEADER!r}")
+    if lines[-1]:
+        raise DataError(f"ruleset line {len(lines)}: no line end")
     rules = []
-    for lineno, line in enumerate(read_file(path, "ruleset").split("\n"), start=1):
-        if not line or line == RULESET_HEADER:
-            continue
+    for lineno, line in enumerate(lines[1:-1], start=2):
         if line != line.strip():
             raise DataError(f"ruleset line {lineno}: leading or trailing whitespace")
         parts = line.split(",")

@@ -17,7 +17,7 @@ import microseg.pipeline as pipeline
 import microseg.rules as rules
 from microseg.cli import build_parser, main
 from microseg.clustering import GroupingParams
-from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, DataError, scope_to_text
+from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, DataError, FlowTable, scope_to_text
 from microseg.pipeline import (
     PipelineConfig,
     UsageError,
@@ -508,6 +508,44 @@ class TestRunRules:
         allowed, total = verify_ruleset_completeness(config)
         assert allowed == total - count
 
+    def test_completeness_check_iterates_no_table(self, tmp_path, monkeypatch):
+        config = synth_setup(tmp_path, external_fraction=0.3, noise=0.1)
+        config.unknown_policy = MAP_TO_OBJECTS
+        run_group(config)
+        run_rules(config)
+        total = json.loads((Path(config.out_dir) / "ingest_report.json").read_text())[
+            "records_kept"
+        ]
+
+        def refuse(table):
+            raise AssertionError("a flow table was iterated")
+
+        monkeypatch.setattr(FlowTable, "__iter__", refuse)
+        assert verify_ruleset_completeness(config) == (total, total)
+
+    def test_completeness_check_names_an_ungrouped_member(self, tmp_path, capsys):
+        # A hand-edited groups.json that lost an endpoint the log names,
+        # with its fingerprint and group count intact: the check fails with
+        # the words rules fails with, rather than counting its flows denied.
+        config = synth_setup(tmp_path)
+        run_group(config)
+        run_rules(config)
+        path = Path(config.out_dir) / "groups.json"
+        payload = json.loads(path.read_text())
+        group = next(g for g in payload["groups"].values() if len(g) > 1)
+        lost = group.pop()
+        path.write_text(json.dumps(payload))
+        said = f"member endpoint {lost} is not in any security group"
+        with pytest.raises(DataError, match=f"^verify: {re.escape(said)};"):
+            verify_ruleset_completeness(config)
+        cfg = write_config(
+            tmp_path / "run.cfg", flow_log=config.flow_log, scope=config.scope,
+            out_dir=config.out_dir, seed=config.seed, top_k_ports=config.top_k_ports,
+        )
+        capsys.readouterr()
+        assert main(["rules", "--config", str(cfg)]) == 2
+        assert said in capsys.readouterr().err
+
 
 class TestRunEval:
     def test_row_and_artifacts(self, tmp_path):
@@ -820,6 +858,8 @@ class TestCli:
             ("eval", "timing.json", '{"grouping_seconds": true}\n'),
             ("rules", "groups.json", "suggested_qty off"),
             ("eval", "groups.json", "suggested_qty off"),
+            ("rules", "groups.json", "suggested_qty true"),
+            ("eval", "groups.json", "suggested_qty true"),
             ("eval", "groups.json", "padded id"),
             ("eval", "groups.json", "no groups"),
             ("eval", "groups.json", "empty group"),
@@ -852,6 +892,8 @@ class TestCli:
             "timing-bool",
             "groups-suggested-qty-mismatch-rules",
             "groups-suggested-qty-mismatch-eval",
+            "groups-suggested-qty-true-rules",
+            "groups-suggested-qty-true-eval",
             "groups-padded-id",
             "groups-none",
             "groups-empty-group",
@@ -924,8 +966,8 @@ class TestCli:
             content = path.read_text().replace(",allow,", ",deny,", 1)
         elif content in (
             "endpoint in two groups", "member not an address", "suggested_qty off",
-            "padded id", "no groups", "empty group", "unreferenced member not an address",
-            "id over digit limit",
+            "suggested_qty true", "padded id", "no groups", "empty group",
+            "unreferenced member not an address", "id over digit limit",
         ):
             # Edit the real artifact, so its fingerprint still matches.
             payload = json.loads(path.read_text())
@@ -937,6 +979,13 @@ class TestCli:
                 second.append("not-an-address")
             elif content == "suggested_qty off":
                 payload["suggested_qty"] = 99
+            elif content == "suggested_qty true":
+                # One group, so the count check alone would pass: a JSON
+                # true equals 1, but no writer writes it.
+                members = sorted(ep for group in groups.values() for ep in group)
+                groups.clear()
+                groups["0"] = members
+                payload["suggested_qty"] = True
             elif content == "no groups":
                 groups.clear()
                 payload["suggested_qty"] = 0

@@ -2,7 +2,7 @@
 plain per-line, per-record and per-flow loops in ``oracles``,
 the k-means fit against the straightforward fit there, by exact equality,
 and the ruleset hygiene check against removing each rule and comparing the
-matcher's verdicts."""
+matcher's verdicts, and that no ruleset built from a log has a finding."""
 
 import ipaddress
 from unittest import mock
@@ -22,6 +22,7 @@ from microseg.flows import (
     POLICIES,
     DataError,
     MemberScope,
+    conversations,
     distinct_rows,
     filter_flows,
     parse_flow_log,
@@ -36,6 +37,7 @@ from microseg.rules import (
     check_ruleset,
     extract_service_flows,
     generalize,
+    tally_conversations,
 )
 from microseg.synth import generate, random_scenario
 
@@ -596,28 +598,19 @@ SERVICES = [ServiceTuple("TCP", 22), ServiceTuple("TCP", 443), ServiceTuple("UDP
 NAMES = ["o0", "o1", "o2"]
 
 
+def in_range(scope):
+    """Every address of the scope's member CIDRs."""
+    return sorted({str(addr) for net in scope.member_cidrs for addr in net})
+
+
 @st.composite
-def hygiene_cases(draw):
-    """A scope, groups and ruleset. Groups may be empty, missing (referenced
-    but absent), outside the member CIDRs or, unlike learned groups,
-    overlapping or nested; objects may have several CIDRs or none in the
-    scope, lie inside the member CIDRs or equal a member; one rule may
-    appear twice."""
+def hygiene_scopes(draw):
+    """One or two member CIDRs inside BLOCK and an object table whose
+    objects may have several CIDRs, be nested, lie inside the member CIDRs,
+    equal a member or be the universe."""
     members = draw(
         st.lists(st.sampled_from(INSIDE[1:15]), min_size=1, max_size=2, unique=True)
     )
-    in_range = sorted({str(addr) for net in members for addr in net})
-    addrs = st.one_of(st.sampled_from(in_range), st.sampled_from(ADDRESSES[:-1]))
-    disjoint = draw(st.booleans())
-    groups, used = {}, set()
-    for gid in range(draw(st.integers(2, 4))):
-        group = draw(st.frozensets(addrs, min_size=1, max_size=3))
-        if disjoint:
-            group -= used
-        elif gid and draw(st.booleans()):
-            group |= groups[gid - 1]
-        groups[gid] = group
-        used |= group
     entries = draw(
         st.lists(
             st.tuples(
@@ -639,10 +632,30 @@ def hygiene_cases(draw):
         for net in (*parent.subnets(), parent):
             entries.append((net, draw(st.sampled_from(NAMES))))
     # One entry per CIDR, narrowest first, so none contains or equals a later one.
-    scope = MemberScope(
+    return MemberScope(
         tuple(members),
         tuple(sorted(dict(entries).items(), key=lambda entry: -entry[0].prefixlen)),
     )
+
+
+@st.composite
+def hygiene_cases(draw):
+    """A scope, groups and ruleset. Groups may be empty, missing (referenced
+    but absent), outside the member CIDRs or, unlike learned groups,
+    overlapping or nested; a rule may name an object the scope lacks; one
+    rule may appear twice."""
+    scope = draw(hygiene_scopes())
+    addrs = st.one_of(st.sampled_from(in_range(scope)), st.sampled_from(ADDRESSES[:-1]))
+    disjoint = draw(st.booleans())
+    groups, used = {}, set()
+    for gid in range(draw(st.integers(2, 4))):
+        group = draw(st.frozensets(addrs, min_size=1, max_size=3))
+        if disjoint:
+            group -= used
+        elif gid and draw(st.booleans()):
+            group |= groups[gid - 1]
+        groups[gid] = group
+        used |= group
     refs = st.one_of(
         st.integers(0, len(groups)).map(EntityRef.group),
         st.sampled_from(NAMES + ["o3"]).map(EntityRef.network_object),
@@ -655,6 +668,27 @@ def hygiene_cases(draw):
         i = draw(st.integers(0, len(rules) - 1))
         rules = rules[: i + 1] + rules[i:]
     return RuleSet(rules=rules), SecurityGroups(groups=groups), scope
+
+
+@st.composite
+def built_cases(draw):
+    """A flow log, a scope and groups as the rules stage may meet them: the
+    groups partition every member the log names plus extra addresses, as a
+    hand-edited groups.json may."""
+    scope = draw(hygiene_scopes())
+    addrs = st.one_of(st.sampled_from(in_range(scope)), st.sampled_from(ADDRESSES))
+    lines = draw(st.lists(st.tuples(addrs, addrs, st.sampled_from(SERVICES)), max_size=20))
+    named = {addr for src, dst, _ in lines for addr in (src, dst)}
+    grouped = sorted((named & set(in_range(scope))) | draw(st.sets(st.sampled_from(ADDRESSES))))
+    gids = draw(st.lists(st.integers(0, 3), min_size=len(grouped), max_size=len(grouped)))
+    groups = {}
+    for addr, gid in zip(grouped, gids):
+        groups.setdefault(gid, set()).add(addr)
+    text = "".join(
+        f"{ts},{src},{dst},{svc.protocol},{svc.dst_port},1,100\n"
+        for ts, (src, dst, svc) in enumerate(lines)
+    )
+    return text, scope, SecurityGroups(groups={g: frozenset(m) for g, m in groups.items()})
 
 
 def assert_semantic_hygiene(ruleset, groups, scope, addresses):
@@ -711,3 +745,18 @@ class TestCheckRuleset:
     @given(hygiene_cases())
     def test_generated_rulesets_match_reference(self, case):
         assert_semantic_hygiene(*case, ADDRESSES)
+
+    @settings(max_examples=200, deadline=None)
+    @given(built_cases())
+    def test_built_rulesets_have_no_finding(self, case):
+        # Every ref a built rule names is an observed address's resolution,
+        # so it is live; every kept row has a member side, so no rule joins
+        # two objects; and tally keys are unique. So the rules stage never
+        # writes a finding, whatever the scope, policy or groups.
+        text, scope, groups = case
+        table, _ = parse_flow_log(text)
+        for policy in POLICIES:
+            kept, _ = filter_flows(table, scope, policy)
+            ruleset = generalize(tally_conversations(conversations(kept), groups, scope))
+            report = check_ruleset(ruleset, groups, scope)
+            assert (report.any_to_any, report.duplicates, report.redundant) == ([], [], [])

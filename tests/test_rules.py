@@ -1,4 +1,5 @@
 import ipaddress
+import re
 
 import pytest
 
@@ -298,6 +299,9 @@ class TestRuleSetInvariants:
         assert not report.any_to_any and not report.duplicates
 
 
+RULE = "group:1,group:2,TCP,443,allow,3"
+
+
 class TestRulesetCsv:
     def test_round_trip(self, tmp_path):
         scope = scope_with(("0.0.0.0/0", "internet"))
@@ -340,32 +344,38 @@ class TestRulesetCsv:
     def test_integer_cells_in_written_form_only(self, tmp_path, field, cell):
         # Each integer cell is a canonical decimal, as ruleset_to_csv writes
         # it and as load_groups requires of a group id.
-        fields = "group:1,group:2,TCP,443,allow,3".split(",")
+        fields = RULE.split(",")
         path = tmp_path / "rules.csv"
-        path.write_text(",".join(fields) + "\n")
+        path.write_text(f"{RULESET_HEADER}\n" + ",".join(fields) + "\n")
         assert len(load_ruleset(path).rules) == 1
         fields[field] = cell
-        path.write_text(",".join(fields) + "\n")
-        with pytest.raises(DataError, match="ruleset line 1: .*not a canonical decimal"):
+        path.write_text(f"{RULESET_HEADER}\n" + ",".join(fields) + "\n")
+        with pytest.raises(DataError, match="ruleset line 2: .*not a canonical decimal"):
             load_ruleset(path)
 
     @pytest.mark.parametrize(
-        "text, message",
+        "lines, message",
         [
-            ("  group:1,group:2,TCP,443,allow,3  ", "leading or trailing whitespace"),
-            ("group:1,group:2,TCP,443,allow,3\r", "leading or trailing whitespace"),
-            ("group:1,group:2,tcp,443,allow,3", "protocol 'tcp' is not upper case"),
+            ([RULESET_HEADER, f"  {RULE}  ", ""], "line 2: leading or trailing whitespace"),
+            ([RULESET_HEADER, f"{RULE}\r", ""], "line 2: leading or trailing whitespace"),
+            ([RULESET_HEADER, RULE.replace("TCP", "tcp"), ""],
+             "line 2: protocol 'tcp' is not upper case"),
+            ([RULE, ""], f"line 1: expected the header '{RULESET_HEADER}'"),
+            ([RULESET_HEADER, "", RULE, ""], "line 2: expected 6 fields"),
+            ([RULESET_HEADER, RULE, RULESET_HEADER, ""], "line 3: action 'action' is not allow"),
+            ([RULESET_HEADER, RULE], "line 2: no line end"),
         ],
-        ids=["padded", "crlf", "lower-case-protocol"],
+        ids=["padded", "crlf", "lower-case-protocol", "no-header", "blank-line",
+             "repeated-header", "no-final-line-end"],
     )
-    def test_unwritten_forms_refused(self, tmp_path, text, message):
-        # ruleset_to_csv writes neither form, so neither loads; what it
+    def test_unwritten_forms_refused(self, tmp_path, lines, message):
+        # ruleset_to_csv writes none of these forms, so none loads; what it
         # writes loads and writes back byte for byte.
         path = tmp_path / "rules.csv"
-        path.write_text(f"{RULESET_HEADER}\ngroup:1,group:2,TCP,443,allow,3\n")
+        path.write_text(f"{RULESET_HEADER}\n{RULE}\n")
         assert ruleset_to_csv(load_ruleset(path)) == path.read_text()
-        path.write_text(f"{RULESET_HEADER}\n{text}\n")
-        with pytest.raises(DataError, match=f"^ruleset line 2: {message}$"):
+        path.write_text("\n".join(lines))
+        with pytest.raises(DataError, match=f"^ruleset {re.escape(message)}$"):
             load_ruleset(path)
 
     def test_byte_identical_export(self):
