@@ -11,10 +11,12 @@ import os
 import sys
 
 # One BLAS thread, set before numpy loads: PCA's bits vary with the count.
+# numpy loads when group, tune or synth first runs, never with these
+# imports, so rules and eval run without it.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
-from .flows import DataError  # noqa: E402 - numpy loads here
+from .core import DataError  # noqa: E402
 from .pipeline import (  # noqa: E402
     PipelineConfig,
     UsageError,

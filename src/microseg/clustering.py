@@ -33,8 +33,9 @@ from typing import Callable, NoReturn, Sequence, Union
 
 import numpy as np
 
+from .core import GroupingParams, SecurityGroups, write_atomic
 from .features import encode_windows, standardize
-from .flows import FlowTable, write_atomic
+from .flows import FlowTable
 from .metrics import EvalReport
 from .pca import fit_pca, project
 
@@ -67,24 +68,6 @@ class GroupAssignment:
     @property
     def group_id(self) -> int:
         return int(np.argmin(self.mean_distances))
-
-
-@dataclass(frozen=True)
-class SecurityGroups:
-    """Partition of endpoints into non-empty groups keyed by centroid index."""
-
-    groups: dict[int, frozenset[str]]
-
-    @property
-    def suggested_qty(self) -> int:
-        return len(self.groups)
-
-    def endpoint_to_group(self) -> dict[str, int]:
-        return {ep: gid for gid, members in self.groups.items() for ep in members}
-
-    @property
-    def endpoints(self) -> frozenset[str]:
-        return frozenset(ep for members in self.groups.values() for ep in members)
 
 
 def _row_sq(X: np.ndarray) -> np.ndarray:
@@ -457,6 +440,8 @@ def kmeans_fit(
     tol: float = 1e-6,
     max_iter: int = 300,
     restarts: int = 4,
+    *,
+    _distinct: int | None = None,
 ) -> ClusterModel:
     """Fit K-means, keeping the best of ``restarts``.
 
@@ -472,11 +457,14 @@ def kmeans_fit(
     every child is killed and reaped before this returns or raises. Each
     worker keeps the caller's BLAS threads: a multi-threaded BLAS
     oversubscribes the cores. The CLI pins one thread.
+
+    ``_distinct``, :func:`fit_groups`' count of the distinct rows of
+    ``samples``, spares counting them again.
     """
     X = np.asarray(samples, dtype=np.float64)
     if k < 1 or tol <= 0 or max_iter < 1 or restarts < 1:
         raise ValueError("require k >= 1, tol > 0, max_iter >= 1, restarts >= 1")
-    distinct = _distinct_rows(X)
+    distinct = _distinct_rows(X) if _distinct is None else _distinct
     if k > distinct:
         raise ValueError(f"k={k} exceeds the {distinct} distinct sample rows")
     rng = np.random.default_rng(seed)
@@ -555,25 +543,6 @@ def derive_groups(assignments: Sequence[GroupAssignment]) -> SecurityGroups:
 
 
 @dataclass
-class GroupingParams:
-    """Hyper-parameters of the grouping stage.
-
-    ``k`` may be an absolute count, a fraction of the endpoint count, or
-    None for the default of one potential group per endpoint. The effective
-    k is additionally capped by the number of distinct projected samples.
-    """
-
-    window_seconds: int = 3600
-    top_k_ports: int = 64
-    pca_target: Union[float, int] = 0.95
-    k: Union[int, float, None] = None
-    seed: int = 0
-    tol: float = 1e-6
-    max_iter: int = 300
-    restarts: int = 4
-
-
-@dataclass
 class GroupingResult:
     assignments: list[GroupAssignment]
     groups: SecurityGroups
@@ -599,7 +568,8 @@ def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
     projected = project(fit_pca(std, params.pca_target), std.values)
     del std
     endpoints, starts, counts = np.unique(row_endpoints, return_index=True, return_counts=True)
-    k = min(resolve_k(params.k, len(endpoints)), len(endpoints), _distinct_rows(projected))
+    distinct = _distinct_rows(projected)
+    k = min(resolve_k(params.k, len(endpoints)), len(endpoints), distinct)
     cluster_model = kmeans_fit(
         projected,
         k,
@@ -607,6 +577,7 @@ def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
         tol=params.tol,
         max_iter=params.max_iter,
         restarts=params.restarts,
+        _distinct=distinct,
     )
     assignments = [
         assign_endpoint(ep, projected[start : start + n], cluster_model)

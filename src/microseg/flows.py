@@ -12,209 +12,43 @@ named external network objects, or unknown, once per distinct address, and
 rows are kept by one boolean mask under one of two policies:
 ``drop_unknown`` keeps member-to-member traffic only, ``map_to_objects``
 additionally keeps member traffic whose far side resolves to a declared
-network object. The one reader and the one writer of every file a stage
-touches live here too, beside :class:`DataError`.
+network object. The per-row rules, the peer classes and the scope are
+:mod:`microseg.core`'s, which the stages that load no numpy share.
 """
 
 from __future__ import annotations
 
 import ipaddress
-import os
 from array import array
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
-PORTED_PROTOCOLS = frozenset({"TCP", "UDP"})
+from .core import (
+    DROP_UNKNOWN,
+    INT64_MAX,
+    POLICIES,
+    PORTED_PROTOCOLS,
+    UNKNOWN,
+    Conversation,
+    DataError,
+    FlowRecord,
+    MemberScope,
+    PeerClass,
+    check_flow,
+    classify_peer,
+    load_scope,
+)
 
-DROP_UNKNOWN = "drop_unknown"
-MAP_TO_OBJECTS = "map_to_objects"
-POLICIES = (DROP_UNKNOWN, MAP_TO_OBJECTS)
-
-MEMBER = "member"
-OBJECT = "object"
-UNKNOWN = "unknown"
+# load_scope is defined in core; bench/trace.py imports it from here.
+__all__ = ["load_scope"]
 
 #: Fraction of malformed content lines at which a non-strict parse aborts.
 MALFORMED_LIMIT = 0.5
 
-INT64_MAX = 2**63 - 1
-
 #: The columns of a :class:`FlowTable`, in :class:`FlowRecord` field order.
 COLUMNS = ("timestamp", "src", "dst", "protocol", "dst_port", "packet_count", "byte_count")
-
-
-class DataError(Exception):
-    """Malformed or inconsistent input data (files, logs, artifacts)."""
-
-
-def _reason(exc: Exception) -> object:
-    """An ``OSError``'s ``strerror``, which repeats no path; else ``exc``."""
-    return getattr(exc, "strerror", None) or exc
-
-
-def read_file(
-    path: Union[str, Path], what: str, error: type[Exception] = DataError, *, text: bool = True
-) -> Union[str, bytes]:
-    """The one reader of inputs and artifacts: the file's bytes, or with
-    ``text`` those bytes decoded as strict UTF-8 with every ``\\r`` kept, so
-    no locale changes what is read and only ``\\n`` ends a line. A failure to
-    read or decode, or a path the filesystem encoding cannot encode, raises
-    ``error`` naming ``what``."""
-    try:
-        data = Path(path).read_bytes()
-        return data.decode("utf-8") if text else data
-    except (OSError, UnicodeError) as exc:
-        raise error(f"cannot read {what} {path}: {_reason(exc)}") from exc
-
-
-def make_dir(path: Union[str, Path]) -> Path:
-    """Create a directory and its parents; a failure, an unencodable path
-    included, is a :class:`DataError`."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except (OSError, UnicodeError) as exc:
-        raise DataError(f"cannot create directory {path}: {_reason(exc)}") from exc
-    return Path(path)
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """The one writer of artifacts: ``text`` as UTF-8 bytes, newlines as
-    given, into a temp file beside ``path`` that is renamed into place, so a
-    crash never leaves a half-written artifact. Any failure, removing the
-    temp file or encoding the path included, is a :class:`DataError` naming
-    ``path``."""
-    make_dir(path.parent)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        try:
-            tmp.write_bytes(text.encode("utf-8"))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-    except (OSError, UnicodeError) as exc:
-        raise DataError(f"cannot write {path}: {_reason(exc)}") from exc
-
-
-def parse_decimal(text: str) -> int:
-    """The one integer form an artifact holds, as ``str(n)`` writes it for
-    n >= 0: ASCII digits, no sign, space, ``_`` or leading zero. Anything
-    else, or more digits than the interpreter's limit, raises ``ValueError``."""
-    try:
-        if text.isdecimal() and text == str(int(text)):
-            return int(text)
-    except ValueError:
-        pass
-    raise ValueError(f"{text!r} is not a canonical decimal integer")
-
-
-def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (1-based line number, stripped line) for each content line of a
-    hand-edited input (scope, config, grid, ground truth). Lines end at ``\\n``
-    only; a ``#`` comment runs to the end of its line; blank lines are skipped."""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def check_service(protocol: str, dst_port: int) -> None:
-    """The one rule for a valid service, applied by :func:`check_flow` and
-    ``rules.ServiceTuple``: a port in 0-65535, 0 exactly when not TCP/UDP."""
-    if not 0 <= dst_port <= 65535:
-        raise ValueError(f"dst_port {dst_port} out of range")
-    if (protocol.upper() in PORTED_PROTOCOLS) == (dst_port == 0):
-        raise ValueError(f"dst_port 0 is for portless protocols exactly, got {protocol}/{dst_port}")
-
-
-def check_flow(
-    timestamp: int, protocol: str, dst_port: int, packet_count: int, byte_count: int
-) -> None:
-    """The one rule for a valid flow, applied by the parse and :class:`FlowRecord`:
-    raises ``ValueError`` naming the first bad field of timestamp, service,
-    packets and bytes, then any count that an int64 column cannot hold."""
-    if timestamp < 0:
-        raise ValueError(f"negative timestamp {timestamp}")
-    check_service(protocol, dst_port)
-    if packet_count < 1:
-        raise ValueError(f"packet_count {packet_count} < 1")
-    if byte_count < 0:
-        raise ValueError(f"negative byte_count {byte_count}")
-    if (largest := max(timestamp, packet_count, byte_count)) > INT64_MAX:
-        raise ValueError(f"{largest} exceeds int64")
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """One observed communication event: a flow to match, or a view of a
-    :class:`FlowTable` row."""
-
-    timestamp: int
-    src_addr: str
-    dst_addr: str
-    protocol: str
-    dst_port: int
-    packet_count: int
-    byte_count: int
-
-    def __post_init__(self) -> None:
-        check_flow(
-            self.timestamp, self.protocol, self.dst_port, self.packet_count, self.byte_count
-        )
-
-
-@dataclass(frozen=True)
-class PeerClass:
-    """Classification of one communication peer.
-
-    Exactly one of three variants: a network member (``value`` is the
-    address), a named external network object (``value`` is the object
-    name), or unknown.
-    """
-
-    kind: str
-    value: str = ""
-
-    @property
-    def is_member(self) -> bool:
-        return self.kind == MEMBER
-
-    @property
-    def is_object(self) -> bool:
-        return self.kind == OBJECT
-
-
-def check_object_name(name: str) -> None:
-    """Reject an object name that a CSV cell cannot hold."""
-    if "," in name:
-        raise ValueError(f"object name {name!r} holds a comma, which splits ruleset.csv")
-
-
-@dataclass(frozen=True)
-class MemberScope:
-    """Network membership definition plus the named-externals table.
-
-    ``object_table`` entries are consulted in order and the first match
-    wins; tables where an earlier entry contains or equals a later one are
-    rejected because the later entry could never match.
-    """
-
-    member_cidrs: tuple[ipaddress.IPv4Network, ...]
-    object_table: tuple[tuple[ipaddress.IPv4Network, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.member_cidrs:
-            raise ValueError("member_cidrs must be non-empty")
-        for _, name in self.object_table:
-            check_object_name(name)
-        for i, (early, _) in enumerate(self.object_table):
-            for late, _ in self.object_table[i + 1 :]:
-                if late.subnet_of(early):
-                    raise ValueError(
-                        f"object table entry {early} shadows later entry {late}"
-                    )
 
 
 @dataclass(frozen=True)
@@ -289,10 +123,6 @@ def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return first, inverse, counts
 
 
-#: One conversation: (src address, dst address, protocol, port, row count).
-Conversation = tuple[str, str, str, int, int]
-
-
 def conversations(table: FlowTable) -> list[Conversation]:
     """Each distinct (src address, dst address, protocol, port) of a table
     with its row count, in order of first appearance."""
@@ -317,22 +147,6 @@ class IngestReport:
     @property
     def records_dropped_unknown(self) -> int:
         return self.records_read - self.records_kept
-
-
-def classify_peer(addr: str, scope: MemberScope) -> PeerClass:
-    """Classify one IPv4 address against a scope.
-
-    Membership takes precedence over the object table; addresses matching
-    neither are unknown. Total for any valid IPv4 address.
-    """
-    ip = ipaddress.IPv4Address(addr)
-    for cidr in scope.member_cidrs:
-        if ip in cidr:
-            return PeerClass(MEMBER, addr)
-    for cidr, name in scope.object_table:
-        if ip in cidr:
-            return PeerClass(OBJECT, name)
-    return PeerClass(UNKNOWN)
 
 
 class _Codes(dict):
@@ -640,31 +454,3 @@ def filter_flows(
         distinct_endpoints=len(endpoints),
     )
     return kept, report
-
-
-def load_scope(text: str) -> MemberScope:
-    """Parse a scope file: ``member <CIDR>`` and ``object <CIDR> <name>`` lines."""
-    members: list[ipaddress.IPv4Network] = []
-    objects: list[tuple[ipaddress.IPv4Network, str]] = []
-    for lineno, line in content_lines(text):
-        tokens = line.split()
-        try:
-            if tokens[0] == "member" and len(tokens) == 2:
-                members.append(ipaddress.IPv4Network(tokens[1]))
-            elif tokens[0] == "object" and len(tokens) == 3:
-                check_object_name(tokens[2])
-                objects.append((ipaddress.IPv4Network(tokens[1]), tokens[2]))
-            else:
-                raise ValueError(f"unrecognized scope line {tokens[0]!r}")
-        except ValueError as exc:
-            raise DataError(f"scope line {lineno}: {exc}") from exc
-    try:
-        return MemberScope(tuple(members), tuple(objects))
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-
-
-def scope_to_text(scope: MemberScope) -> str:
-    lines = [f"member {cidr}" for cidr in scope.member_cidrs]
-    lines += [f"object {cidr} {name}" for cidr, name in scope.object_table]
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from .flows import DataError
+from .core import DataError
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from .features import SampleMatrix
-from .flows import write_atomic
+from .core import write_atomic
 
 #: Most negative eigenvalue tolerated as numerical noise before clamping.
 EIG_NOISE_FLOOR = -1e-8

@@ -7,6 +7,9 @@ controls and paths are excluded). The log is parsed by the stages that need
 its rows, ``group`` and ``tune``; ``rules`` reads the conversation table
 that ``group`` wrote. Measured wall time is a side file, not a fingerprinted
 artifact, so reruns stay byte-identical.
+
+``rules`` and ``eval`` hash the log in blocks and load no numpy: ``flows``,
+``clustering`` and ``synth`` are imported inside the stages that use them.
 """
 
 from __future__ import annotations
@@ -18,30 +21,24 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
-from .clustering import (
-    GroupAssignment,
-    GroupingParams,
-    SecurityGroups,
-    fit_groups,
-    select_best,
-)
-from .flows import (
+from .core import (
     DROP_UNKNOWN,
     INT64_MAX,
+    MAX_OBJECTS,
+    MAX_PORT_POOL,
     POLICIES,
     Conversation,
     DataError,
-    FlowTable,
+    GroupingParams,
     MemberScope,
+    SecurityGroups,
     content_lines,
-    conversations,
-    filter_flows,
     load_scope,
     make_dir,
     parse_decimal,
-    parse_flow_log,
+    read_blocks,
     read_file,
     scope_to_text,
     write_atomic,
@@ -54,7 +51,10 @@ from .rules import (
     ruleset_to_csv,
     tally_conversations,
 )
-from .synth import MAX_OBJECTS, MAX_PORT_POOL, generate, random_scenario
+
+if TYPE_CHECKING:
+    from .clustering import GroupAssignment
+    from .flows import FlowTable
 
 
 class UsageError(Exception):
@@ -226,21 +226,20 @@ def config_to_text(config: PipelineConfig) -> str:
 def fingerprint(log_bytes: bytes, config: PipelineConfig) -> str:
     """Hash of the log, the canonical text of the scope file named by the
     config, and the semantic config."""
-    return _fingerprint(log_bytes, _load_scope_file(config), config)
+    return _fingerprint((log_bytes,), _load_scope_file(config), config)
 
 
-def _fingerprint(log_bytes: bytes, scope: MemberScope, config: PipelineConfig) -> str:
+def _fingerprint(log_blocks: Iterable[bytes], scope: MemberScope, config: PipelineConfig) -> str:
+    """Hash the log, given as consecutive blocks of its bytes (the digest does
+    not depend on where they are cut), then the scope and the semantic config."""
     digest = hashlib.sha256()
-    digest.update(log_bytes)
+    for block in log_blocks:
+        digest.update(block)
     digest.update(b"\n--scope--\n")
     digest.update(scope_to_text(scope).encode())
     digest.update(b"\n--config--\n")
     digest.update(json.dumps(config.semantic_dict(), sort_keys=True).encode())
     return digest.hexdigest()
-
-
-def _read_log_bytes(config: PipelineConfig) -> bytes:
-    return read_file(config.flow_log, "flow log", text=False)
 
 
 def _load_scope_file(config: PipelineConfig) -> MemberScope:
@@ -251,9 +250,11 @@ def ingest(config: PipelineConfig) -> tuple[FlowTable, "IngestOutput"]:
     """Parse and filter the configured flow log; returns the kept table.
     The log's bytes are dropped once hashed and decoded, and its text once
     parsed, so neither is alive through the later steps."""
-    log_bytes = _read_log_bytes(config)
+    from .flows import filter_flows, parse_flow_log
+
+    log_bytes = read_file(config.flow_log, "flow log", text=False)
     scope = _load_scope_file(config)
-    fp = _fingerprint(log_bytes, scope, config)
+    fp = _fingerprint((log_bytes,), scope, config)
     text = log_bytes.decode("utf-8", errors="replace")
     del log_bytes
     records, malformed = parse_flow_log(text, strict=config.strict)
@@ -401,6 +402,9 @@ def run_group(config: PipelineConfig) -> str:
     Returns the summary CSV; wall time covers ingest through assignment and
     is written to timing.json (a measurement, not a fingerprinted artifact).
     """
+    from .clustering import fit_groups
+    from .flows import conversations
+
     t0 = time.perf_counter()
     kept, ingest_out = ingest(config)
     if not kept:
@@ -454,7 +458,7 @@ def run_rules(config: PipelineConfig) -> str:
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
     scope = _load_scope_file(config)
-    fp = _fingerprint(_read_log_bytes(config), scope, config)
+    fp = _fingerprint(read_blocks(config.flow_log, "flow log"), scope, config)
     _require_fresh("rules", fp, stored_fp)
     table = out / "conversations.csv"
     try:
@@ -500,7 +504,8 @@ def run_eval(config: PipelineConfig) -> str:
     eval_report.csv."""
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
-    _require_fresh("eval", fingerprint(_read_log_bytes(config), config), stored_fp)
+    fp = _fingerprint(read_blocks(config.flow_log, "flow log"), _load_scope_file(config), config)
+    _require_fresh("eval", fp, stored_fp)
     truth = load_ground_truth(config.ground_truth)
     text = read_file(out / "timing.json", "group-stage timing")
     try:
@@ -551,6 +556,8 @@ def parse_grid(text: str, base: PipelineConfig) -> list[PipelineConfig]:
 def run_tune(config: PipelineConfig) -> str:
     """Sweep the grid, write the winning config and the per-entry report;
     returns the winner's line."""
+    from .clustering import fit_groups, select_best
+
     grid = parse_grid(read_file(config.grid, "grid", UsageError), config)
     if not grid:
         raise DataError(f"tune: grid {config.grid} contains no configurations")
@@ -586,6 +593,8 @@ def run_tune(config: PipelineConfig) -> str:
 def run_synth(config: PipelineConfig) -> str:
     """Generate a synthetic scenario into out_dir (flows, scope, truth);
     returns the flow, endpoint and group counts."""
+    from .synth import generate, random_scenario
+
     try:
         spec = random_scenario(
             config.synth_group_count,
@@ -619,6 +628,8 @@ def verify_ruleset_completeness(config: PipelineConfig) -> tuple[int, int]:
     from; used by the acceptance checks. It parses the log rather than read
     conversations.csv, so a table that lost rows shows here, then tallies the
     conversations as ``rules`` does and allows the keys the ruleset holds."""
+    from .flows import conversations
+
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
     kept, ingest_out = ingest(config)

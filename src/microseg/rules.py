@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .clustering import SecurityGroups
-from .flows import (
+from .core import (
     Conversation,
     DataError,
     FlowRecord,
-    FlowTable,
     MemberScope,
+    SecurityGroups,
     check_service,
     classify_peer,
-    conversations,
     parse_decimal,
     read_file,
 )
+
+if TYPE_CHECKING:
+    from .flows import FlowTable
 
 ALLOW = "allow"
 DENY = "deny"
@@ -148,7 +149,10 @@ def extract_service_flows(
     groups: SecurityGroups,
     scope: MemberScope,
 ) -> dict[tuple[EntityRef, EntityRef, ServiceTuple], int]:
-    """:func:`tally_conversations` over the conversations of a filtered table."""
+    """:func:`tally_conversations` over the conversations of a filtered table.
+    Only bench/trace.py and the tests call it, so ``flows`` is imported here."""
+    from .flows import conversations
+
     return tally_conversations(conversations(flows), groups, scope)
 
 
@@ -310,23 +314,26 @@ def _parse_ref(token: str) -> EntityRef:
 def load_ruleset(path) -> RuleSet:
     """Parse a ruleset CSV back into a RuleSet. Only the form
     :func:`ruleset_to_csv` writes loads: the header, then rule lines with no
-    whitespace around them and an upper-case protocol, each with a line end."""
+    whitespace around them and an upper-case protocol, each with a line end.
+    A fault raises :class:`DataError` naming the file and the line."""
     lines = read_file(path, "ruleset").split("\n")
     if lines[0] != RULESET_HEADER:
-        raise DataError(f"ruleset line 1: expected the header {RULESET_HEADER!r}")
+        raise DataError(f"ruleset {path} line 1: expected the header {RULESET_HEADER!r}")
     if lines[-1]:
-        raise DataError(f"ruleset line {len(lines)}: no line end")
+        raise DataError(f"ruleset {path} line {len(lines)}: no line end")
     rules = []
     for lineno, line in enumerate(lines[1:-1], start=2):
         if line != line.strip():
-            raise DataError(f"ruleset line {lineno}: leading or trailing whitespace")
+            raise DataError(f"ruleset {path} line {lineno}: leading or trailing whitespace")
         parts = line.split(",")
         if len(parts) != 6:
-            raise DataError(f"ruleset line {lineno}: expected 6 fields")
+            raise DataError(f"ruleset {path} line {lineno}: expected 6 fields")
         if parts[4] != ALLOW:
-            raise DataError(f"ruleset line {lineno}: action {parts[4]!r} is not {ALLOW}")
+            raise DataError(f"ruleset {path} line {lineno}: action {parts[4]!r} is not {ALLOW}")
         if parts[2] != parts[2].upper():
-            raise DataError(f"ruleset line {lineno}: protocol {parts[2]!r} is not upper case")
+            raise DataError(
+                f"ruleset {path} line {lineno}: protocol {parts[2]!r} is not upper case"
+            )
         try:
             rules.append(
                 FirewallRule(
@@ -337,7 +344,7 @@ def load_ruleset(path) -> RuleSet:
                 )
             )
         except ValueError as exc:
-            raise DataError(f"ruleset line {lineno}: {exc}") from exc
+            raise DataError(f"ruleset {path} line {lineno}: {exc}") from exc
     try:
         return RuleSet.from_rules(rules)
     except ValueError as exc:

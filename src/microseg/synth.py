@@ -20,18 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .flows import MemberScope
-
-#: Members are numbered from the first host address of this network.
-MEMBER_NET = ipaddress.IPv4Network("10.0.0.0/16")
-#: External object ``i`` is the /32 at host address ``i + 1`` of this network.
-OBJECT_NET = ipaddress.IPv4Network("198.51.100.0/24")
-#: Port ``i`` of the template port pool is ``PORT_BASE + PORT_STEP * i``.
-PORT_BASE, PORT_STEP = 2000, 7
-
-MAX_ENDPOINTS = MEMBER_NET.num_addresses - 1
-MAX_OBJECTS = OBJECT_NET.num_addresses - 1
-MAX_PORT_POOL = (65535 - PORT_BASE) // PORT_STEP + 1
+from .core import MAX_ENDPOINTS, MEMBER_NET, OBJECT_NET, PORT_BASE, PORT_STEP, MemberScope
 
 NOISE_PROTOCOLS = ("TCP", "UDP", "ICMP")
 

@@ -9,7 +9,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import pytest  # noqa: E402
 
-from microseg.flows import MAP_TO_OBJECTS, FlowRecord, MemberScope, filter_flows, parse_flow_log  # noqa: E402
+from microseg.core import MAP_TO_OBJECTS, FlowRecord, MemberScope  # noqa: E402
+from microseg.flows import filter_flows, parse_flow_log  # noqa: E402
 
 
 @pytest.fixture

@@ -26,17 +26,9 @@ from collections import Counter
 
 import numpy as np
 
+from microseg.core import DROP_UNKNOWN, UNKNOWN, DataError, FlowRecord, classify_peer
 from microseg.features import FeatureSchema
-from microseg.flows import (
-    DROP_UNKNOWN,
-    MALFORMED_LIMIT,
-    UNKNOWN,
-    ClassifiedFlow,
-    DataError,
-    FlowRecord,
-    IngestReport,
-    classify_peer,
-)
+from microseg.flows import MALFORMED_LIMIT, ClassifiedFlow, IngestReport
 from microseg.rules import EntityRef, RuleSet, ServiceTuple, make_matcher
 
 

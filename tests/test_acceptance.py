@@ -17,7 +17,7 @@ import pytest
 
 from microseg import clustering
 from microseg.clustering import kmeans_fit
-from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS
+from microseg.core import DROP_UNKNOWN, MAP_TO_OBJECTS
 from microseg.metrics import homogeneity, v_measure
 from microseg.pca import fit_pca, project
 from microseg.pipeline import (

@@ -10,7 +10,6 @@ import pytest
 from microseg import clustering
 from microseg.clustering import (
     GroupAssignment,
-    GroupingParams,
     _update_centroids,
     assign_endpoint,
     derive_groups,
@@ -20,8 +19,9 @@ from microseg.clustering import (
     resolve_k,
     select_best,
 )
+from microseg.core import DROP_UNKNOWN, MAP_TO_OBJECTS, GroupingParams
 from microseg.features import standardize
-from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, filter_flows, parse_flow_log
+from microseg.flows import filter_flows, parse_flow_log
 from microseg.metrics import EvalReport
 from microseg.synth import ScenarioSpec, ServiceTemplate, generate, random_scenario
 
@@ -396,6 +396,22 @@ class TestFitGroups:
         ]
         for a, b in zip(first.assignments, second.assignments):
             assert a.mean_distances.tobytes() == b.mean_distances.tobytes()
+
+    def test_distinct_rows_counted_once_per_fit(self, monkeypatch):
+        # The count caps k in fit_groups and is checked again in kmeans_fit;
+        # one np.unique pass serves both. Here it caps k below the endpoints.
+        _, kept = _scenario_records(_ring_spec())
+        counts = []
+        count = clustering._distinct_rows
+
+        def spy(X):
+            counts.append(count(X))
+            return counts[-1]
+
+        monkeypatch.setattr(clustering, "_distinct_rows", spy)
+        result = fit_groups(kept, GroupingParams(seed=1, top_k_ports=16))
+        assert len(counts) == 1
+        assert len(result.assignments[0].mean_distances) == counts[0] < len(result.assignments)
 
     def test_sample_matrices_freed_before_kmeans(self, monkeypatch):
         # Only the projected samples may stay alive through k-means.

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from microseg.core import MemberScope
 from microseg.features import SampleMatrix, encode_windows, standardize
-from microseg.flows import MemberScope
 
 from conftest import kept_table, line
 from oracles import reference_schema, reference_windowize

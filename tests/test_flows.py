@@ -2,19 +2,18 @@ import ipaddress
 
 import pytest
 
-from microseg.flows import (
-    COLUMNS,
+import microseg.flows as flows
+from microseg.core import (
     DROP_UNKNOWN,
     MAP_TO_OBJECTS,
     DataError,
     FlowRecord,
     MemberScope,
     classify_peer,
-    filter_flows,
     load_scope,
-    parse_flow_log,
     scope_to_text,
 )
+from microseg.flows import COLUMNS, filter_flows, parse_flow_log
 
 from conftest import flow, line
 
@@ -297,3 +296,8 @@ class TestScopeFile:
     def test_bad_cidr(self):
         with pytest.raises(DataError):
             load_scope("member 10.0.0.0/99\n")
+
+    def test_flows_reexports_the_scope_reader(self):
+        # bench/trace.py imports load_scope from flows; it is core's own.
+        assert flows.__all__ == ["load_scope"]
+        assert flows.load_scope is load_scope

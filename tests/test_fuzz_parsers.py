@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microseg.flows import DataError, load_scope, parse_flow_log
+from microseg.core import DataError, load_scope
+from microseg.flows import parse_flow_log
 from microseg.pipeline import PipelineConfig, UsageError, parse_config_text
 from microseg.rules import (
     EntityRef,

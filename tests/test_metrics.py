@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microseg.clustering import SecurityGroups
-from microseg.flows import DataError
+from microseg.core import DataError, SecurityGroups
 from microseg.metrics import (
     REPORT_HEADER,
     EvalReport,

@@ -13,11 +13,22 @@ from pathlib import Path
 import pytest
 
 import microseg
+import microseg.clustering as clustering
+import microseg.core as core
+import microseg.flows as flows
 import microseg.pipeline as pipeline
 import microseg.rules as rules
 from microseg.cli import build_parser, main
-from microseg.clustering import GroupingParams
-from microseg.flows import DROP_UNKNOWN, MAP_TO_OBJECTS, DataError, FlowTable, scope_to_text
+from microseg.core import (
+    DROP_UNKNOWN,
+    MAP_TO_OBJECTS,
+    DataError,
+    GroupingParams,
+    load_scope,
+    read_blocks,
+    scope_to_text,
+)
+from microseg.flows import FlowTable
 from microseg.pipeline import (
     PipelineConfig,
     UsageError,
@@ -78,6 +89,16 @@ def run_cli(
 
 #: A locale whose filesystem and stdout encoding is ASCII.
 C_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C"}
+
+#: ``python -m microseg`` on the arguments after ``-c``, then whether numpy
+#: was loaded, as the last line of stderr.
+NUMPY_PROBE = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('microseg', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print('numpy' in sys.modules, file=sys.stderr)\n"
+)
 
 
 def synth_setup(tmp_path: Path, **synth_overrides) -> PipelineConfig:
@@ -231,6 +252,29 @@ class TestFingerprint:
     def test_unreadable_scope_is_data_error(self, tmp_path):
         with pytest.raises(DataError, match="scope"):
             fingerprint(b"log", PipelineConfig(scope=str(tmp_path / "missing.txt")))
+
+    #: A CRLF line end and a two-byte character that 3-byte blocks split,
+    #: invalid UTF-8, and no final line end.
+    ODD_LOG = (
+        b"timestamp,src_addr,dst_addr,protocol,dst_port,packets,bytes\r\n"
+        b"0,10.0.0.1,10.0.0.2,TCP,443,1,60\r\n"
+        b"0,10.0.0.1,10.0.0.2,\xff\xfe,443,1,60\n"
+        b"100,10.0.0.1,10.0.0.2,\xc3\xa9SP,0,1,60"
+    )
+
+    @pytest.mark.parametrize("log", [ODD_LOG, b""], ids=["odd", "empty"])
+    def test_streamed_digest_equals_whole_log_digest(self, tmp_path, monkeypatch, log):
+        monkeypatch.setattr(core, "READ_BLOCK", 3)
+        path = tmp_path / "flows.csv"
+        path.write_bytes(log)
+        config = PipelineConfig(flow_log=str(path), scope=self.scope_file(tmp_path))
+        if log:
+            assert log.index(b"\r\n") % 3 == log.index(b"\xc3\xa9") % 3 == 2
+        blocks = list(read_blocks(path, "flow log"))
+        assert b"".join(blocks) == log and {len(b) for b in blocks[:-1]} <= {3}
+        scope = load_scope(self.SCOPE)
+        streamed = pipeline._fingerprint(read_blocks(path, "flow log"), scope, config)
+        assert streamed == fingerprint(log, config)
 
     def test_ingest_hashes_the_scope_it_parsed(self, tmp_path, monkeypatch):
         # One read of the scope file per ingest, so the fingerprint always
@@ -434,13 +478,13 @@ class TestRunRules:
     def test_rules_parses_no_log_line(self, tmp_path, monkeypatch):
         config = synth_setup(tmp_path)
         calls = []
-        parse = pipeline.parse_flow_log
+        parse = flows.parse_flow_log
 
         def spy(text, **kwargs):
             calls.append(len(text))
             return parse(text, **kwargs)
 
-        monkeypatch.setattr(pipeline, "parse_flow_log", spy)
+        monkeypatch.setattr(flows, "parse_flow_log", spy)
         run_group(config)
         assert len(calls) == 1
         run_rules(config)
@@ -646,13 +690,13 @@ class TestRunTune:
         # The printed line rounds the scores; compare every entry's exact
         # scores as select_best sees them, the measured runtime aside.
         scored = []
-        select_best = pipeline.select_best
+        select_best = clustering.select_best
 
         def spy_select_best(reports, floor):
             scored.append([replace(r, run_time_seconds=0.0) for r in reports])
             return select_best(reports, floor)
 
-        monkeypatch.setattr(pipeline, "select_best", spy_select_best)
+        monkeypatch.setattr(clustering, "select_best", spy_select_best)
         first = run_tune(config)
         second = run_tune(config)
         assert first == second
@@ -716,7 +760,7 @@ class TestRunTune:
         config.grid = str(tmp_path / "grid.txt")
         entries = ["pca_target = 0.9", "pca_target = 0.99 ; k = 0.5", "top_k_ports = 8"]
         ingested, fitted = [], []
-        real_ingest, real_fit = pipeline.ingest, pipeline.fit_groups
+        real_ingest, real_fit = pipeline.ingest, clustering.fit_groups
 
         def spy_ingest(c):
             ingested.append(c.unknown_policy)
@@ -727,7 +771,7 @@ class TestRunTune:
             return real_fit(kept, params)
 
         monkeypatch.setattr(pipeline, "ingest", spy_ingest)
-        monkeypatch.setattr(pipeline, "fit_groups", spy_fit)
+        monkeypatch.setattr(clustering, "fit_groups", spy_fit)
 
         def tune(base_policy, prefix):
             ingested.clear()
@@ -816,6 +860,46 @@ class TestCli:
         assert main(["eval", "--config", str(run_cfg)]) == 0
         out = capsys.readouterr().out
         assert "dataset,asset_qty" in out
+
+    def test_rules_eval_and_help_load_no_numpy(self, tmp_path):
+        # Neither stage computes with numpy, so neither pays its import;
+        # each writes the bytes the in-process stages wrote.
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        for command in ("group", "rules", "eval"):
+            assert main([command, "--config", str(run_cfg)]) == 0
+        out = tmp_path / "artifacts"
+        names = ("ruleset.csv", "hygiene.txt", "eval_report.csv", "eval_report.json")
+        written = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            (out / name).unlink()
+        for argv in (["rules", "--config", str(run_cfg)], ["eval", "--config", str(run_cfg)],
+                     ["--help"]):
+            proc = subprocess.run(
+                [sys.executable, "-c", NUMPY_PROBE, *argv], capture_output=True, env=child_env()
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.endswith(b"False\n"), (argv, proc.stderr)
+        assert {name: (out / name).read_bytes() for name in names} == written
+
+    @pytest.mark.parametrize("command", ["rules", "eval"])
+    @pytest.mark.parametrize("log", ["missing", "directory"])
+    def test_unreadable_flow_log_exit_two(self, tmp_path, capsys, command, log):
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        assert main(["group", "--config", str(run_cfg)]) == 0
+        path = tmp_path / "data" / "flows.csv"
+        if log == "missing":
+            path.unlink()
+            reason = "No such file or directory"
+        else:
+            path = tmp_path / "data"
+            reason = "Is a directory"
+        with run_cfg.open("a") as f:
+            f.write(f"flow_log = {path}\n")
+        capsys.readouterr()
+        assert main([command, "--config", str(run_cfg)]) == 2
+        assert capsys.readouterr().err == f"data error: cannot read flow log {path}: {reason}\n"
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["group"]) == 1  # --config required
@@ -1101,7 +1185,7 @@ class TestCli:
         synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
         assert main(["synth", "--config", str(synth_cfg)]) == 0
         fits = []
-        monkeypatch.setattr(pipeline, "fit_groups", lambda *args: fits.append(args))
+        monkeypatch.setattr(clustering, "fit_groups", lambda *args: fits.append(args))
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory\n")
         grid = tmp_path / "grid.txt"

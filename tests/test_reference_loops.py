@@ -14,19 +14,10 @@ from hypothesis import strategies as st
 
 import microseg.clustering as clustering
 import microseg.flows as flows
-from microseg.clustering import SecurityGroups, kmeans_fit
+from microseg.clustering import kmeans_fit
+from microseg.core import MAP_TO_OBJECTS, POLICIES, DataError, MemberScope, SecurityGroups
 from microseg.features import encode_windows, standardize
-from microseg.flows import (
-    COLUMNS,
-    MAP_TO_OBJECTS,
-    POLICIES,
-    DataError,
-    MemberScope,
-    conversations,
-    distinct_rows,
-    filter_flows,
-    parse_flow_log,
-)
+from microseg.flows import COLUMNS, conversations, distinct_rows, filter_flows, parse_flow_log
 from microseg.pca import fit_pca, project
 from microseg.rules import (
     UNIVERSE,

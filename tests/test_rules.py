@@ -3,8 +3,7 @@ import re
 
 import pytest
 
-from microseg.clustering import SecurityGroups
-from microseg.flows import DataError, MemberScope
+from microseg.core import DataError, MemberScope, SecurityGroups
 from microseg.rules import (
     ALLOW,
     DENY,
@@ -350,7 +349,8 @@ class TestRulesetCsv:
         assert len(load_ruleset(path).rules) == 1
         fields[field] = cell
         path.write_text(f"{RULESET_HEADER}\n" + ",".join(fields) + "\n")
-        with pytest.raises(DataError, match="ruleset line 2: .*not a canonical decimal"):
+        message = f"ruleset {re.escape(str(path))} line 2: .*not a canonical decimal"
+        with pytest.raises(DataError, match=message):
             load_ruleset(path)
 
     @pytest.mark.parametrize(
@@ -375,7 +375,7 @@ class TestRulesetCsv:
         path.write_text(f"{RULESET_HEADER}\n{RULE}\n")
         assert ruleset_to_csv(load_ruleset(path)) == path.read_text()
         path.write_text("\n".join(lines))
-        with pytest.raises(DataError, match=f"^ruleset {re.escape(message)}$"):
+        with pytest.raises(DataError, match=f"^ruleset {re.escape(f'{path} {message}')}$"):
             load_ruleset(path)
 
     def test_byte_identical_export(self):

@@ -3,18 +3,11 @@ import math
 
 import pytest
 
-from microseg.clustering import GroupingParams, fit_groups
-from microseg.flows import DROP_UNKNOWN, filter_flows, parse_flow_log
+from microseg.clustering import fit_groups
+from microseg.core import DROP_UNKNOWN, MAX_ENDPOINTS, MAX_OBJECTS, MAX_PORT_POOL, GroupingParams
+from microseg.flows import filter_flows, parse_flow_log
 from microseg.metrics import evaluate
-from microseg.synth import (
-    MAX_ENDPOINTS,
-    MAX_OBJECTS,
-    MAX_PORT_POOL,
-    ScenarioSpec,
-    ServiceTemplate,
-    generate,
-    random_scenario,
-)
+from microseg.synth import ScenarioSpec, ServiceTemplate, generate, random_scenario
 
 
 def small_spec(**overrides):
