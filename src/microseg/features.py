@@ -4,8 +4,8 @@ Each member endpoint gets one sample vector per time window. Categorical
 attributes (protocol, destination port, peer class) are one-hot count
 blocks split by direction; three numerical features follow: the number of
 distinct service tuples, the total flow count, and log(1 + total bytes).
-The counts come from ``np.unique`` and ``np.bincount`` over the table's
-integer columns. Columns are standardized before signature extraction.
+The table is counted in fixed blocks of rows, so the temporaries grow with
+the block, not the log. Columns are standardized before signature extraction.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from .flows import FlowTable, distinct_rows
 
 #: Columns with standard deviation below this are treated as constant.
 CONST_EPS = 1e-12
+
+#: Table rows per block of :func:`encode_windows`; its temporaries grow with
+#: this, not with the table.
+BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -83,8 +87,12 @@ def encode_windows(
     frequent destination ports (ties to the lower port); protocols and object
     names keep everything observed. Row layout: outbound and inbound protocol
     counts, outbound and inbound port counts, peer-class counts, then the
-    three numerical features. Every count is an integer count over the
-    columns, so every sum is exact and independent of row order.
+    three numerical features.
+
+    Two passes read the table in blocks of :data:`BLOCK_ROWS` rows: one
+    tallies the vocabularies and merges the sorted row keys, one adds 1.0 per
+    contribution to the float rows and merges the service tuples. Each count
+    is an integer below 2**53, so every float sum is exact in any order.
     """
     if not len(flows):
         raise ValueError("cannot build a schema from zero records")
@@ -94,11 +102,17 @@ def encode_windows(
         raise ValueError("window_seconds must be >= 1")
     classes = flows.classes
     member = np.array([pc.is_member for pc in classes], dtype=bool)
-    used = np.union1d(flows.src, flows.dst).tolist()
-    objects = {c: classes[c].value for c in used if classes[c].is_object}
-    protocols = np.unique(flows.protocol)
-    ports, port_flows = np.unique(flows.dst_port, return_counts=True)
-    top = np.sort(ports[np.lexsort((ports, -port_flows))[:top_k_ports]])
+    used, seen = np.zeros(len(flows.addrs), dtype=bool), np.zeros(len(flows.protocols), dtype=bool)
+    port_flows = np.zeros(65536, dtype=np.int64)
+    keys = services = ()
+    for block, _, _, endpoint, _, window in _blocks(flows, member, window_seconds):
+        used[block.src] = used[block.dst] = True
+        seen[block.protocol] = True
+        np.add.at(port_flows, block.dst_port, 1)
+        keys = _merge(keys, (endpoint, window))
+    objects = {c: classes[c].value for c in np.flatnonzero(used).tolist() if classes[c].is_object}
+    protocols, ports = np.flatnonzero(seen), np.flatnonzero(port_flows)
+    top = np.sort(ports[np.lexsort((ports, -port_flows[ports]))[:top_k_ports]])
     schema = FeatureSchema(
         protocol_vocab=tuple(flows.protocols[c] for c in protocols.tolist()),
         port_vocab=tuple(top.tolist()),
@@ -114,39 +128,55 @@ def encode_windows(
     for c, name in objects.items():
         peer_slot[c] = schema.peer_vocab.index(name)
 
-    # One contribution per (flow, member side): outbound rows, then inbound.
-    out, inb = member[flows.src], member[flows.dst]
-    flow_of = np.concatenate([np.flatnonzero(out), np.flatnonzero(inb)])
-    inbound = np.repeat([0, 1], [np.count_nonzero(out), np.count_nonzero(inb)])
-    endpoint = np.concatenate([flows.src[out], flows.dst[inb]])
-    far = peer_slot[np.concatenate([flows.dst[out], flows.src[inb]])]
-    window = (flows.timestamp[flow_of] - flows.timestamp.min()) // window_seconds
-    protocol = flows.protocol[flow_of]
-    port = flows.dst_port[flow_of]
-    first, row, _ = distinct_rows(endpoint, window)
-    n = len(first)
-
-    def count(size: int, slot: np.ndarray) -> np.ndarray:
-        return np.bincount(row * size + slot, minlength=n * size).reshape(n, size)
-
-    values = np.empty((n, schema.dimension))
-    values[:, : 2 * p] = count(2 * p, proto_slot[protocol] + p * inbound)
-    values[:, 2 * p : 2 * p + 2 * q] = count(2 * q, port_slot[port] + q * inbound)
-    values[:, 2 * p + 2 * q : -3] = count(r, far)
-    services, _, _ = distinct_rows(row, inbound, protocol, port, far)
-    values[:, -3] = np.bincount(row[services], minlength=n)
-    values[:, -2] = np.bincount(row, minlength=n)
+    # Row keys pack (endpoint rank, window rank) below (n + 1) * n: no int64 wraps.
+    n, dim = len(keys[0]), schema.dimension
+    windows = np.unique(keys[1])
+    rank = np.cumsum(np.bincount(keys[0], minlength=len(flows.addrs)) > 0) * len(windows)
+    row_keys = rank[keys[0]] + np.searchsorted(windows, keys[1])
+    values = np.zeros((n, dim))
     # Exact byte totals: the high and low 32 bits are summed apart, so an
     # int64 sum cannot wrap below 2**31 contributions per row.
-    nbytes = flows.byte_count[flow_of]
     high, low = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    np.add.at(high, row, nbytes >> 32)
-    np.add.at(low, row, nbytes & 0xFFFFFFFF)
-    values[:, -1] = [
-        math.log1p((h << 32) + lo) for h, lo in zip(high.tolist(), low.tolist())
-    ]
-    endpoints = tuple(flows.addrs[c] for c in endpoint[first].tolist())
-    return SampleMatrix(endpoints, tuple(window[first].tolist()), values), schema
+    for block, flow_of, inbound, endpoint, far, window in _blocks(flows, member, window_seconds):
+        row = np.searchsorted(row_keys, rank[endpoint] + np.searchsorted(windows, window))
+        protocol, port = proto_slot[block.protocol[flow_of]], block.dst_port[flow_of]
+        far = peer_slot[far]
+        at = row * dim
+        np.add.at(values.reshape(-1), at + protocol + p * inbound, 1.0)
+        np.add.at(values.reshape(-1), at + 2 * p + port_slot[port] + q * inbound, 1.0)
+        np.add.at(values.reshape(-1), at + 2 * p + 2 * q + far, 1.0)
+        nbytes = block.byte_count[flow_of]
+        np.add.at(high, row, nbytes >> 32)
+        np.add.at(low, row, nbytes & 0xFFFFFFFF)
+        # Service (row, protocol, port, far, inbound): protocol slots are distinct, ports < 65536.
+        services = _merge(services, (row, protocol * 65536 + port, far * 2 + inbound))
+    values[:, -3] = np.bincount(services[0], minlength=n)
+    values[:, -2] = values[:, 2 * p + 2 * q : -3].sum(axis=1)
+    values[:, -1] = [math.log1p((h << 32) + lo) for h, lo in zip(high.tolist(), low.tolist())]
+    endpoints = tuple(flows.addrs[c] for c in keys[0].tolist())
+    return SampleMatrix(endpoints, tuple(keys[1].tolist()), values), schema
+
+
+def _blocks(flows: FlowTable, member: np.ndarray, window_seconds: int):
+    """Each :data:`BLOCK_ROWS`-row block of a table and, per (flow, member side),
+    outbound first: the flow's index in it, 1 if inbound, endpoint, far side, window."""
+    t0 = flows.timestamp.min()
+    for start in range(0, len(flows), BLOCK_ROWS):
+        block = flows.take(slice(start, start + BLOCK_ROWS))
+        out, inb = member[block.src], member[block.dst]
+        flow_of = np.concatenate([np.flatnonzero(out), np.flatnonzero(inb)])
+        inbound = np.repeat([0, 1], [np.count_nonzero(out), np.count_nonzero(inb)])
+        endpoint = np.concatenate([block.src[out], block.dst[inb]])
+        far = np.concatenate([block.dst[out], block.src[inb]])
+        window = (block.timestamp[flow_of] - t0) // window_seconds
+        yield block, flow_of, inbound, endpoint, far, window
+
+
+def _merge(kept: tuple, new: tuple) -> tuple:
+    """The distinct rows of two column tuples stacked, in lexicographic order."""
+    columns = tuple(map(np.concatenate, zip(kept, new))) if kept else new
+    first = distinct_rows(*columns)[0]
+    return tuple(c[first] for c in columns)
 
 
 def standardize(matrix: SampleMatrix) -> SampleMatrix:

@@ -1,9 +1,11 @@
 import ipaddress
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from microseg import features
 from microseg.core import MemberScope
 from microseg.features import SampleMatrix, encode_windows, standardize
 
@@ -217,3 +219,35 @@ class TestEncodeWindows:
         m2, _ = encode_windows(table(records), 60, 4, workers=4)
         assert np.array_equal(m1.values, m2.values)
         assert m1.endpoints == m2.endpoints
+
+
+class TestEncodeMemory:
+    def test_peak_grows_with_the_block_not_the_table(self, monkeypatch):
+        # Aim 3: memory stays bounded as the scenario grows. Encode holds the
+        # matrix plus one block's contribution arrays, not about fifteen
+        # arrays over every contribution of the table, so its peak neither
+        # nears that nor grows when the same keys and services carry 4x the
+        # flows.
+        monkeypatch.setattr(features, "BLOCK_ROWS", 8192)
+        rng = np.random.default_rng(0)
+        addrs = [f"10.0.0.{i}" for i in range(1, 33)] + ["8.8.8.8"]
+        draws = (rng.integers(k, size=8 * 8192).tolist() for k in (32, 33, 2, 4, 960, 10**6))
+        lines = [
+            line(addrs[src], addrs[dst], ("TCP", "UDP")[proto], (22, 53, 443, 8080)[port], t, 1, b)
+            for src, dst, proto, port, t, b in zip(*draws)
+        ]
+        # One int64 array over a block's contributions: a flow has two sides.
+        column = 2 * 8192 * 8
+        peaks, matrices = [], []
+        for copies in (1, 4):
+            flows = table(rng.permutation(lines * copies).tolist())
+            tracemalloc.start()
+            try:
+                matrices.append(encode_windows(flows, 60, 4)[0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert matrices[0].endpoints == matrices[1].endpoints
+        assert matrices[0].windows == matrices[1].windows
+        assert peaks[0] < matrices[0].values.nbytes + 64 * column
+        assert peaks[1] < peaks[0] + column

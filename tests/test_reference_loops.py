@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import microseg.clustering as clustering
+import microseg.features as features
 import microseg.flows as flows
 from microseg.clustering import kmeans_fit
 from microseg.core import MAP_TO_OBJECTS, POLICIES, DataError, MemberScope, SecurityGroups
@@ -46,6 +47,20 @@ from oracles import (
 )
 
 BAD_ADDRESS = "3600,10.0.0.300,10.0.0.1,TCP,443,1,100"
+# encode_windows' block sizes: the default, and sizes so small that every
+# case's row keys, services and byte sums are merged across blocks.
+BLOCK_SIZES = (features.BLOCK_ROWS, 1, 2, 7)
+
+
+def assert_encode_matches(flows, window_seconds, top_k, keys, want, schema):
+    """encode_windows at every block size gives the reference's row keys,
+    matrix bytes and schema."""
+    for rows in BLOCK_SIZES:
+        with mock.patch.object(features, "BLOCK_ROWS", rows):
+            matrix, got_schema = encode_windows(flows, window_seconds, top_k)
+        assert list(zip(matrix.endpoints, matrix.windows)) == keys
+        assert matrix.values.tobytes() == want.tobytes()
+        assert got_schema == schema
 
 
 @pytest.fixture(scope="module")
@@ -298,12 +313,9 @@ class TestEncode:
             assert row.tobytes() == reference_encode(buckets[key], schema).tobytes()
 
     def test_encode_windows_matches_reference(self, kept):
-        keys, want, schema = reference_encode_windows(kept, 3600, 8)
+        reference = reference_encode_windows(kept, 3600, 8)
         for records in (kept, kept.take(slice(None, None, -1))):
-            matrix, got_schema = encode_windows(records, 3600, 8)
-            assert list(zip(matrix.endpoints, matrix.windows)) == keys
-            assert matrix.values.tobytes() == want.tobytes()
-            assert got_schema == schema
+            assert_encode_matches(records, 3600, 8, *reference)
 
 
 def net(cidr):
@@ -414,11 +426,8 @@ def assert_table_path_matches_reference(text, scope, policy, window_seconds, top
         with pytest.raises(ValueError, match="zero records"):
             encode_windows(kept, window_seconds, top_k)
         return
-    keys, want, schema = reference_encode_windows(want_kept, window_seconds, top_k)
-    matrix, got_schema = encode_windows(kept, window_seconds, top_k)
-    assert list(zip(matrix.endpoints, matrix.windows)) == keys
-    assert matrix.values.tobytes() == want.tobytes()
-    assert got_schema == schema
+    reference = reference_encode_windows(want_kept, window_seconds, top_k)
+    assert_encode_matches(kept, window_seconds, top_k, *reference)
 
 
 class TestTablePath:
@@ -430,7 +439,8 @@ class TestTablePath:
     def test_wide_vocabularies_and_spans_match_reference(self):
         # 300 protocol tokens, a 400-entry object table, timestamps across
         # the int64 range in 1 s windows and byte counts near 2**62: packed
-        # keys and byte sums that would wrap an int64 taken at face value.
+        # keys and byte sums that would wrap an int64 taken at face value,
+        # also where encode merges the row keys of blocks of 1, 2 and 7 rows.
         rng = np.random.default_rng(7)
         members = [f"10.0.0.{i}" for i in range(1, 41)]
         objects = [f"198.51.{i // 200}.{i % 200 + 1}" for i in range(400)]
