@@ -13,6 +13,11 @@ keeps the distance matrix and each sample's cheapest move, and updates
 them from the columns a round touched. Both give the labels of the full
 distance product bit for bit: a bound decides only with a margin wider
 than the rounding of any evaluation, and a near tie takes the full product.
+Lloyd works in row blocks: each sample's distance to its own centroid and
+the distance rows the bounds leave open are computed a block of rows at a
+time, so an iteration holds no samples×features or samples×centroids
+temporary. Only the full product (after seeding and on a near tie) and the
+refinement's distance matrix are samples×centroids.
 
 The restarts run in parallel processes, one per CPU in the affinity mask
 and at most one per restart, forked after the samples are built, so the
@@ -81,6 +86,17 @@ _BLOCK = 1 << 15
 
 def _block_rows(k: int) -> int:
     return max(1, _BLOCK // max(k, 1))
+
+
+def _point_sq(X: np.ndarray, C: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to its centroid ``C[labels]``, one row
+    block at a time, so no samples×features temporary is held."""
+    out = np.empty(X.shape[0])
+    step = _block_rows(X.shape[1])
+    for start in range(0, X.shape[0], step):
+        diff = X[start : start + step] - C[labels[start : start + step]]
+        out[start : start + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def _sq_dists(X: np.ndarray, C: np.ndarray, xx: np.ndarray) -> np.ndarray:
@@ -156,18 +172,23 @@ def _assign(X: np.ndarray, xx: np.ndarray, C: np.ndarray, state: _Bounds) -> _Bo
     to every other centroid of ``C``; it is updated in place. A row keeps
     its label when the bounds leave more than the rounding margin between
     the two, first as given, then with the own distance recomputed. The
-    other rows get distance rows from a product over just those rows, whose
-    last bits may differ from the full product's; if any of them has its
-    two nearest centroids within the margin, the full product decides.
+    other rows get distance rows from a product over a row block of just
+    those rows, whose last bits may differ from the full product's; if any
+    of them has its two nearest centroids within the margin, the full
+    product decides. So the blocks need no fixed offsets, and short of that
+    fallback a call holds no samples×features or samples×centroids
+    temporary.
     """
     labels, upper, lower = state
     err = _dist_err(xx, C)
-    rows = np.flatnonzero(upper * upper + err >= lower * lower)
-    if rows.size:
-        diff = X[rows] - C[labels[rows]]
-        upper[rows] = _upper(np.einsum("ij,ij->i", diff, diff), err[rows])
+    open_rows = np.flatnonzero(upper * upper + err >= lower * lower)
+    step = _block_rows(max(C.shape))
+    for start in range(0, open_rows.size, step):
+        rows = open_rows[start : start + step]
+        upper[rows] = _upper(_point_sq(X[rows], C, labels[rows]), err[rows])
         rows = rows[upper[rows] * upper[rows] + err[rows] >= lower[rows] * lower[rows]]
-    if rows.size:
+        if not rows.size:
+            continue
         sub_labels, sub_upper, sub_lower = _bounds(
             _sq_dists(X[rows], C, xx[rows]), err[rows]
         )
@@ -390,8 +411,7 @@ def _fit_restart(
         while iterations < max_iter and not converged:
             iterations += 1
             labels = state[0]
-            diffs = X - centroids[labels]
-            point_sq = np.einsum("ij,ij->i", diffs, diffs)
+            point_sq = _point_sq(X, centroids, labels)
             history.append(float(point_sq.sum()))
 
             new_centroids = _update_centroids(X, labels, k, point_sq)
@@ -406,8 +426,7 @@ def _fit_restart(
         state = _assign(X, xx, centroids, state)
         if moves == 0 or iterations >= max_iter:
             break
-    diffs = X - centroids[state[0]]
-    final = float(np.einsum("ij,ij->i", diffs, diffs).sum())
+    final = float(_point_sq(X, centroids, state[0]).sum())
     history.append(final)
     return centroids, final, iterations, history
 
@@ -562,7 +581,10 @@ def resolve_k(k: Union[int, float, None], n_endpoints: int) -> int:
 
 def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
     """Run encode -> standardize -> project -> cluster -> assign -> group."""
-    # Only the projection and each row's endpoint live on into k-means.
+    # standardize overwrites the encoded matrix in place, and that one
+    # samples×features buffer is freed after projecting, so k-means starts
+    # with only the projection, each row's endpoint and the endpoint slices
+    # (endpoints, starts, counts) alive.
     std = standardize(encode_windows(flows, params.window_seconds, params.top_k_ports)[0])
     row_endpoints = std.endpoints
     projected = project(fit_pca(std, params.pca_target), std.values)

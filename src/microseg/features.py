@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,15 +180,18 @@ def _merge(kept: tuple, new: tuple) -> tuple:
 
 
 def standardize(matrix: SampleMatrix) -> SampleMatrix:
-    """Column-wise (x - mean) / scale with population-std scales.
+    """Column-wise (x - mean) / scale with population-std scales, written
+    over ``matrix.values``: the input is overwritten, and ``matrix`` itself is
+    returned, so a fit holds one sample matrix, not two.
 
     Columns with standard deviation below ``CONST_EPS`` get scale 1 so
     constant features become zero instead of dividing by noise.
     """
     if matrix.n_rows < 2:
         raise ValueError("standardize requires at least 2 rows")
-    scale = matrix.values.std(axis=0)
-    values = matrix.values - matrix.values.mean(axis=0)
+    values = matrix.values
+    scale = values.std(axis=0)
+    values -= values.mean(axis=0)
     values /= np.where(scale < CONST_EPS, 1.0, scale)
-    return replace(matrix, values=values)
+    return matrix
 

@@ -133,8 +133,10 @@ class TestKmeansFit:
 class TestKmeansMemory:
     def test_peak_stays_under_three_distance_matrices(self):
         # Aim 3: memory stays bounded as the scenario grows. The fit keeps
-        # one samples x centroids distance matrix (the polish's) plus
-        # row-block temporaries, not a second matrix of move costs.
+        # the polish's samples x centroids distance matrix and its touched
+        # columns plus row-block temporaries: not a second matrix of move
+        # costs, and no samples x features Lloyd temporary (0.2 of a
+        # distance matrix here, which would take the peak past the bound).
         rng = np.random.default_rng(0)
         centers = rng.normal(scale=8.0, size=(60, 40))
         X = centers[rng.integers(60, size=4000)] + rng.normal(size=(4000, 40))
@@ -145,7 +147,7 @@ class TestKmeansMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * X.shape[0] * k * X.itemsize
+        assert peak < 2.25 * X.shape[0] * k * X.itemsize
 
 
 class TestKmeansWorkers:
@@ -436,6 +438,40 @@ class TestFitGroups:
         monkeypatch.setattr(clustering, "kmeans_fit", checked_kmeans_fit)
         fit_groups(kept, GroupingParams(seed=1, top_k_ports=16))
         assert alive == [False, False]
+
+    def test_kmeans_peak_in_encoded_matrices(self, monkeypatch):
+        # Aim 3: k-means starts with only the projection alive, and Lloyd
+        # holds no samples x features temporary over all rows, so the traced
+        # peak while it runs stays under 1.6 encoded matrices: the
+        # projection plus the polish's samples x centroids matrices. The
+        # projection is a third of the encoded matrix here, so Lloyd
+        # temporaries over all rows would exceed the bound.
+        spec = random_scenario(
+            20, 3, 24, 20, services_per_group=4, port_pool=256, noise_rate=0.05, seed=11
+        )
+        _, kept = _scenario_records(spec)
+        seen = {}
+        encode = clustering.encode_windows
+
+        def recording_encode(*args, **kwargs):
+            out = encode(*args, **kwargs)
+            seen["encoded"] = out[0].values.nbytes
+            return out
+
+        def peak_kmeans_fit(*args, **kwargs):
+            tracemalloc.reset_peak()
+            model = kmeans_fit(*args, **kwargs)
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            return model
+
+        monkeypatch.setattr(clustering, "encode_windows", recording_encode)
+        monkeypatch.setattr(clustering, "kmeans_fit", peak_kmeans_fit)
+        tracemalloc.start()
+        try:
+            fit_groups(kept, GroupingParams(seed=1, top_k_ports=64, restarts=1))
+        finally:
+            tracemalloc.stop()
+        assert seen["peak"] < 1.6 * seen["encoded"]
 
     def test_endpoint_row_slices_match_masks(self, monkeypatch):
         # fit_groups takes each endpoint's rows as one slice of the sorted

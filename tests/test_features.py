@@ -7,7 +7,7 @@ import pytest
 
 from microseg import features
 from microseg.core import MemberScope
-from microseg.features import SampleMatrix, encode_windows, standardize
+from microseg.features import CONST_EPS, SampleMatrix, encode_windows, standardize
 
 from conftest import kept_table, line
 from oracles import reference_schema, reference_windowize
@@ -184,16 +184,32 @@ class TestStandardize:
         assert std.values[:, 0].tolist() == [0.0, 0.0, 0.0]
 
     def test_idempotent_on_standardized_data(self):
+        # standardize overwrites its input: compare against a snapshot.
         std = standardize(self._matrix([[0.0, 10.0, 20.0], [3.0, 1.0, 2.0]]))
+        once = std.values.copy()
         again = standardize(std)
-        assert np.allclose(std.values, again.values, atol=1e-12)
+        assert np.allclose(once, again.values, atol=1e-12)
 
     def test_round_trip_within_tolerance(self):
         rng = np.random.default_rng(5)
         raw = self._matrix(rng.normal(size=(4, 30)) * 100)
+        values = raw.values.copy()
         std = standardize(raw)
-        mean, scale = raw.values.mean(axis=0), raw.values.std(axis=0)
-        assert np.allclose(std.values * scale + mean, raw.values, atol=1e-12, rtol=0)
+        mean, scale = values.mean(axis=0), values.std(axis=0)
+        assert np.allclose(std.values * scale + mean, values, atol=1e-12, rtol=0)
+
+    def test_overwrites_its_input_with_the_formula(self):
+        # One buffer from encode to PCA: the result is the input's, and its
+        # bytes are (x - mean) / scale computed on a copy.
+        rng = np.random.default_rng(6)
+        values = np.hstack([rng.normal(size=(300, 4)) * 50, np.full((300, 1), 7.0)])
+        raw = SampleMatrix(("10.0.0.1",) * 300, tuple(range(300)), values.copy())
+        std = standardize(raw)
+        assert np.shares_memory(std.values, raw.values)
+        scale = values.std(axis=0)
+        want = (values - values.mean(axis=0)) / np.where(scale < CONST_EPS, 1.0, scale)
+        assert std.values.tobytes() == want.tobytes()
+        assert not std.values[:, -1].any()
 
     def test_requires_two_rows(self):
         with pytest.raises(ValueError):

@@ -50,6 +50,9 @@ BAD_ADDRESS = "3600,10.0.0.300,10.0.0.1,TCP,443,1,100"
 # encode_windows' block sizes: the default, and sizes so small that every
 # case's row keys, services and byte sums are merged across blocks.
 BLOCK_SIZES = (features.BLOCK_ROWS, 1, 2, 7)
+# k-means' row blocks: the default width-dependent size, then 1 and 7 rows,
+# so Lloyd's own distances and open distance rows span many blocks.
+FIT_BLOCK_ROWS = (clustering._block_rows, lambda width: 1, lambda width: 7)
 
 
 def assert_encode_matches(flows, window_seconds, top_k, keys, want, schema):
@@ -485,13 +488,16 @@ class TestTablePath:
         assert counts.tolist() == [rows.count(row) for row in want]
 
 
-def assert_same_fit(X, k, seed, **kwargs):
-    model = kmeans_fit(X, k, seed, **kwargs)
+def assert_same_fit(X, k, seed, block_rows=(clustering._block_rows,), **kwargs):
+    """kmeans_fit at each of ``block_rows`` gives the reference's fit."""
     centroids, inertia, iterations, history = reference_kmeans_fit(X, k, seed, **kwargs)
-    assert model.centroids.tobytes() == centroids.tobytes()
-    assert model.inertia == inertia
-    assert model.iterations_run == iterations
-    assert model.inertia_history == tuple(history)
+    for rows in block_rows:
+        with mock.patch.object(clustering, "_block_rows", rows):
+            model = kmeans_fit(X, k, seed, **kwargs)
+        assert model.centroids.tobytes() == centroids.tobytes()
+        assert model.inertia == inertia
+        assert model.iterations_run == iterations
+        assert model.inertia_history == tuple(history)
 
 
 class TestKmeans:
@@ -512,12 +518,13 @@ class TestKmeans:
 
     def test_many_blobs_with_skipped_rows_matches_reference(self, spy):
         # 100 blobs and k = 300: the Hamerly bounds settle many rows, so
-        # some Lloyd steps compute distance rows for a subset only.
+        # some Lloyd steps compute distance rows for a subset only, over
+        # however many row blocks.
         rng = np.random.default_rng(7)
         centers = rng.normal(scale=8.0, size=(100, 20))
         X = centers[rng.integers(100, size=3000)] + rng.normal(size=(3000, 20))
-        assert_same_fit(X, 300, 0, restarts=2)
-        assert any(0 < rows < X.shape[0] for rows in spy["distance_rows"])
+        assert_same_fit(X, 300, 0, FIT_BLOCK_ROWS, restarts=2)
+        assert any(0 < rows < X.shape[0] for rows in spy["assigned_rows"])
 
     def test_near_tie_fallback_matches_reference(self, spy):
         # On the integer grid some rows sit at equal distance from two
@@ -525,29 +532,41 @@ class TestKmeans:
         # the full product does. Each restart also takes it once after
         # seeding.
         X = np.random.default_rng(3).integers(0, 4, size=(60, 2)).astype(float)
-        fallbacks = 0
-        for seed in range(5):
-            spy["full_assigns"] = 0
-            assert_same_fit(X, 6, seed, restarts=2)
-            fallbacks += spy["full_assigns"] - 2
-        assert fallbacks > 0
+        for rows in FIT_BLOCK_ROWS:
+            fallbacks = 0
+            for seed in range(5):
+                spy["full_assigns"] = 0
+                assert_same_fit(X, 6, seed, (rows,), restarts=2)
+                fallbacks += spy["full_assigns"] - 2
+            assert fallbacks > 0
 
     def test_rows_one_ulp_apart_match_reference(self):
         X = np.array([[1.0, 2.0], [np.nextafter(1.0, 2.0), 2.0]])
         for seed in range(4):
-            assert_same_fit(X, 2, seed, restarts=2)
+            assert_same_fit(X, 2, seed, FIT_BLOCK_ROWS, restarts=2)
 
     @pytest.fixture
     def spy(self, monkeypatch):
         # The spies count in this process only, so the fit must not fork.
         monkeypatch.setattr(clustering, "_cpus", lambda: 1)
-        seen = {"reseeds": 0, "polish_moves": [], "full_assigns": 0, "distance_rows": []}
+        seen = {
+            "reseeds": 0, "polish_moves": [], "full_assigns": 0,
+            "distance_rows": [], "assigned_rows": [],
+        }
         update, polish = clustering._update_centroids, clustering._hartigan_polish
         full_assign, sq_dists = clustering._full_assign, clustering._sq_dists
+        assign = clustering._assign
 
         def full_assign_spy(*args):
             seen["full_assigns"] += 1
             return full_assign(*args)
+
+        def assign_spy(*args):
+            # The distance rows one Lloyd assignment computed, in all blocks.
+            before = len(seen["distance_rows"])
+            result = assign(*args)
+            seen["assigned_rows"].append(sum(seen["distance_rows"][before:]))
+            return result
 
         def sq_dists_spy(X, C, xx):
             if C.shape[0] > 1:
@@ -567,6 +586,7 @@ class TestKmeans:
         monkeypatch.setattr(clustering, "_hartigan_polish", polish_spy)
         monkeypatch.setattr(clustering, "_full_assign", full_assign_spy)
         monkeypatch.setattr(clustering, "_sq_dists", sq_dists_spy)
+        monkeypatch.setattr(clustering, "_assign", assign_spy)
         return seen
 
     def test_empty_cluster_reseed_matches_reference(self, spy):
