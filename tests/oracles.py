@@ -16,8 +16,6 @@ skips distance rows by Hamerly bounds and updates each row's best polish
 move incrementally, and this fit checks that neither changes a label.
 When every k-means++ weight rounds to 0, both seedings take the lowest-index
 row bitwise equal to no chosen centroid.
-``semantic_redundant_rules`` finds redundant rules by removing each rule in
-turn and comparing the matcher's verdicts over a set of addresses.
 """
 
 import ipaddress
@@ -29,7 +27,7 @@ import numpy as np
 from microseg.core import DROP_UNKNOWN, UNKNOWN, DataError, FlowRecord, classify_peer
 from microseg.features import FeatureSchema
 from microseg.flows import MALFORMED_LIMIT, ClassifiedFlow, IngestReport
-from microseg.rules import EntityRef, RuleSet, ServiceTuple, make_matcher
+from microseg.rules import EntityRef, ServiceTuple
 
 
 def oracle_scores(true_labels, pred_labels):
@@ -385,33 +383,3 @@ def reference_kmeans_fit(X, k, seed, tol=1e-6, max_iter=300, restarts=4):
         if best is None or run[1] < best[1]:
             best = run
     return best
-
-
-def semantic_redundant_rules(ruleset, groups, scope, addresses):
-    """The rules whose removal changes no ``make_matcher`` verdict, in ruleset
-    order. A rule is removed with every copy of its key, and verdicts are
-    compared for every (src, dst) pair of ``addresses`` at the rule's
-    service; the caller picks ``addresses`` to hold one address of every set
-    that the scope and the groups resolve alike."""
-
-    flows = {}
-
-    def verdicts(rules, service):
-        if service not in flows:
-            flows[service] = [
-                FlowRecord(0, src, dst, service.protocol, service.dst_port, 1, 0)
-                for src in addresses
-                for dst in addresses
-            ]
-        matcher = make_matcher(RuleSet(rules=tuple(rules)), groups, scope)
-        return [matcher(flow) for flow in flows[service]]
-
-    full = {}
-    redundant = []
-    for rule in ruleset.rules:
-        if rule.service not in full:
-            full[rule.service] = verdicts(ruleset.rules, rule.service)
-        rest = [other for other in ruleset.rules if other.key() != rule.key()]
-        if verdicts(rest, rule.service) == full[rule.service]:
-            redundant.append(rule)
-    return redundant

@@ -950,6 +950,7 @@ class TestCli:
             ("rules", "groups.json", "id over digit limit"),
             ("eval", "groups.json", "id over digit limit"),
             ("verify", "ruleset.csv", "deny"),
+            ("verify", "ruleset.csv", "extra key"),
             ("rules", "conversations.csv", "missing"),
             ("rules", "conversations.csv", "cut mid-line"),
             ("rules", "conversations.csv", "other fingerprint"),
@@ -957,6 +958,8 @@ class TestCli:
             ("rules", "conversations.csv", "TCP port 0"),
             ("rules", "conversations.csv", "address not IPv4"),
             ("rules", "conversations.csv", "address outside scope"),
+            ("rules", "conversations.csv", "no member side"),
+            ("rules", "conversations.csv", "no member side, universal"),
         ],
         ids=[
             "groups-truncated",
@@ -984,6 +987,7 @@ class TestCli:
             "groups-id-over-digit-limit-rules",
             "groups-id-over-digit-limit-eval",
             "ruleset-deny-action",
+            "ruleset-extra-key",
             "conversations-missing",
             "conversations-cut-mid-line",
             "conversations-other-fingerprint",
@@ -991,16 +995,26 @@ class TestCli:
             "conversations-tcp-port-zero",
             "conversations-address-not-ipv4",
             "conversations-address-outside-scope",
+            "conversations-no-member-side",
+            "conversations-no-member-side-universal",
         ],
     )
     def test_corrupt_artifact_exit_two(self, tmp_path, capsys, command, artifact, content):
         synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
         assert main(["synth", "--config", str(synth_cfg)]) == 0
+        if content == "no member side, universal":
+            # A 0.0.0.0/0 object after synth's /32 objects holds every
+            # other address.
+            with (tmp_path / "data" / "scope.txt").open("a") as f:
+                f.write("object 0.0.0.0/0 any\n")
         assert main(["group", "--config", str(run_cfg)]) == 0
-        if command == "verify":
+        out = tmp_path / "artifacts"
+        if command == "verify" or artifact == "conversations.csv":
             assert main(["rules", "--config", str(run_cfg)]) == 0
-        path = tmp_path / "artifacts" / artifact
+        path = out / artifact
+        said = None
         if artifact == "conversations.csv":
+            earlier = {name: (out / name).read_bytes() for name in ("ruleset.csv", "hygiene.txt")}
             text = path.read_text()
             lines = text.split("\n")
             src, dst, protocol, port, count = lines[2].split(",")
@@ -1028,6 +1042,15 @@ class TestCli:
                     first_row(f"{src},192.0.2.1,{protocol},{port},{count}"),
                     f"{path}: address 192.0.2.1 is neither a member",
                 ),
+                # No kept flow joins two non-members, so no rule may.
+                "no member side": (
+                    text + "198.51.100.1,198.51.100.2,UDP,53,3\n",
+                    f"{path}: rule object:ext0 -> object:ext1 names no security group",
+                ),
+                "no member side, universal": (
+                    text + "192.0.2.1,192.0.2.2,UDP,53,3\n",
+                    f"{path}: rule object:any -> object:any names no security group",
+                ),
             }[content]
             if text is None:
                 path.unlink()
@@ -1043,11 +1066,22 @@ class TestCli:
             assert err.count("rules: ") == (content != "missing")
             if content == "missing":
                 assert err.count(str(path)) == 1
+            # A refused table leaves the earlier ruleset and report in place.
+            assert {name: (out / name).read_bytes() for name in earlier} == earlier
             return
         if content == "truncated":
             content = path.read_text()[:40]
         elif content == "deny":
             content = path.read_text().replace(",allow,", ",deny,", 1)
+        elif content == "extra key":
+            # A rule between groups on a port that no rule uses, so no kept
+            # flow backs it, though every kept flow is still allowed.
+            content = path.read_text()
+            rows = [row.split(",") for row in content.split("\n")[1:-1]]
+            port = min(set(range(1, 65536)) - {int(row[3]) for row in rows})
+            extra = f"{rows[0][0]},{rows[0][0]},TCP,{port},allow,1"
+            content += extra + "\n"
+            said = re.escape(f"{path}: rule {extra} allows no kept flow")
         elif content in (
             "endpoint in two groups", "member not an address", "suggested_qty off",
             "suggested_qty true", "padded id", "no groups", "empty group",
@@ -1093,7 +1127,7 @@ class TestCli:
             content = json.dumps(payload)
         path.write_text(content)
         if command == "verify":
-            with pytest.raises(DataError):
+            with pytest.raises(DataError, match=said):
                 verify_ruleset_completeness(load_config(run_cfg))
         else:
             assert main([command, "--config", str(run_cfg)]) == 2
