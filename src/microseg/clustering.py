@@ -550,12 +550,8 @@ def assign_endpoint(
 
 def derive_groups(assignments: Sequence[GroupAssignment]) -> SecurityGroups:
     """Bucket endpoints by winning centroid; non-empty buckets become groups."""
-    seen: set[str] = set()
     buckets: dict[int, set[str]] = {}
     for a in assignments:
-        if a.endpoint in seen:
-            raise ValueError(f"duplicate endpoint {a.endpoint} in assignments")
-        seen.add(a.endpoint)
         buckets.setdefault(a.group_id, set()).add(a.endpoint)
     groups = {gid: frozenset(members) for gid, members in sorted(buckets.items())}
     return SecurityGroups(groups=groups)

@@ -272,9 +272,23 @@ def scope_to_text(scope: MemberScope) -> str:
 
 @dataclass(frozen=True)
 class SecurityGroups:
-    """Partition of endpoints into non-empty groups keyed by centroid index."""
+    """Partition of endpoints into groups keyed by centroid index: one group
+    at least, none empty and no endpoint in two, or ``ValueError``."""
 
     groups: dict[int, frozenset[str]]
+
+    def __post_init__(self) -> None:
+        if not self.groups:
+            raise ValueError("lists no groups")
+        seen: set[str] = set()
+        for gid, members in self.groups.items():
+            if not members:
+                raise ValueError(f"group {gid} has no members")
+            if not seen.isdisjoint(members):
+                ep = min(members & seen)
+                first = next(g for g, m in self.groups.items() if ep in m)
+                raise ValueError(f"endpoint {ep} is in groups {first} and {gid}")
+            seen |= members
 
     @property
     def suggested_qty(self) -> int:

@@ -371,22 +371,13 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
         raise DataError(f"{path}: group id {exc}") from exc
     if qty != len(raw):
         raise DataError(f"{path}: suggested_qty {qty} but {len(raw)} groups listed")
-    if not raw or not all(raw.values()):
-        raise DataError(f"{path}: lists no groups, or a group with no members")
-    owner: dict[str, str] = {}
-    for gid, members in raw.items():
-        for ep in members:
-            try:
-                ipaddress.IPv4Address(ep)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}: group {gid} member {ep!r} is not an IPv4 address"
-                ) from exc
-            if owner.setdefault(ep, gid) != gid:
-                raise DataError(
-                    f"{path}: endpoint {ep} is in groups {owner[ep]} and {gid}"
-                )
-    return SecurityGroups(groups=groups), fp
+    try:
+        for members in raw.values():
+            for ep in members:
+                ipaddress.IPv4Address(ep)  # its message names the member
+        return SecurityGroups(groups=groups), fp
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _require_fresh(stage: str, fp: str, stored_fp: str) -> None:
@@ -622,8 +613,8 @@ def verify_ruleset_completeness(config: PipelineConfig) -> tuple[int, int]:
     from; used by the acceptance checks. It parses the log rather than read
     conversations.csv, so a table that lost rows shows here, then tallies the
     conversations as ``rules`` does and allows the keys the ruleset holds. A
-    ruleset key that the tally lacks, a rule no kept flow backs, raises
-    :class:`DataError` naming the first."""
+    rule whose key the tally lacks, or holds with another count than the
+    rule's, raises :class:`DataError` naming the first."""
     from .flows import conversations
 
     out = Path(config.out_dir)
@@ -631,12 +622,14 @@ def verify_ruleset_completeness(config: PipelineConfig) -> tuple[int, int]:
     kept, ingest_out = ingest(config)
     _require_fresh("verify", ingest_out.fingerprint, stored_fp)
     path = out / "ruleset.csv"
-    rules = {(r.src, r.dst, r.service): r for r in load_ruleset(path).rules}
+    rules = load_ruleset(path).rules
     try:
         tally = tally_conversations(conversations(kept), groups, ingest_out.scope)
     except ValueError as exc:
         raise DataError(f"verify: {exc}") from exc
-    extra = next((r for key, r in rules.items() if key not in tally), None)
-    if extra is not None:
-        raise DataError(f"verify: {path}: rule {format_rule(extra)} allows no kept flow")
-    return sum(n for key, n in tally.items() if key in rules), len(kept)
+    for rule in rules:
+        n = tally.get((rule.src, rule.dst, rule.service))
+        if n != rule.evidence_count:
+            fault = f"counts {rule.evidence_count}, the log {n}" if n else "allows no kept flow"
+            raise DataError(f"verify: {path}: rule {format_rule(rule)} {fault}")
+    return sum(rule.evidence_count for rule in rules), len(kept)

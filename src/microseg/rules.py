@@ -8,8 +8,8 @@ deduplication plus canonical ordering: one allow rule per distinct
 (source, destination, service) triple over a default-deny base.
 
 Every rule names a security group, its lowest granularity, on one side at
-least, and no two rules of a ruleset share a key: ``FirewallRule`` and
-``RuleSet`` refuse anything else, so no ruleset built or loaded breaks either.
+least, and a ruleset's keys strictly increase, so none repeats: ``FirewallRule``
+and ``RuleSet`` refuse anything else, so no ruleset built or loaded breaks either.
 """
 
 from __future__ import annotations
@@ -102,13 +102,16 @@ class FirewallRule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Canonically ordered allow rules over an implicit default deny."""
+    """Allow rules over an implicit default deny, each key strictly after the
+    one before it (canonical order, no repeats), or ``ValueError``."""
 
     rules: tuple[FirewallRule, ...]
 
     def __post_init__(self) -> None:
-        if len({r.key() for r in self.rules}) != len(self.rules):
-            raise ValueError("duplicate (src, dst, service) keys in ruleset")
+        for before, rule in zip(self.rules, self.rules[1:]):
+            if not before.key() < rule.key():
+                fault = "repeats the key of" if before.key() == rule.key() else "sorts before"
+                raise ValueError(f"rule {format_rule(rule)} {fault} the rule before it")
 
     @classmethod
     def from_rules(cls, rules: Sequence[FirewallRule]) -> "RuleSet":
@@ -269,9 +272,8 @@ def _parse_ref(token: str) -> EntityRef:
 
 def load_ruleset(path) -> RuleSet:
     """Parse a ruleset CSV back into a RuleSet. Only the form
-    :func:`ruleset_to_csv` writes loads: the header, then rule lines with no
-    whitespace around them and an upper-case protocol, each with a line end.
-    A fault raises :class:`DataError` naming the file and the line."""
+    :func:`ruleset_to_csv` writes loads, so what loads writes back to the same
+    bytes; a fault raises :class:`DataError` naming the file and the line."""
     lines = read_file(path, "ruleset").split("\n")
     if lines[0] != RULESET_HEADER:
         raise DataError(f"ruleset {path} line 1: expected the header {RULESET_HEADER!r}")
@@ -279,29 +281,22 @@ def load_ruleset(path) -> RuleSet:
         raise DataError(f"ruleset {path} line {len(lines)}: no line end")
     rules = []
     for lineno, line in enumerate(lines[1:-1], start=2):
-        if line != line.strip():
-            raise DataError(f"ruleset {path} line {lineno}: leading or trailing whitespace")
         parts = line.split(",")
         if len(parts) != 6:
             raise DataError(f"ruleset {path} line {lineno}: expected 6 fields")
-        if parts[4] != ALLOW:
-            raise DataError(f"ruleset {path} line {lineno}: action {parts[4]!r} is not {ALLOW}")
-        if parts[2] != parts[2].upper():
-            raise DataError(
-                f"ruleset {path} line {lineno}: protocol {parts[2]!r} is not upper case"
-            )
         try:
-            rules.append(
-                FirewallRule(
-                    src=_parse_ref(parts[0]),
-                    dst=_parse_ref(parts[1]),
-                    service=ServiceTuple(parts[2], parse_decimal(parts[3])),
-                    evidence_count=parse_decimal(parts[5]),
-                )
+            rule = FirewallRule(
+                src=_parse_ref(parts[0]),
+                dst=_parse_ref(parts[1]),
+                service=ServiceTuple(parts[2], parse_decimal(parts[3])),
+                evidence_count=parse_decimal(parts[5]),
             )
+            if format_rule(rule) != line:
+                raise ValueError(f"not the written form {format_rule(rule)!r}")
         except ValueError as exc:
             raise DataError(f"ruleset {path} line {lineno}: {exc}") from exc
+        rules.append(rule)
     try:
-        return RuleSet.from_rules(rules)
+        return RuleSet(tuple(rules))
     except ValueError as exc:
         raise DataError(f"ruleset {path}: {exc}") from exc

@@ -19,7 +19,7 @@ from microseg.clustering import (
     resolve_k,
     select_best,
 )
-from microseg.core import DROP_UNKNOWN, MAP_TO_OBJECTS, GroupingParams
+from microseg.core import DROP_UNKNOWN, MAP_TO_OBJECTS, GroupingParams, SecurityGroups
 from microseg.features import standardize
 from microseg.flows import filter_flows, parse_flow_log
 from microseg.metrics import EvalReport
@@ -278,6 +278,23 @@ def _model(centroids):
     return ClusterModel(centroids=C, inertia=0.0, iterations_run=0, seed=0)
 
 
+class TestSecurityGroups:
+    # The partition rule is the type's own, so derive_groups and load_groups
+    # hold no copy of it and no grouping built or loaded breaks it.
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            ({}, "lists no groups"),
+            ({0: {"e1"}, 3: set()}, "group 3 has no members"),
+            ({0: {"e1"}, 2: {"e2", "e1"}}, "endpoint e1 is in groups 0 and 2"),
+        ],
+        ids=["no-groups", "empty-group", "endpoint-in-two-groups"],
+    )
+    def test_non_partitions_refused(self, groups, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SecurityGroups(groups={gid: frozenset(m) for gid, m in groups.items()})
+
+
 class TestDeriveGroups:
     def test_bucketing(self):
         assignments = [
@@ -300,7 +317,7 @@ class TestDeriveGroups:
             GroupAssignment("e1", np.array([0.0, 1.0])),
             GroupAssignment("e1", np.array([1.0, 0.0])),
         ]
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(ValueError, match="^endpoint e1 is in groups 0 and 1$"):
             derive_groups(assignments)
 
     def test_partition_property(self):

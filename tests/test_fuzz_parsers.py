@@ -13,6 +13,7 @@ from microseg.core import DataError, load_scope
 from microseg.flows import parse_flow_log
 from microseg.pipeline import PipelineConfig, UsageError, parse_config_text
 from microseg.rules import (
+    RULESET_HEADER,
     EntityRef,
     FirewallRule,
     RuleSet,
@@ -122,8 +123,12 @@ def test_parse_config_text(text):
         pass
 
 
-# Mostly well-formed rule lines, so that repeated keys and bad field values
-# are reached, beside lines of arbitrary tokens.
+# Rule files with the header: the lines the writer writes, in any order and
+# with repeats, so that rules out of order and repeated keys are reached, and
+# mostly well-formed lines with bad field values; beside lines of arbitrary
+# tokens.
+WRITTEN = ["group:1,group:2,TCP,443,allow,1", "group:1,object:,UDP,53,allow,2",
+           "object:web,group:2,ICMP,0,allow,1"]
 RULE = st.tuples(
     st.sampled_from(["group:1", "object:web"]),
     st.sampled_from(["group:2", "object:"]),
@@ -133,7 +138,10 @@ RULE = st.tuples(
     st.sampled_from(["1", "0"]),
 ).map(",".join)
 RULESET_LINES = st.one_of(
-    st.lists(RULE, max_size=6).map("\n".join),
+    *(
+        st.lists(rule, max_size=6).map(lambda rules: "\n".join([RULESET_HEADER, *rules, ""]))
+        for rule in (st.sampled_from(WRITTEN), st.one_of(st.sampled_from(WRITTEN), RULE))
+    ),
     lines_of(st.lists(TOKEN, min_size=1, max_size=7).map(",".join)),
 )
 
@@ -146,11 +154,13 @@ def ruleset_path(tmp_path_factory):
 @FUZZ
 @given(st.one_of(RULESET_LINES.map(str.encode), st.binary(max_size=200)))
 def test_load_ruleset(ruleset_path, data):
+    # Only the written form loads: what loads writes back to the same bytes.
     ruleset_path.write_bytes(data)
     try:
-        load_ruleset(ruleset_path)
+        ruleset = load_ruleset(ruleset_path)
     except DataError:
-        pass
+        return
+    assert ruleset_to_csv(ruleset).encode() == data
 
 
 # Scopes that load_scope mostly accepts, so that the object names vary.

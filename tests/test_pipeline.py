@@ -951,6 +951,7 @@ class TestCli:
             ("eval", "groups.json", "id over digit limit"),
             ("verify", "ruleset.csv", "deny"),
             ("verify", "ruleset.csv", "extra key"),
+            ("verify", "ruleset.csv", "edited count"),
             ("rules", "conversations.csv", "missing"),
             ("rules", "conversations.csv", "cut mid-line"),
             ("rules", "conversations.csv", "other fingerprint"),
@@ -988,6 +989,7 @@ class TestCli:
             "groups-id-over-digit-limit-eval",
             "ruleset-deny-action",
             "ruleset-extra-key",
+            "ruleset-edited-count",
             "conversations-missing",
             "conversations-cut-mid-line",
             "conversations-other-fingerprint",
@@ -1075,13 +1077,22 @@ class TestCli:
             content = path.read_text().replace(",allow,", ",deny,", 1)
         elif content == "extra key":
             # A rule between groups on a port that no rule uses, so no kept
-            # flow backs it, though every kept flow is still allowed.
+            # flow backs it, though every kept flow is still allowed. It is
+            # written in its canonical place, so the load takes it.
+            ruleset = rules.load_ruleset(path)
+            port = min(set(range(1, 65536)) - {r.service.dst_port for r in ruleset.rules})
+            src = ruleset.rules[0].src
+            extra = rules.FirewallRule(src, src, rules.ServiceTuple("TCP", port), 1)
+            content = rules.ruleset_to_csv(rules.RuleSet.from_rules([*ruleset.rules, extra]))
+            said = re.escape(f"{path}: rule {rules.format_rule(extra)} allows no kept flow")
+        elif content == "edited count":
+            # The first rule's key is backed, but not with this count.
             content = path.read_text()
-            rows = [row.split(",") for row in content.split("\n")[1:-1]]
-            port = min(set(range(1, 65536)) - {int(row[3]) for row in rows})
-            extra = f"{rows[0][0]},{rows[0][0]},TCP,{port},allow,1"
-            content += extra + "\n"
-            said = re.escape(f"{path}: rule {extra} allows no kept flow")
+            lines = content.split("\n")
+            first, _, count = lines[1].rpartition(",")
+            lines[1] = f"{first},999999"
+            content = "\n".join(lines)
+            said = re.escape(f"{path}: rule {lines[1]} counts 999999, the log {count}")
         elif content in (
             "endpoint in two groups", "member not an address", "suggested_qty off",
             "suggested_qty true", "padded id", "no groups", "empty group",

@@ -659,12 +659,14 @@ def hygiene_scopes(draw):
 def built_cases(draw):
     """A flow log, a scope and groups as the rules stage may meet them: the
     groups partition every member the log names plus extra addresses, as a
-    hand-edited groups.json may."""
+    hand-edited groups.json may, into one non-empty group at least, the only
+    partitions that derive_groups and load_groups yield."""
     scope = draw(hygiene_scopes())
     addrs = st.one_of(st.sampled_from(in_range(scope)), st.sampled_from(ADDRESSES))
     lines = draw(st.lists(st.tuples(addrs, addrs, st.sampled_from(SERVICES)), max_size=20))
-    named = {addr for src, dst, _ in lines for addr in (src, dst)}
-    grouped = sorted((named & set(in_range(scope))) | draw(st.sets(st.sampled_from(ADDRESSES))))
+    named = {addr for src, dst, _ in lines for addr in (src, dst)} & set(in_range(scope))
+    extra = draw(st.sets(st.sampled_from(ADDRESSES), min_size=0 if named else 1))
+    grouped = sorted(named | extra)
     gids = draw(st.lists(st.integers(0, 3), min_size=len(grouped), max_size=len(grouped)))
     groups = {}
     for addr, gid in zip(grouped, gids):

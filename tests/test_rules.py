@@ -205,7 +205,8 @@ class TestRuleSetInvariants:
             service=ServiceTuple("TCP", 443),
             evidence_count=1,
         )
-        with pytest.raises(ValueError, match="duplicate"):
+        message = "^rule group:1,group:2,TCP,443,allow,1 repeats the key of the rule before it$"
+        with pytest.raises(ValueError, match=message):
             RuleSet.from_rules([rule, rule])
 
     def test_duplicate_keys_rejected_without_from_rules(self):
@@ -213,8 +214,18 @@ class TestRuleSetInvariants:
         # evidence count is not part of the key.
         first = rule(EntityRef.group(1), EntityRef.group(2))
         again = FirewallRule(first.src, first.dst, first.service, evidence_count=2)
-        with pytest.raises(ValueError, match="duplicate"):
+        message = "^rule group:1,group:2,TCP,443,allow,2 repeats the key of the rule before it$"
+        with pytest.raises(ValueError, match=message):
             RuleSet(rules=(first, again))
+
+    def test_unsorted_rules_rejected_without_from_rules(self):
+        # Only from_rules sorts; the RuleSet itself holds canonical order.
+        low = rule(EntityRef.group(1), EntityRef.group(2))
+        high = rule(EntityRef.group(2), EntityRef.group(1))
+        assert RuleSet.from_rules([high, low]) == RuleSet(rules=(low, high))
+        message = "^rule group:1,group:2,TCP,443,allow,1 sorts before the rule before it$"
+        with pytest.raises(ValueError, match=message):
+            RuleSet(rules=(high, low))
 
     def test_rule_of_two_objects_rejected(self):
         a, b = EntityRef.network_object("a"), EntityRef.network_object("b")
@@ -317,28 +328,38 @@ class TestRulesetCsv:
     @pytest.mark.parametrize(
         "lines, message",
         [
-            ([RULESET_HEADER, f"  {RULE}  ", ""], "line 2: leading or trailing whitespace"),
-            ([RULESET_HEADER, f"{RULE}\r", ""], "line 2: leading or trailing whitespace"),
+            ([RULESET_HEADER, f"  {RULE}  ", ""], " line 2: bad entity reference '  group:1'"),
+            ([RULESET_HEADER, f"{RULE}\r", ""],
+             " line 2: '3\\r' is not a canonical decimal integer"),
             ([RULESET_HEADER, RULE.replace("TCP", "tcp"), ""],
-             "line 2: protocol 'tcp' is not upper case"),
-            ([RULE, ""], f"line 1: expected the header '{RULESET_HEADER}'"),
-            ([RULESET_HEADER, "", RULE, ""], "line 2: expected 6 fields"),
-            ([RULESET_HEADER, RULE, RULESET_HEADER, ""], "line 3: action 'action' is not allow"),
-            ([RULESET_HEADER, RULE], "line 2: no line end"),
+             f" line 2: not the written form '{RULE}'"),
+            ([RULESET_HEADER, RULE.replace("allow", "deny"), ""],
+             f" line 2: not the written form '{RULE}'"),
+            ([RULE, ""], f" line 1: expected the header '{RULESET_HEADER}'"),
+            ([RULESET_HEADER, "", RULE, ""], " line 2: expected 6 fields"),
+            ([RULESET_HEADER, RULE, RULESET_HEADER, ""], " line 3: bad entity reference 'src_ref'"),
+            ([RULESET_HEADER, RULE], " line 2: no line end"),
             ([RULESET_HEADER, RULE, "object:a,object:b,UDP,53,allow,1", ""],
-             "line 3: rule object:a -> object:b names no security group"),
+             " line 3: rule object:a -> object:b names no security group"),
+            ([RULESET_HEADER, "group:2,group:1,TCP,443,allow,3", RULE, ""],
+             f": rule {RULE} sorts before the rule before it"),
+            ([RULESET_HEADER, RULE, RULE.replace(",3", ",4"), ""],
+             ": rule group:1,group:2,TCP,443,allow,4 repeats the key of the rule before it"),
         ],
-        ids=["padded", "crlf", "lower-case-protocol", "no-header", "blank-line",
-             "repeated-header", "no-final-line-end", "no-group-side"],
+        ids=["padded", "crlf", "lower-case-protocol", "deny-action", "no-header", "blank-line",
+             "repeated-header", "no-final-line-end", "no-group-side", "out-of-order",
+             "repeated-key"],
     )
     def test_unwritten_forms_refused(self, tmp_path, lines, message):
         # ruleset_to_csv writes none of these forms, so none loads; what it
-        # writes loads and writes back byte for byte.
+        # writes loads and writes back byte for byte. A fault in one line
+        # names its number; a fault in the order names the later line by its
+        # text.
         path = tmp_path / "rules.csv"
         path.write_text(f"{RULESET_HEADER}\n{RULE}\n")
         assert ruleset_to_csv(load_ruleset(path)) == path.read_text()
         path.write_text("\n".join(lines))
-        with pytest.raises(DataError, match=f"^ruleset {re.escape(f'{path} {message}')}$"):
+        with pytest.raises(DataError, match=f"^{re.escape(f'ruleset {path}{message}')}$"):
             load_ruleset(path)
 
     def test_byte_identical_export(self):
