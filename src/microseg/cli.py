@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 # One BLAS thread, set before numpy loads: PCA's bits vary with the count.
 # numpy loads when group, tune or synth first runs, never with these
@@ -26,7 +27,6 @@ from .pipeline import (  # noqa: E402
     run_rules,
     run_synth,
     run_tune,
-    validate_config,
 )
 
 EXIT_OK = 0
@@ -62,13 +62,10 @@ def build_parser() -> _Parser:
 
 
 def _configure(args: argparse.Namespace) -> PipelineConfig:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if getattr(args, "strict", False):
-        config.strict = True
-    validate_config(config)
-    return config
+        overrides["strict"] = True
+    return replace(load_config(args.config), **overrides)
 
 
 def _print_summary(text: str) -> None:

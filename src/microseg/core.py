@@ -302,7 +302,7 @@ class SecurityGroups:
         return frozenset(ep for members in self.groups.values() for ep in members)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupingParams:
     """Hyper-parameters of the grouping stage.
 

@@ -100,13 +100,12 @@ class FlowTable:
             yield ClassifiedFlow(rec, self.classes[src], self.classes[dst]) if self.classes else rec
 
 
-def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique`` over the rows of non-negative integer columns: each
-    distinct row's first index, each row's distinct-row number, and each
-    distinct row's count, in lexicographic row order. The columns are packed
-    into one int64 key; where the next column would overflow it, the key so
-    far, and then a wide column, is renumbered densely first, so no key
-    exceeds the square of the row count."""
+    distinct row's first index and its count, in lexicographic row order.
+    The columns are packed into one int64 key; where the next column would
+    overflow it, the key so far, and then a wide column, is renumbered
+    densely first, so no key exceeds the square of the row count."""
     key, size = np.zeros(len(columns[0]), dtype=np.int64), 1
     for col in columns:
         bound = int(col.max()) + 1 if col.size else 1
@@ -117,17 +116,15 @@ def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
             col = np.unique(col, return_inverse=True)[1]
             bound = int(col.max()) + 1
         key, size = key * bound + col, size * bound
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
-    )
-    return first, inverse, counts
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return first, counts
 
 
 def conversations(table: FlowTable) -> list[Conversation]:
     """Each distinct (src address, dst address, protocol, port) of a table
     with its row count, in order of first appearance."""
     columns = (table.src, table.dst, table.protocol, table.dst_port)
-    first, _, counts = distinct_rows(*columns)
+    first, counts = distinct_rows(*columns)
     order = np.argsort(first)
     return [
         (table.addrs[src], table.addrs[dst], table.protocols[protocol], port, count)

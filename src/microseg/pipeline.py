@@ -19,7 +19,7 @@ import ipaddress
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
@@ -55,7 +55,7 @@ from .rules import (
 
 if TYPE_CHECKING:
     from .clustering import GroupAssignment
-    from .flows import FlowTable
+    from .flows import FlowTable, IngestReport
 
 
 class UsageError(Exception):
@@ -70,8 +70,12 @@ MAX_RESTARTS = 1000
 SEMANTIC_FIELDS = ("unknown_policy",) + tuple(f.name for f in fields(GroupingParams))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig(GroupingParams):
+    """A run's keys. Every rule on them is checked when a config is built,
+    by ``__post_init__``, which ``dataclasses.replace`` runs too; frozen, so
+    a config that exists stays valid."""
+
     # paths
     flow_log: str = ""
     scope: str = ""
@@ -95,6 +99,52 @@ class PipelineConfig(GroupingParams):
     synth_external_fraction: float = 0.0
     synth_object_count: int = 3
     workers = 1  # no annotation, so no field and no config key; only bench/trace.py reads it
+
+    def __post_init__(self) -> None:
+        if self.unknown_policy not in POLICIES:
+            raise UsageError(
+                f"unknown_policy must be one of {POLICIES}, got {self.unknown_policy!r}"
+            )
+        if not 1 <= self.window_seconds <= INT64_MAX:
+            raise UsageError("window_seconds must be in [1, 2**63 - 1]")
+        if self.top_k_ports < 1:
+            raise UsageError("top_k_ports must be >= 1")
+        if isinstance(self.pca_target, float) and not 0.0 < self.pca_target <= 1.0:
+            raise UsageError("pca_target fraction must be in (0, 1]")
+        if isinstance(self.pca_target, int) and self.pca_target < 1:
+            raise UsageError("pca_target dimension must be >= 1")
+        if isinstance(self.k, float) and not 0.0 < self.k <= 1.0:
+            raise UsageError("fractional k must be in (0, 1]")
+        if isinstance(self.k, int) and self.k < 1:
+            raise UsageError("k must be >= 1")
+        if not self.tol > 0:
+            raise UsageError("tol must be > 0")
+        if self.max_iter < 1 or self.restarts < 1:
+            raise UsageError("max_iter and restarts must be >= 1")
+        if self.restarts > MAX_RESTARTS:
+            raise UsageError(f"restarts must be <= {MAX_RESTARTS}")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
+        if not 0.0 <= self.homogeneity_floor <= 1.0:
+            raise UsageError("homogeneity_floor must be in [0, 1]")
+        if "," in self.dataset:
+            raise UsageError(f"dataset {self.dataset!r} holds a comma, which splits report rows")
+        for name in ("group_count", "endpoints_per_group", "windows",
+                     "flows_per_endpoint_window", "services_per_group", "port_pool"):
+            if getattr(self, f"synth_{name}") < 1:
+                raise UsageError(f"synth_{name} must be >= 1")
+        if not 0.0 <= self.synth_noise_rate < 1.0:
+            raise UsageError("synth_noise_rate must be in [0, 1)")
+        if not 0.0 <= self.synth_external_fraction <= 1.0:
+            raise UsageError("synth_external_fraction must be in [0, 1]")
+        if self.synth_object_count < (1 if self.synth_external_fraction > 0 else 0):
+            raise UsageError("synth_object_count must be >= 0 (>= 1 with external traffic)")
+        # synth's address and port ranges; the endpoint count is checked where
+        # it is a product of two values, in random_scenario.
+        if self.synth_port_pool > MAX_PORT_POOL:
+            raise UsageError(f"synth_port_pool must be <= {MAX_PORT_POOL}")
+        if self.synth_object_count > MAX_OBJECTS:
+            raise UsageError(f"synth_object_count must be <= {MAX_OBJECTS}")
 
     def grouping_params(self) -> GroupingParams:
         return GroupingParams(
@@ -126,8 +176,8 @@ def _parse_bool(value: str, key: str) -> bool:
 
 
 def parse_config_text(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
-    config = replace(base) if base is not None else PipelineConfig()
     valid = {f.name: f for f in fields(PipelineConfig)}
+    values = {}
     for lineno, line in content_lines(text):
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key = value")
@@ -135,9 +185,8 @@ def parse_config_text(text: str, base: PipelineConfig | None = None) -> Pipeline
         key, value = key.strip(), value.strip()
         if key not in valid:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
-        setattr(config, key, _coerce(key, value, valid[key].default))
-    validate_config(config)
-    return config
+        values[key] = _coerce(key, value, valid[key].default)
+    return replace(base or PipelineConfig(), **values)
 
 
 def _coerce(key: str, value: str, default):
@@ -159,53 +208,6 @@ def _coerce(key: str, value: str, default):
         except ValueError as exc:
             raise UsageError(f"config key {key}: expected a number, got {value!r}") from exc
     return value
-
-
-def validate_config(config: PipelineConfig) -> None:
-    if config.unknown_policy not in POLICIES:
-        raise UsageError(
-            f"unknown_policy must be one of {POLICIES}, got {config.unknown_policy!r}"
-        )
-    if not 1 <= config.window_seconds <= INT64_MAX:
-        raise UsageError("window_seconds must be in [1, 2**63 - 1]")
-    if config.top_k_ports < 1:
-        raise UsageError("top_k_ports must be >= 1")
-    if isinstance(config.pca_target, float) and not 0.0 < config.pca_target <= 1.0:
-        raise UsageError("pca_target fraction must be in (0, 1]")
-    if isinstance(config.pca_target, int) and config.pca_target < 1:
-        raise UsageError("pca_target dimension must be >= 1")
-    if isinstance(config.k, float) and not 0.0 < config.k <= 1.0:
-        raise UsageError("fractional k must be in (0, 1]")
-    if isinstance(config.k, int) and config.k < 1:
-        raise UsageError("k must be >= 1")
-    if not config.tol > 0:
-        raise UsageError("tol must be > 0")
-    if config.max_iter < 1 or config.restarts < 1:
-        raise UsageError("max_iter and restarts must be >= 1")
-    if config.restarts > MAX_RESTARTS:
-        raise UsageError(f"restarts must be <= {MAX_RESTARTS}")
-    if config.seed < 0:
-        raise UsageError("seed must be >= 0")
-    if not 0.0 <= config.homogeneity_floor <= 1.0:
-        raise UsageError("homogeneity_floor must be in [0, 1]")
-    if "," in config.dataset:
-        raise UsageError(f"dataset {config.dataset!r} holds a comma, which splits report rows")
-    for name in ("group_count", "endpoints_per_group", "windows",
-                 "flows_per_endpoint_window", "services_per_group", "port_pool"):
-        if getattr(config, f"synth_{name}") < 1:
-            raise UsageError(f"synth_{name} must be >= 1")
-    if not 0.0 <= config.synth_noise_rate < 1.0:
-        raise UsageError("synth_noise_rate must be in [0, 1)")
-    if not 0.0 <= config.synth_external_fraction <= 1.0:
-        raise UsageError("synth_external_fraction must be in [0, 1]")
-    if config.synth_object_count < (1 if config.synth_external_fraction > 0 else 0):
-        raise UsageError("synth_object_count must be >= 0 (>= 1 with external traffic)")
-    # synth's address and port ranges; the endpoint count is checked where
-    # it is a product of two values, in random_scenario.
-    if config.synth_port_pool > MAX_PORT_POOL:
-        raise UsageError(f"synth_port_pool must be <= {MAX_PORT_POOL}")
-    if config.synth_object_count > MAX_OBJECTS:
-        raise UsageError(f"synth_object_count must be <= {MAX_OBJECTS}")
 
 
 def load_config(path: Union[str, Path]) -> PipelineConfig:
@@ -269,7 +271,7 @@ class IngestOutput:
     scope: MemberScope
     fingerprint: str
     malformed: int
-    report: object
+    report: IngestReport
 
 
 def assignments_csv(assignments: list[GroupAssignment]) -> str:
@@ -380,6 +382,10 @@ def load_groups(path: Union[str, Path]) -> tuple[SecurityGroups, str]:
         raise DataError(f"{path}: {exc}") from exc
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    write_atomic(path, json.dumps(payload, sort_keys=True) + "\n")
+
+
 def _require_fresh(stage: str, fp: str, stored_fp: str) -> None:
     if fp != stored_fp:
         raise DataError(
@@ -410,28 +416,18 @@ def run_group(config: PipelineConfig) -> str:
 
     write_atomic(out / "assignments.csv", assignments_csv(result.assignments))
     report = ingest_out.report
-    write_atomic(
+    _write_json(
         out / "ingest_report.json",
-        json.dumps(
-            {
-                "records_read": report.records_read,
-                "records_kept": report.records_kept,
-                "records_dropped_unknown": report.records_dropped_unknown,
-                "records_mapped_to_objects": report.records_mapped_to_objects,
-                "distinct_endpoints": report.distinct_endpoints,
-                "malformed_lines": ingest_out.malformed,
-            },
-            sort_keys=True,
-        )
-        + "\n",
+        dict(
+            asdict(report),
+            records_dropped_unknown=report.records_dropped_unknown,
+            malformed_lines=ingest_out.malformed,
+        ),
     )
     write_atomic(
         out / "conversations.csv", conversations_csv(conversations(kept), ingest_out.fingerprint)
     )
-    write_atomic(
-        out / "timing.json",
-        json.dumps({"grouping_seconds": elapsed}, sort_keys=True) + "\n",
-    )
+    _write_json(out / "timing.json", {"grouping_seconds": elapsed})
     # Last: a crash at any earlier write leaves the previous groups.json,
     # whose fingerprint then rejects this run's inputs in rules and eval,
     # while conversations.csv carries its own.
@@ -505,22 +501,18 @@ def run_eval(config: PipelineConfig) -> str:
     report = evaluate(groups, truth, run_time_seconds=float(seconds))
     report_csv = REPORT_HEADER + "\n" + report_row(report, config.dataset) + "\n"
     write_atomic(out / "eval_report.csv", report_csv)
-    write_atomic(
+    _write_json(
         out / "eval_report.json",
-        json.dumps(
-            {
-                "dataset": config.dataset,
-                "asset_qty": report.asset_qty,
-                "group_qty": report.true_group_qty,
-                "suggested_group_qty": report.suggested_group_qty,
-                "runtime_s": report.run_time_seconds,
-                "homogeneity": report.homogeneity,
-                "completeness": report.completeness,
-                "v_measure": report.v_measure,
-            },
-            sort_keys=True,
-        )
-        + "\n",
+        {
+            "dataset": config.dataset,
+            "asset_qty": report.asset_qty,
+            "group_qty": report.true_group_qty,
+            "suggested_group_qty": report.suggested_group_qty,
+            "runtime_s": report.run_time_seconds,
+            "homogeneity": report.homogeneity,
+            "completeness": report.completeness,
+            "v_measure": report.v_measure,
+        },
     )
     return report_csv
 
@@ -546,10 +538,10 @@ def run_tune(config: PipelineConfig) -> str:
     grid = parse_grid(read_file(config.grid, "grid", UsageError), config)
     if not grid:
         raise DataError(f"tune: grid {config.grid} contains no configurations")
-    kept = {grid[0].unknown_policy: ingest(grid[0])[0]}
     truth = load_ground_truth(config.ground_truth)
     out = make_dir(config.out_dir)
 
+    kept: dict[str, FlowTable] = {}
     reports: list[EvalReport] = []
     for entry in grid:
         if entry.unknown_policy not in kept:

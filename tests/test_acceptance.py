@@ -10,6 +10,7 @@ behavior change.
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +58,7 @@ TABLE1_PARAMS = dict(top_k_ports=128, seed=42, restarts=2)
 
 def _configs(root: Path, name: str, scenario: dict, params: dict, policy: str):
     data = root / name / "data"
-    synth = PipelineConfig(out_dir=str(data), seed=params.get("seed", 0))
-    for key, value in scenario.items():
-        setattr(synth, key, value)
+    synth = PipelineConfig(out_dir=str(data), seed=params.get("seed", 0), **scenario)
     run = PipelineConfig(
         flow_log=str(data / "flows.csv"),
         scope=str(data / "scope.txt"),
@@ -68,9 +67,7 @@ def _configs(root: Path, name: str, scenario: dict, params: dict, policy: str):
         dataset=name,
         unknown_policy=policy,
     )
-    for key, value in params.items():
-        setattr(run, key, value)
-    return synth, run
+    return synth, replace(run, **params)
 
 
 def _eval_report(run) -> dict:
@@ -287,7 +284,7 @@ def test_criterion_7_determinism_across_workers_and_reruns(tmp_path_factory):
     fork, fit = os.fork, clustering.kmeans_fit
     for cpus, children in ((1, 0), (2, 1), (8, 3)):
         synth, run = _configs(root, f"c{cpus}", DETERMINISM_SCENARIO, params, MAP_TO_OBJECTS)
-        run.dataset = "determinism"
+        run = replace(run, dataset="determinism")
         forks, per_fit = [], []
 
         def counting_fit(*args, **kwargs):

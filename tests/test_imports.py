@@ -184,14 +184,17 @@ def test_detects_dead_names():
 
 def unread_keys(keys: list[str], sources: list[str]) -> list[str]:
     """Each key that no source reads as an attribute (``config.key``)
-    outside ``validate_config``: a key only checked there changes no run."""
+    outside ``PipelineConfig.__post_init__``: a key only checked there
+    changes no run."""
     read = set()
     for source in sources:
         tree = ast.parse(source)
         checks = {
             id(node)
-            for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == "validate_config"
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "PipelineConfig"
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
             for node in ast.walk(fn)
         }
         read.update(
@@ -214,9 +217,10 @@ def test_every_config_key_is_read():
 
 def test_detects_unread_keys():
     source = (
-        "def validate_config(config):\n"
-        "    if config.checked_only < 1:\n"
-        "        raise ValueError\n"
+        "class PipelineConfig:\n"
+        "    def __post_init__(self):\n"
+        "        if self.checked_only < 1:\n"
+        "            raise ValueError\n"
         "def run(config):\n"
         "    config.stored_only = 2\n"
         "    return config.used\n"

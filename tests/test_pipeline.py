@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -104,15 +104,18 @@ NUMPY_PROBE = (
 def synth_setup(tmp_path: Path, **synth_overrides) -> PipelineConfig:
     """Generate a small scenario and return a config pointing at it."""
     data = tmp_path / "data"
-    synth_config = PipelineConfig(out_dir=str(data), seed=5)
-    synth_config.synth_group_count = synth_overrides.pop("group_count", 4)
-    synth_config.synth_endpoints_per_group = synth_overrides.pop("endpoints_per_group", 3)
-    synth_config.synth_windows = synth_overrides.pop("windows", 4)
-    synth_config.synth_flows_per_endpoint_window = synth_overrides.pop("flows", 12)
-    synth_config.synth_services_per_group = synth_overrides.pop("services", 1)
-    synth_config.synth_port_pool = synth_overrides.pop("port_pool", 32)
-    synth_config.synth_noise_rate = synth_overrides.pop("noise", 0.0)
-    synth_config.synth_external_fraction = synth_overrides.pop("external_fraction", 0.0)
+    synth_config = PipelineConfig(
+        out_dir=str(data),
+        seed=5,
+        synth_group_count=synth_overrides.pop("group_count", 4),
+        synth_endpoints_per_group=synth_overrides.pop("endpoints_per_group", 3),
+        synth_windows=synth_overrides.pop("windows", 4),
+        synth_flows_per_endpoint_window=synth_overrides.pop("flows", 12),
+        synth_services_per_group=synth_overrides.pop("services", 1),
+        synth_port_pool=synth_overrides.pop("port_pool", 32),
+        synth_noise_rate=synth_overrides.pop("noise", 0.0),
+        synth_external_fraction=synth_overrides.pop("external_fraction", 0.0),
+    )
     assert not synth_overrides, synth_overrides
     run_synth(synth_config)
     config = PipelineConfig(
@@ -162,6 +165,20 @@ class TestConfigParsing:
         with pytest.raises(UsageError, match="unknown key 'workers'"):
             parse_config_text("workers = 1")
         assert PipelineConfig().workers == 1  # bench/trace.py still reads it
+
+    def test_checked_when_built_and_frozen(self):
+        # The rules live in the type: building, replace and the text parser
+        # all run them, and no config changes after it is built.
+        assert not hasattr(pipeline, "validate_config")
+        with pytest.raises(UsageError, match="max_iter and restarts must be >= 1"):
+            PipelineConfig(restarts=0)
+        config = PipelineConfig()
+        with pytest.raises(UsageError, match="k must be >= 1"):
+            replace(config, k=0)
+        with pytest.raises(FrozenInstanceError):
+            config.seed = 1
+        with pytest.raises(FrozenInstanceError):
+            config.grouping_params().seed = 1
 
     def test_bad_value_rejected(self):
         with pytest.raises(UsageError):
@@ -420,13 +437,16 @@ class TestRunRules:
 
     def test_two_group_one_service_each_way(self, tmp_path):
         data = tmp_path / "data"
-        synth_config = PipelineConfig(out_dir=str(data), seed=5)
-        synth_config.synth_group_count = 2
-        synth_config.synth_endpoints_per_group = 2
-        synth_config.synth_windows = 2
-        synth_config.synth_flows_per_endpoint_window = 8
-        synth_config.synth_services_per_group = 1
-        synth_config.synth_port_pool = 8
+        synth_config = PipelineConfig(
+            out_dir=str(data),
+            seed=5,
+            synth_group_count=2,
+            synth_endpoints_per_group=2,
+            synth_windows=2,
+            synth_flows_per_endpoint_window=8,
+            synth_services_per_group=1,
+            synth_port_pool=8,
+        )
         run_synth(synth_config)
         config = PipelineConfig(
             flow_log=str(data / "flows.csv"),
@@ -445,7 +465,7 @@ class TestRunRules:
     def test_stale_artifacts_rejected(self, tmp_path):
         config = synth_setup(tmp_path)
         run_group(config)
-        config.seed = 6  # semantic change invalidates the fingerprint
+        config = replace(config, seed=6)  # semantic change invalidates the fingerprint
         with pytest.raises(DataError, match="stale"):
             run_rules(config)
 
@@ -507,7 +527,7 @@ class TestRunRules:
         # the scope parses endpoints and object addresses too, so the check
         # is on what an external address costs beyond the scope's parse.
         config = synth_setup(tmp_path, external_fraction=0.5, services=3, noise=0.1)
-        config.unknown_policy = MAP_TO_OBJECTS
+        config = replace(config, unknown_policy=MAP_TO_OBJECTS)
         run_group(config)
         out = Path(config.out_dir)
         table = (out / "conversations.csv").read_text()
@@ -554,7 +574,7 @@ class TestRunRules:
 
     def test_completeness_check_iterates_no_table(self, tmp_path, monkeypatch):
         config = synth_setup(tmp_path, external_fraction=0.3, noise=0.1)
-        config.unknown_policy = MAP_TO_OBJECTS
+        config = replace(config, unknown_policy=MAP_TO_OBJECTS)
         run_group(config)
         run_rules(config)
         total = json.loads((Path(config.out_dir) / "ingest_report.json").read_text())[
@@ -673,7 +693,7 @@ class TestRunTune:
         config = synth_setup(tmp_path)
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("pca_target = 0.9\n")
-        config.grid = str(grid_path)
+        config = replace(config, grid=str(grid_path))
         assert run_tune(config).startswith("tune: winner grid entry 0, homogeneity=")
         best = load_config(Path(config.out_dir) / "best_config.txt")
         assert best.pca_target == 0.9
@@ -686,7 +706,7 @@ class TestRunTune:
             "pca_target = 0.99 ; k = 0.5\n"
             "top_k_ports = 8\n"
         )
-        config.grid = str(grid_path)
+        config = replace(config, grid=str(grid_path))
         # The printed line rounds the scores; compare every entry's exact
         # scores as select_best sees them, the measured runtime aside.
         scored = []
@@ -709,7 +729,7 @@ class TestRunTune:
         config = synth_setup(tmp_path)
         grid_path = tmp_path / "grid.txt"
         grid_path.write_text("# nothing here\n")
-        config.grid = str(grid_path)
+        config = replace(config, grid=str(grid_path))
         with pytest.raises(DataError, match="no configurations"):
             run_tune(config)
 
@@ -757,7 +777,7 @@ class TestRunTune:
         # ingest per policy, and the same fits, report and winner as a run
         # whose base config already uses that policy.
         config = synth_setup(tmp_path, external_fraction=0.3)
-        config.grid = str(tmp_path / "grid.txt")
+        config = replace(config, grid=str(tmp_path / "grid.txt"))
         entries = ["pca_target = 0.9", "pca_target = 0.99 ; k = 0.5", "top_k_ports = 8"]
         ingested, fitted = [], []
         real_ingest, real_fit = pipeline.ingest, clustering.fit_groups
@@ -777,8 +797,7 @@ class TestRunTune:
             ingested.clear()
             fitted.clear()
             Path(config.grid).write_text("".join(prefix + e + "\n" for e in entries))
-            config.unknown_policy = base_policy
-            run_tune(config)
+            run_tune(replace(config, unknown_policy=base_policy))
             out = Path(config.out_dir)
             # The runtime column (5th) is a measurement.
             report = [
@@ -800,6 +819,51 @@ class TestRunTune:
         assert kept[DROP_UNKNOWN] < kept[MAP_TO_OBJECTS]
         assert mixed[1] == [kept[MAP_TO_OBJECTS]] * 3
 
+    def test_mixed_policy_grid_ingests_each_policy_once(self, tmp_path, monkeypatch):
+        config = synth_setup(tmp_path, external_fraction=0.3)
+        grid = tmp_path / "grid.txt"
+        grid.write_text(
+            "unknown_policy = map_to_objects\n"
+            "unknown_policy = drop_unknown\n"
+            "unknown_policy = map_to_objects ; top_k_ports = 8\n"
+            "unknown_policy = drop_unknown ; k = 0.5\n"
+        )
+        ingested, real_ingest = [], pipeline.ingest
+
+        def spy_ingest(c):
+            ingested.append(c.unknown_policy)
+            return real_ingest(c)
+
+        monkeypatch.setattr(pipeline, "ingest", spy_ingest)
+        run_tune(replace(config, grid=str(grid)))
+        assert ingested == [MAP_TO_OBJECTS, DROP_UNKNOWN]
+        report = (Path(config.out_dir) / "tune_report.csv").read_text()
+        assert len(report.strip().split("\n")) == 5
+
+    def test_policy_keeping_no_flow_exit_two(self, tmp_path, capsys):
+        # Every flow joins a member to an object: map_to_objects keeps them
+        # all and drop_unknown none, which the fit refuses.
+        config = synth_setup(tmp_path)
+        log = tmp_path / "external.csv"
+        log.write_text(
+            "".join(f"{i},10.0.0.{1 + i % 4},198.51.100.{1 + i % 3},UDP,53,1,60\n"
+                    for i in range(40))
+        )
+        grid = tmp_path / "grid.txt"
+        grid.write_text("unknown_policy = map_to_objects\nunknown_policy = drop_unknown\n")
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            flow_log=log,
+            scope=config.scope,
+            ground_truth=config.ground_truth,
+            grid=grid,
+            out_dir=config.out_dir,
+            unknown_policy=MAP_TO_OBJECTS,
+        )
+        assert main(["tune", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "data error: tune: cannot build a schema from zero records" in err
+
     @pytest.mark.parametrize(
         "entry",
         [
@@ -811,7 +875,7 @@ class TestRunTune:
     def test_grid_key_tune_ignores_rejected(self, tmp_path, entry):
         # tune reads these from the base config, so a grid line must not set them.
         config = synth_setup(tmp_path)
-        config.grid = str(tmp_path / "grid.txt")
+        config = replace(config, grid=str(tmp_path / "grid.txt"))
         Path(config.grid).write_text("pca_target = 0.9\n" + entry + "\n")
         key = entry.split("=")[0].strip()
         with pytest.raises(UsageError, match=f"grid line 2: '{key}'"):
@@ -961,6 +1025,10 @@ class TestCli:
             ("rules", "conversations.csv", "address outside scope"),
             ("rules", "conversations.csv", "no member side"),
             ("rules", "conversations.csv", "no member side, universal"),
+            ("rules", "conversations.csv", "four fields"),
+            ("rules", "conversations.csv", "lower-case protocol"),
+            ("rules", "conversations.csv", "count 0"),
+            ("rules", "groups.json", "another kind"),
         ],
         ids=[
             "groups-truncated",
@@ -999,6 +1067,10 @@ class TestCli:
             "conversations-address-outside-scope",
             "conversations-no-member-side",
             "conversations-no-member-side-universal",
+            "conversations-four-fields",
+            "conversations-lower-case-protocol",
+            "conversations-count-zero",
+            "groups-another-kind",
         ],
     )
     def test_corrupt_artifact_exit_two(self, tmp_path, capsys, command, artifact, content):
@@ -1053,6 +1125,17 @@ class TestCli:
                     text + "192.0.2.1,192.0.2.2,UDP,53,3\n",
                     f"{path}: rule object:any -> object:any names no security group",
                 ),
+                "four fields": (
+                    first_row(f"{src},{dst},{protocol},{port}"),
+                    f"{path} line 3: expected 5 fields, got 4",
+                ),
+                "lower-case protocol": (
+                    first_row(f"{src},{dst},{protocol.lower()},{port},{count}"),
+                    f"{path} line 3: protocol '{protocol.lower()}' is not in the written form",
+                ),
+                "count 0": (
+                    first_row(f"{src},{dst},{protocol},{port},0"), f"{path} line 3: count 0 < 1"
+                ),
             }[content]
             if text is None:
                 path.unlink()
@@ -1073,6 +1156,11 @@ class TestCli:
             return
         if content == "truncated":
             content = path.read_text()[:40]
+        elif content == "another kind":
+            payload = json.loads(path.read_text())
+            payload["kind"] = "firewall_rules"
+            content = json.dumps(payload)
+            said = f"{path} is not a security-groups artifact"
         elif content == "deny":
             content = path.read_text().replace(",allow,", ",deny,", 1)
         elif content == "extra key":
@@ -1141,7 +1229,9 @@ class TestCli:
             with pytest.raises(DataError, match=said):
                 verify_ruleset_completeness(load_config(run_cfg))
         else:
+            capsys.readouterr()
             assert main([command, "--config", str(run_cfg)]) == 2
+            assert said is None or said in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command,setting",
@@ -1187,6 +1277,24 @@ class TestCli:
                 f.write(setting + "\n")
         assert main([command, "--config", str(cfg), *flags]) == 1
 
+    @pytest.mark.parametrize(
+        "setting,said",
+        [
+            ("k = abc", "config key k: cannot parse 'abc'"),
+            ("strict = maybe", "config key strict: expected a boolean, got 'maybe'"),
+            ("top_k_ports = 0", "top_k_ports must be >= 1"),
+            ("pca_target = 1.5", "pca_target fraction must be in (0, 1]"),
+            ("pca_target = 0", "pca_target dimension must be >= 1"),
+        ],
+        ids=["k-abc", "strict-maybe", "top_k_ports-0", "pca_target-1.5", "pca_target-0"],
+    )
+    def test_bad_config_value_named_exit_one(self, tmp_path, capsys, setting, said):
+        _, run_cfg = self._write_cli_configs(tmp_path)
+        with run_cfg.open("a") as f:
+            f.write(setting + "\n")
+        assert main(["group", "--config", str(run_cfg)]) == 1
+        assert f"usage error: {said}\n" in capsys.readouterr().err
+
     def test_removed_workers_key_exit_one_before_any_artifact(self, tmp_path, capsys):
         # Every best_config.txt written by an older tune sets it.
         synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
@@ -1213,6 +1321,50 @@ class TestCli:
         assert main(["group", "--config", str(run_cfg)]) == 0
         (tmp_path / path).write_bytes(b"\xff\xfe not utf-8\n")
         assert main([command, "--config", str(run_cfg)]) == code
+
+    def test_empty_ground_truth_exit_two(self, tmp_path, capsys):
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        assert main(["group", "--config", str(run_cfg)]) == 0
+        truth = tmp_path / "data" / "truth.csv"
+        truth.write_text("")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(run_cfg)]) == 2
+        assert f"data error: eval: ground truth {truth} is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "log,setting,said",
+        [
+            (
+                "0,192.0.2.1,192.0.2.2,TCP,80,1,60\n1,192.0.2.3,198.51.100.1,UDP,53,1,60\n",
+                "unknown_policy = map_to_objects",
+                "ingest: no records kept after filtering",
+            ),
+            (
+                "0,10.0.0.1,198.51.100.1,UDP,53,1,60\n",
+                "unknown_policy = map_to_objects",
+                "grouping: standardize requires at least 2 rows",
+            ),
+            (
+                "0,10.0.0.1,10.0.0.2,TCP,80,1,60\ngarbage,line\n1,10.0.0.2,10.0.0.1,TCP,80,1,60\n",
+                "--strict",
+                "line 2: expected 7 fields, got 2",
+            ),
+        ],
+        ids=["no-row-kept", "one-flow", "strict-malformed-line"],
+    )
+    def test_unusable_flow_log_exit_two(self, tmp_path, capsys, log, setting, said):
+        synth_cfg, run_cfg = self._write_cli_configs(tmp_path)
+        assert main(["synth", "--config", str(synth_cfg)]) == 0
+        (tmp_path / "data" / "flows.csv").write_text(log)
+        flags = [setting] if setting.startswith("--") else []
+        if not flags:
+            with run_cfg.open("a") as f:
+                f.write(setting + "\n")
+        capsys.readouterr()
+        assert main(["group", "--config", str(run_cfg), *flags]) == 2
+        assert f"data error: {said}" in capsys.readouterr().err
+        assert not (tmp_path / "artifacts" / "groups.json").exists()
 
     def test_synth_endpoints_beyond_member_network_exit_two(self, tmp_path, capsys):
         synth_cfg, _ = self._write_cli_configs(tmp_path)
