@@ -575,16 +575,24 @@ def resolve_k(k: Union[int, float, None], n_endpoints: int) -> int:
     return int(k)
 
 
-def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
-    """Run encode -> standardize -> project -> cluster -> assign -> group."""
+def project_samples(
+    flows: FlowTable, params: GroupingParams
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Run encode -> standardize -> project: each sample row's endpoint, and
+    the projected samples. Neither refers to the table."""
     # standardize overwrites the encoded matrix in place, and that one
-    # samples×features buffer is freed after projecting, so k-means starts
-    # with only the projection, each row's endpoint and the endpoint slices
-    # (endpoints, starts, counts) alive.
+    # samples×features buffer is freed on return, so only the projection
+    # outlives this call.
     std = standardize(encode_windows(flows, params.window_seconds, params.top_k_ports)[0])
-    row_endpoints = std.endpoints
-    projected = project(fit_pca(std, params.pca_target), std.values)
-    del std
+    return std.endpoints, project(fit_pca(std, params.pca_target), std.values)
+
+
+def group_samples(
+    row_endpoints: tuple[str, ...], projected: np.ndarray, params: GroupingParams
+) -> GroupingResult:
+    """Run cluster -> assign -> group on :func:`project_samples`' output.
+    k-means starts with only the projection, each row's endpoint and the
+    endpoint slices (endpoints, starts, counts) alive."""
     endpoints, starts, counts = np.unique(row_endpoints, return_index=True, return_counts=True)
     distinct = _distinct_rows(projected)
     k = min(resolve_k(params.k, len(endpoints)), len(endpoints), distinct)
@@ -602,6 +610,11 @@ def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
         for ep, start, n in zip(endpoints.tolist(), starts.tolist(), counts.tolist())
     ]
     return GroupingResult(assignments=assignments, groups=derive_groups(assignments))
+
+
+def fit_groups(flows: FlowTable, params: GroupingParams) -> GroupingResult:
+    """Run encode -> standardize -> project -> cluster -> assign -> group."""
+    return group_samples(*project_samples(flows, params), params)
 
 
 def select_best(reports: Sequence[EvalReport], homogeneity_floor: float) -> tuple[int, bool]:

@@ -48,25 +48,22 @@ def _reason(exc: Exception) -> object:
     return getattr(exc, "strerror", None) or exc
 
 
-def read_file(
-    path: Union[str, Path], what: str, error: type[Exception] = DataError, *, text: bool = True
-) -> Union[str, bytes]:
-    """The one reader of inputs and artifacts: the file's bytes, or with
-    ``text`` those bytes decoded as strict UTF-8 with every ``\\r`` kept, so
-    no locale changes what is read and only ``\\n`` ends a line. A failure to
-    read or decode, or a path the filesystem encoding cannot encode, raises
+def read_file(path: Union[str, Path], what: str, error: type[Exception] = DataError) -> str:
+    """The one reader of inputs and artifacts but the flow log: the file's
+    bytes decoded as strict UTF-8 with every ``\\r`` kept, so no locale
+    changes what is read and only ``\\n`` ends a line. A failure to read or
+    decode, or a path the filesystem encoding cannot encode, raises
     ``error`` naming ``what``."""
     try:
-        data = Path(path).read_bytes()
-        return data.decode("utf-8") if text else data
+        return Path(path).read_bytes().decode("utf-8")
     except (OSError, UnicodeError) as exc:
         raise error(f"cannot read {what} {path}: {_reason(exc)}") from exc
 
 
 def read_blocks(path: Union[str, Path], what: str) -> Iterator[bytes]:
-    """The file's bytes in blocks of :data:`READ_BLOCK`, for a reader that
-    needs no whole copy; a failure raises :class:`DataError` as
-    :func:`read_file` does."""
+    """The file's bytes in blocks of :data:`READ_BLOCK`, the one reader of
+    the flow log, which no stage holds whole; a failure raises
+    :class:`DataError` as :func:`read_file` does."""
     try:
         with Path(path).open("rb") as file:
             while block := file.read(READ_BLOCK):

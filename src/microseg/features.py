@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import FlowTable, distinct_rows
+from .flows import BLOCK_ROWS, FlowTable, distinct_rows
 
 #: Columns with standard deviation below this are treated as constant.
 CONST_EPS = 1e-12
 
-#: Table rows per block of :func:`encode_windows`; its temporaries grow with
-#: this, not with the table.
-BLOCK_ROWS = 1 << 15
+#: Columns per block of :func:`standardize`'s std; at least 2.
+STD_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -186,12 +185,19 @@ def standardize(matrix: SampleMatrix) -> SampleMatrix:
 
     Columns with standard deviation below ``CONST_EPS`` get scale 1 so
     constant features become zero instead of dividing by noise.
+
+    The std is taken over blocks of :data:`STD_COLUMNS` columns, so its
+    deviation temporary is a block, not a matrix. A block of two columns or
+    more reduces as the whole matrix does, to the same bits; a one-column
+    block would not, so a one-column tail joins the block before it.
     """
     if matrix.n_rows < 2:
         raise ValueError("standardize requires at least 2 rows")
     values = matrix.values
-    scale = values.std(axis=0)
+    cuts = list(range(STD_COLUMNS, values.shape[1], STD_COLUMNS))
+    if cuts and values.shape[1] - cuts[-1] == 1:
+        cuts.pop()
+    scale = np.concatenate([block.std(axis=0) for block in np.split(values, cuts, axis=1)])
     values -= values.mean(axis=0)
     values /= np.where(scale < CONST_EPS, 1.0, scale)
     return matrix
-

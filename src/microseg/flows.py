@@ -4,6 +4,8 @@ A flow log is line-oriented CSV with the columns
 ``timestamp,src_addr,dst_addr,protocol,dst_port,packets,bytes``.
 It is parsed once into a :class:`FlowTable`: one numpy column per field, with
 addresses and protocols as integer codes into small sorted vocabularies.
+The parse takes the log as a stream of byte blocks and re-cuts them into
+chunks of whole lines, so no whole copy of the log's bytes or text exists.
 Lines in the canonical form synth writes, with LF or CRLF ends, are read
 column-wise, a chunk of lines at a time; every other valid line parses the
 same, only more slowly, through the per-line parse.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import ipaddress
 from array import array
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -100,12 +102,17 @@ class FlowTable:
             yield ClassifiedFlow(rec, self.classes[src], self.classes[dst]) if self.classes else rec
 
 
-def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique`` over the rows of non-negative integer columns: each
-    distinct row's first index and its count, in lexicographic row order.
-    The columns are packed into one int64 key; where the next column would
-    overflow it, the key so far, and then a wide column, is renumbered
-    densely first, so no key exceeds the square of the row count."""
+#: Table rows per block of a pass that reads a table in blocks; its
+#: temporaries grow with this, not with the table.
+BLOCK_ROWS = 1 << 15
+
+
+def _row_keys(*columns: np.ndarray) -> np.ndarray:
+    """One int64 key per row of non-negative integer columns, in the rows'
+    lexicographic order. The columns are packed into the key; where the
+    next column would overflow it, the key so far, and then a wide column,
+    is renumbered densely first, so no key exceeds the square of the row
+    count."""
     key, size = np.zeros(len(columns[0]), dtype=np.int64), 1
     for col in columns:
         bound = int(col.max()) + 1 if col.size else 1
@@ -116,20 +123,42 @@ def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             col = np.unique(col, return_inverse=True)[1]
             bound = int(col.max()) + 1
         key, size = key * bound + col, size * bound
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return key
+
+
+def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` over the rows of non-negative integer columns: each
+    distinct row's first index and its count, in lexicographic row order."""
+    _, first, counts = np.unique(_row_keys(*columns), return_index=True, return_counts=True)
     return first, counts
 
 
 def conversations(table: FlowTable) -> list[Conversation]:
     """Each distinct (src address, dst address, protocol, port) of a table
-    with its row count, in order of first appearance."""
+    with its row count, in order of first appearance.
+
+    The table is tallied in blocks of :data:`BLOCK_ROWS` rows, each merged
+    into the distinct keys so far, as encode merges its keys, so the
+    temporaries grow with the block and the distinct keys, not the table.
+    """
     columns = (table.src, table.dst, table.protocol, table.dst_port)
-    first, counts = distinct_rows(*columns)
+    keys = [column[:0] for column in columns]
+    first, counts = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64)
+    for start in range(0, len(table), BLOCK_ROWS):
+        block = [column[start : start + BLOCK_ROWS] for column in columns]
+        stacked = [np.concatenate(pair) for pair in zip(keys, block)]
+        # The keys so far come first, so a key seen before keeps its first row.
+        _, at, inverse = np.unique(_row_keys(*stacked), return_index=True, return_inverse=True)
+        rows = np.concatenate((first, np.arange(start, start + len(block[0]))))
+        weights = np.concatenate((counts, np.ones(len(block[0]), dtype=np.int64)))
+        keys, first = [column[at] for column in stacked], rows[at]
+        counts = np.zeros(len(at), dtype=np.int64)
+        np.add.at(counts, inverse, weights)
     order = np.argsort(first)
     return [
         (table.addrs[src], table.addrs[dst], table.protocols[protocol], port, count)
         for src, dst, protocol, port, count in zip(
-            *(column[first[order]].tolist() for column in columns), counts[order].tolist()
+            *(column[order].tolist() for column in keys), counts[order].tolist()
         )
     ]
 
@@ -182,9 +211,17 @@ def _parse_line(line: str, addrs: _Codes, protocols: _Codes) -> tuple[int, ...]:
     return row
 
 
-#: Characters per chunk of the columnar parse; a chunk runs on to the end
-#: of the line it stops in.
-CHUNK_CHARS = 1 << 18
+#: Bytes (of UTF-8) per chunk of the columnar parse; a chunk runs on to
+#: the end of the line it stops in. A chunk's temporaries, a few times its
+#: size, come from malloc's heap once the log's blocks have raised glibc's
+#: mmap threshold, and smaller chunks leave less of that heap resident.
+CHUNK_CHARS = 1 << 17
+
+#: Rows the parsed columns start with. Even an int32 column is then larger
+#: than malloc's default mmap threshold (128 KiB), so glibc maps each column
+#: apart from its heap, and growing one remaps pages instead of copying it
+#: and leaving a hole in the heap.
+FIRST_ROWS = 1 << 16
 
 _NOT_A_DIGIT = 255
 
@@ -314,21 +351,33 @@ def _canonical_rows(data: bytes, addr_codes: _Codes, protocols: _Codes, memos: t
     return lines[rows], columns, len(ends)
 
 
-def _chunks(text: str) -> Iterator[bytes]:
-    """``text`` as UTF-8 in chunks of whole lines, about :data:`CHUNK_CHARS`
-    characters each, every chunk ending with ``\\n``."""
-    pos = 0
-    while pos < len(text):
-        end = text.find("\n", pos + CHUNK_CHARS - 1)
-        end = len(text) if end < 0 else end + 1
-        # A lone surrogate round-trips; it is never canonical.
-        data = text[pos:end].encode("utf-8", "surrogatepass")
-        yield data if data.endswith(b"\n") else data + b"\n"
-        pos = end
+def _line_chunks(blocks: Iterable[bytes]) -> Iterator[bytearray]:
+    """``blocks``, consecutive pieces of a log's bytes, re-cut into chunks of
+    whole lines, about :data:`CHUNK_CHARS` bytes each, every chunk ending
+    with ``\\n``: the bytes after a chunk's last ``\\n`` carry into the next."""
+    rest = bytearray()
+    for block in blocks:
+        rest += block
+        start = 0
+        while (end := rest.find(b"\n", start + CHUNK_CHARS - 1)) >= 0:
+            yield rest[start : end + 1]
+            start = end + 1
+        del rest[:start]
+    if rest:
+        yield rest if rest.endswith(b"\n") else rest + b"\n"
 
 
-def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
+def parse_flow_log(
+    log: str | Iterable[bytes], *, strict: bool = False
+) -> tuple[FlowTable, int]:
     """Parse a flow log into a table, in input order.
+
+    ``log`` is the log's text, or its bytes as consecutive blocks cut
+    anywhere, which read as ``bytes.decode("utf-8", "replace")`` of the
+    whole would. Either way no whole copy of the log is made: its bytes are
+    re-cut into chunks of whole lines, and a chunk is decoded only if it
+    holds a line out of canonical form. A ``\\n`` byte is never inside a
+    UTF-8 sequence, so a chunk decodes as its part of the whole does.
 
     Returns ``(table, malformed_count)``. An optional header line is
     detected by a non-numeric first field. Malformed lines are skipped and
@@ -343,11 +392,19 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
     letters and digits. Each distinct address or protocol token is checked
     once. Every other line, and every line a check rejects, goes through the
     per-line parse in line order, so the table, counts and messages are the
-    same as a per-line parse of all.
+    same as a per-line parse of all. The columns grow in place as chunks
+    are parsed.
     """
-    rows = text.count("\n") + 1
+    errors = "replace"
+    if isinstance(log, str):
+        # A lone surrogate round-trips; it is never canonical.
+        text, errors = log, "surrogatepass"
+        log = (
+            text[at : at + CHUNK_CHARS].encode("utf-8", errors)
+            for at in range(0, len(text), CHUNK_CHARS)
+        )
     columns = [
-        np.empty(rows, dtype=np.int32 if c in ("src", "dst", "protocol") else np.int64)
+        np.empty(FIRST_ROWS, dtype=np.int32 if c in ("src", "dst", "protocol") else np.int64)
         for c in COLUMNS
     ]
     # IPv4Address accepts canonical dotted quads only: a token is its own form.
@@ -360,12 +417,12 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
     content = 0
     first_error = ""
     saw_first = False
-    for data in _chunks(text):
+    for data in _line_chunks(log):
         fast, fast_columns, line_count = _canonical_rows(data, addr_codes, protocols, memos)
         slow = np.ones(line_count, dtype=bool)
         slow[fast] = False
         first_fast = fast[0] if len(fast) else line_count
-        lines = data.decode("utf-8", "surrogatepass").split("\n") if slow.any() else []
+        lines = data.decode("utf-8", errors).split("\n") if slow.any() else []
         slow_parsed, cells = [], array("q")
         for i in np.flatnonzero(slow).tolist():
             line = lines[i].strip()
@@ -395,11 +452,15 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
         parsed[slow_parsed] = True
         dest = np.cumsum(parsed) - 1 + kept
         fast_dest, slow_dest = dest[fast], dest[slow_parsed]
+        kept += len(fast) + len(slow_parsed)
+        if kept > len(columns[0]):
+            for column in columns:
+                # No view of a column exists, so each grows in place.
+                column.resize(kept + kept // 8, refcheck=False)
         slow_columns = np.frombuffer(cells, dtype=np.int64).reshape(-1, len(COLUMNS)).T
         for column, fast_values, slow_values in zip(columns, fast_columns, slow_columns):
             column[fast_dest] = fast_values
             column[slow_dest] = slow_values
-        kept += len(fast) + len(slow_parsed)
         lines_before += line_count
     if content and malformed / content > MALFORMED_LIMIT:
         raise DataError(
@@ -407,7 +468,6 @@ def parse_flow_log(text: str, *, strict: bool = False) -> tuple[FlowTable, int]:
             f"(first: {first_error})"
         )
     for column in columns:
-        # No view of a column exists, so each shrinks in place.
         column.resize(kept, refcheck=False)
     ts, src, dst, proto, port, packets, nbytes = columns
     addrs, addr_rank = addr_codes.sorted_tokens()

@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
@@ -229,20 +230,33 @@ def config_to_text(config: PipelineConfig) -> str:
 def fingerprint(log_bytes: bytes, config: PipelineConfig) -> str:
     """Hash of the log, the canonical text of the scope file named by the
     config, and the semantic config."""
-    return _fingerprint((log_bytes,), _load_scope_file(config), config)
+    return _fingerprint(hashlib.sha256(log_bytes), _load_scope_file(config), config)
 
 
-def _fingerprint(log_blocks: Iterable[bytes], scope: MemberScope, config: PipelineConfig) -> str:
-    """Hash the log, given as consecutive blocks of its bytes (the digest does
-    not depend on where they are cut), then the scope and the semantic config."""
-    digest = hashlib.sha256()
-    for block in log_blocks:
-        digest.update(block)
-    digest.update(b"\n--scope--\n")
-    digest.update(scope_to_text(scope).encode())
-    digest.update(b"\n--config--\n")
-    digest.update(json.dumps(config.semantic_dict(), sort_keys=True).encode())
-    return digest.hexdigest()
+def _fingerprint(log_hash: hashlib._Hash, scope: MemberScope, config: PipelineConfig) -> str:
+    """Finish ``log_hash``, a SHA-256 fed the log's bytes in order (the
+    digest does not depend on how they were cut), with the scope and the
+    semantic config."""
+    log_hash.update(b"\n--scope--\n")
+    log_hash.update(scope_to_text(scope).encode())
+    log_hash.update(b"\n--config--\n")
+    log_hash.update(json.dumps(config.semantic_dict(), sort_keys=True).encode())
+    return log_hash.hexdigest()
+
+
+def _log_hash(config: PipelineConfig) -> hashlib._Hash:
+    """A SHA-256 fed the configured log, read in blocks."""
+    log_hash = hashlib.sha256()
+    for block in read_blocks(config.flow_log, "flow log"):
+        log_hash.update(block)
+    return log_hash
+
+
+def _hashed(blocks: Iterable[bytes], log_hash: hashlib._Hash) -> Iterator[bytes]:
+    """``blocks``, each fed to ``log_hash`` as it passes."""
+    for block in blocks:
+        log_hash.update(block)
+        yield block
 
 
 def _load_scope_file(config: PipelineConfig) -> MemberScope:
@@ -251,17 +265,18 @@ def _load_scope_file(config: PipelineConfig) -> MemberScope:
 
 def ingest(config: PipelineConfig) -> tuple[FlowTable, "IngestOutput"]:
     """Parse and filter the configured flow log; returns the kept table.
-    The log's bytes are dropped once hashed and decoded, and its text once
-    parsed, so neither is alive through the later steps."""
+    The log is read once, in blocks that feed both its hash and the parse,
+    so no whole copy of its bytes or text exists. An unreadable log is
+    reported before a bad scope, and a bad scope before a malformed log."""
     from .flows import filter_flows, parse_flow_log
 
-    log_bytes = read_file(config.flow_log, "flow log", text=False)
+    blocks = read_blocks(config.flow_log, "flow log")
+    # The first block is read before the scope, so an unreadable log is named first.
+    blocks = chain([next(blocks, b"")], blocks)
     scope = _load_scope_file(config)
-    fp = _fingerprint((log_bytes,), scope, config)
-    text = log_bytes.decode("utf-8", errors="replace")
-    del log_bytes
-    records, malformed = parse_flow_log(text, strict=config.strict)
-    del text
+    log_hash = hashlib.sha256()
+    records, malformed = parse_flow_log(_hashed(blocks, log_hash), strict=config.strict)
+    fp = _fingerprint(log_hash, scope, config)
     kept, report = filter_flows(records, scope, config.unknown_policy)
     return kept, IngestOutput(scope=scope, fingerprint=fp, malformed=malformed, report=report)
 
@@ -397,10 +412,13 @@ def _require_fresh(stage: str, fp: str, stored_fp: str) -> None:
 def run_group(config: PipelineConfig) -> str:
     """Ingest, learn the groups, persist every artifact.
 
-    Returns the summary CSV; wall time covers ingest through assignment and
-    is written to timing.json (a measurement, not a fingerprinted artifact).
+    The conversation table is tallied from the kept flows before the fit,
+    and the flows are released once the samples are projected, so k-means
+    runs with no flow table alive. Returns the summary CSV; wall time
+    covers ingest, the tally and the fit through assignment, and is written
+    to timing.json (a measurement, not a fingerprinted artifact).
     """
-    from .clustering import fit_groups
+    from .clustering import group_samples, project_samples
     from .flows import conversations
 
     t0 = time.perf_counter()
@@ -408,8 +426,12 @@ def run_group(config: PipelineConfig) -> str:
     if not kept:
         raise DataError("ingest: no records kept after filtering; nothing to group")
     out = make_dir(config.out_dir)
+    table_csv = conversations_csv(conversations(kept), ingest_out.fingerprint)
+    params = config.grouping_params()
     try:
-        result = fit_groups(kept, config.grouping_params())
+        samples = project_samples(kept, params)
+        del kept
+        result = group_samples(*samples, params)
     except ValueError as exc:
         raise DataError(f"grouping: {exc}") from exc
     elapsed = time.perf_counter() - t0
@@ -424,9 +446,7 @@ def run_group(config: PipelineConfig) -> str:
             malformed_lines=ingest_out.malformed,
         ),
     )
-    write_atomic(
-        out / "conversations.csv", conversations_csv(conversations(kept), ingest_out.fingerprint)
-    )
+    write_atomic(out / "conversations.csv", table_csv)
     _write_json(out / "timing.json", {"grouping_seconds": elapsed})
     # Last: a crash at any earlier write leaves the previous groups.json,
     # whose fingerprint then rejects this run's inputs in rules and eval,
@@ -448,7 +468,7 @@ def run_rules(config: PipelineConfig) -> str:
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
     scope = _load_scope_file(config)
-    fp = _fingerprint(read_blocks(config.flow_log, "flow log"), scope, config)
+    fp = _fingerprint(_log_hash(config), scope, config)
     _require_fresh("rules", fp, stored_fp)
     table = out / "conversations.csv"
     try:
@@ -485,7 +505,7 @@ def run_eval(config: PipelineConfig) -> str:
     eval_report.csv."""
     out = Path(config.out_dir)
     groups, stored_fp = load_groups(out / "groups.json")
-    fp = _fingerprint(read_blocks(config.flow_log, "flow log"), _load_scope_file(config), config)
+    fp = _fingerprint(_log_hash(config), _load_scope_file(config), config)
     _require_fresh("eval", fp, stored_fp)
     truth = load_ground_truth(config.ground_truth)
     text = read_file(out / "timing.json", "group-stage timing")

@@ -215,6 +215,22 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize(self._matrix([[1.0]]))
 
+    @pytest.mark.parametrize("columns", [2, 3, 7, 16])
+    @pytest.mark.parametrize("width", [1, 5, 33, 277])
+    def test_column_blocks_give_the_whole_matrix_bits(self, monkeypatch, columns, width):
+        # The std over column blocks, a one-column tail folded into the
+        # block before it (277 = 3 * 92 + 1 = 7 * 39 + 4 = 2 * 138 + 1),
+        # gives the bytes of the whole-matrix formula. A strided one-column
+        # block would reduce in another order and can differ in the last bit.
+        monkeypatch.setattr(features, "STD_COLUMNS", columns)
+        rng = np.random.default_rng(width)
+        values = rng.normal(size=(2160, width)) * rng.uniform(0, 100, width)
+        values[:, ::4] = np.round(values[:, ::4] + rng.uniform(-50, 50, values[:, ::4].shape[1]))
+        raw = SampleMatrix(("10.0.0.1",) * 2160, tuple(range(2160)), values.copy())
+        scale = values.std(axis=0)
+        want = (values - values.mean(axis=0)) / np.where(scale < CONST_EPS, 1.0, scale)
+        assert standardize(raw).values.tobytes() == want.tobytes()
+
 
 class TestEncodeWindows:
     def test_matrix_row_per_endpoint_window(self):

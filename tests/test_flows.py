@@ -1,5 +1,7 @@
 import ipaddress
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import microseg.flows as flows
@@ -13,7 +15,7 @@ from microseg.core import (
     load_scope,
     scope_to_text,
 )
-from microseg.flows import COLUMNS, filter_flows, parse_flow_log
+from microseg.flows import COLUMNS, conversations, filter_flows, parse_flow_log
 
 from conftest import flow, line
 
@@ -301,3 +303,60 @@ class TestScopeFile:
         # bench/trace.py imports load_scope from flows; it is core's own.
         assert flows.__all__ == ["load_scope"]
         assert flows.load_scope is load_scope
+
+
+class TestIngestMemory:
+    """Aim 3: ``group``'s memory tracks the table and the distinct keys, not
+    the size of the log. tracemalloc counts what is allocated, so heap
+    layout does not move these bounds."""
+
+    def test_block_stream_parse_holds_no_copy_of_the_log(self, monkeypatch):
+        monkeypatch.setattr(flows, "CHUNK_CHARS", 1 << 14)
+        block = 4 * flows.CHUNK_CHARS
+        rng = np.random.default_rng(0)
+        addrs = [f"10.0.{i // 250}.{i % 250 + 1}" for i in range(200)]
+        draws = (rng.integers(k, size=100_000).tolist() for k in (200, 200, 65535, 10**6, 10**12))
+        log = "".join(
+            f"{1700000000 + t},{addrs[src]},{addrs[dst]},TCP,{port + 1},{packets + 1},{nbytes}\n"
+            for t, (src, dst, port, packets, nbytes) in enumerate(zip(*draws))
+        ).encode()
+        parse_flow_log([log[:1000]])  # first-call imports are not the parse's
+        tracemalloc.start()
+        try:
+            table, malformed = parse_flow_log(
+                log[at : at + block] for at in range(0, len(log), block)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(table), malformed) == (100_000, 0)
+        table_bytes = sum(getattr(table, name).nbytes for name in COLUMNS)
+        # The columns grow an eighth at a time, and the rank-coded int32
+        # src, dst and protocol columns (a quarter of the table) are made
+        # once all are parsed. The rest is a few blocks and chunks: no
+        # allocation the size of the log, which is larger than the table.
+        bound = 1.25 * table_bytes + 4 * block + 16 * flows.CHUNK_CHARS
+        assert peak < bound < table_bytes + len(log)
+
+    def test_conversations_peak_does_not_grow_with_the_rows(self, monkeypatch):
+        monkeypatch.setattr(flows, "BLOCK_ROWS", 4096)
+        rng = np.random.default_rng(1)
+        addrs = [f"10.0.0.{i}" for i in range(1, 41)]
+        keys = list(zip(*(rng.integers(k, size=300).tolist() for k in (40, 40, 1000))))
+        lines = [
+            line(addrs[src], addrs[dst], dst_port=port + 1, timestamp=t)
+            for t, (src, dst, port) in enumerate(keys[i] for i in rng.integers(300, size=8 * 4096))
+        ]
+        conversations(parsed(*lines[:10]))
+        peaks, tallies = [], []
+        for copies in (1, 4):
+            table = parsed(*rng.permutation(lines * copies).tolist())
+            tracemalloc.start()
+            try:
+                tallies.append(conversations(table))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert sorted(tallies[1]) == sorted((*key, 4 * n) for *key, n in tallies[0])
+        # One int64 column over a block: the 4x table adds less than that.
+        assert peaks[1] < peaks[0] + 4096 * 8

@@ -7,10 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import microseg
 import microseg.clustering as clustering
@@ -28,7 +33,7 @@ from microseg.core import (
     read_blocks,
     scope_to_text,
 )
-from microseg.flows import FlowTable
+from microseg.flows import COLUMNS, FlowTable, parse_flow_log
 from microseg.pipeline import (
     PipelineConfig,
     UsageError,
@@ -48,6 +53,9 @@ from microseg.pipeline import (
     verify_ruleset_completeness,
 )
 from microseg.synth import ScenarioSpec, ServiceTemplate, generate
+
+from conftest import as_records
+from oracles import reference_parse_flow_log
 
 ARTIFACTS = [
     "groups.json",
@@ -290,8 +298,60 @@ class TestFingerprint:
         blocks = list(read_blocks(path, "flow log"))
         assert b"".join(blocks) == log and {len(b) for b in blocks[:-1]} <= {3}
         scope = load_scope(self.SCOPE)
-        streamed = pipeline._fingerprint(read_blocks(path, "flow log"), scope, config)
+        streamed = pipeline._fingerprint(pipeline._log_hash(config), scope, config)
         assert streamed == fingerprint(log, config)
+        # ingest hashes the same blocks it parses.
+        assert ingest(config)[1].fingerprint == fingerprint(log, config)
+
+    #: Lines of the odd log, and more that blocks of 1-7 bytes cut: blank
+    #: and space-only lines, a truncated UTF-8 sequence at a line end and
+    #: alone, a three-byte character, invalid bytes in an address, and
+    #: canonical lines with LF and CRLF ends.
+    ODD_LINES = ODD_LOG.split(b"\n") + [
+        b"", b"   ", b"\r", b"garbage", b"\xc3", b"1,10.0.0.1,10.0.0.2,TCP,22,1,\xc3",
+        b"2,10.0.0.1,10.0.0.2,\xe2\x82\xac,0,1,1", b"3,10.0.0.\xff,10.0.0.2,TCP,22,1,1",
+        b"4,10.0.0.1,10.0.0.2,TCP,22,1,1", b"5,10.0.0.3,10.0.0.1,UDP,53,2,80\r",
+    ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from(ODD_LINES), max_size=12),
+        st.sampled_from([b"", b"\n", b"\r\n"]),
+        st.integers(1, 7),
+        st.one_of(st.integers(1, 40), st.just(flows.CHUNK_CHARS)),
+    )
+    def test_streamed_ingest_reads_as_the_whole_log(self, lines, end, block, chunk):
+        # The log read in blocks parses to what the per-line reference parse
+        # reads from the whole log decoded with replacement, with the same
+        # --strict message, and ingest hashes the bytes it parsed.
+        whole = b"\n".join(lines) + end
+        text = whole.decode("utf-8", "replace")
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            core, "READ_BLOCK", block
+        ), mock.patch.object(flows, "CHUNK_CHARS", chunk):
+            path = Path(tmp) / "flows.csv"
+            path.write_bytes(whole)
+            for strict in (False, True):
+                config = PipelineConfig(
+                    flow_log=str(path), scope=self.scope_file(Path(tmp)), strict=strict
+                )
+                try:
+                    want = reference_parse_flow_log(text, strict=strict)
+                except DataError as exc:
+                    with pytest.raises(DataError) as raised:
+                        ingest(config)
+                    assert str(raised.value) == str(exc)
+                    continue
+                got = parse_flow_log(read_blocks(path, "flow log"), strict=strict)
+                assert as_records(got) == want
+                # The same columns, dtypes and vocabularies as the text's parse.
+                table, _ = parse_flow_log(text, strict=strict)
+                assert (got[0].addrs, got[0].protocols) == (table.addrs, table.protocols)
+                for name in COLUMNS:
+                    column = getattr(got[0], name)
+                    assert column.dtype == getattr(table, name).dtype
+                    assert column.tolist() == getattr(table, name).tolist(), name
+                assert ingest(config)[1].fingerprint == fingerprint(whole, config)
 
     def test_ingest_hashes_the_scope_it_parsed(self, tmp_path, monkeypatch):
         # One read of the scope file per ingest, so the fingerprint always
@@ -329,6 +389,44 @@ class TestRunGroup:
         )
         with pytest.raises(DataError, match="missing.csv"):
             run_group(config)
+
+    def test_bad_scope_is_reported_before_a_malformed_log(self, tmp_path):
+        log, scope = tmp_path / "flows.csv", tmp_path / "scope.txt"
+        log.write_text("garbage\n" * 3)
+        scope.write_text("bogus 10.0.0.0/24\n")
+        config = PipelineConfig(flow_log=str(log), scope=str(scope), out_dir=str(tmp_path / "out"))
+        with pytest.raises(DataError, match="scope line 1"):
+            run_group(config)
+        scope.write_text("member 10.0.0.0/24\n")
+        with pytest.raises(DataError, match="2 of 2 lines malformed"):
+            run_group(config)
+
+    def test_kmeans_runs_with_no_flow_table_alive(self, tmp_path, monkeypatch):
+        # Aim 3: the parsed and the kept table are released before k-means,
+        # once the conversations are tallied and the samples projected.
+        config = synth_setup(tmp_path)
+        tables, alive = [], []
+        parse, filter_flows, fit = flows.parse_flow_log, flows.filter_flows, clustering.kmeans_fit
+
+        def parse_spy(log, **kwargs):
+            table, malformed = parse(log, **kwargs)
+            tables.append(weakref.ref(table))
+            return table, malformed
+
+        def filter_spy(table, *args):
+            kept, report = filter_flows(table, *args)
+            tables.append(weakref.ref(kept))
+            return kept, report
+
+        def fit_spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in tables])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "parse_flow_log", parse_spy)
+        monkeypatch.setattr(flows, "filter_flows", filter_spy)
+        monkeypatch.setattr(clustering, "kmeans_fit", fit_spy)
+        run_group(config)
+        assert alive == [[False, False]]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = synth_setup(tmp_path)
@@ -500,9 +598,9 @@ class TestRunRules:
         calls = []
         parse = flows.parse_flow_log
 
-        def spy(text, **kwargs):
-            calls.append(len(text))
-            return parse(text, **kwargs)
+        def spy(log, **kwargs):
+            calls.append(None)
+            return parse(log, **kwargs)
 
         monkeypatch.setattr(flows, "parse_flow_log", spy)
         run_group(config)
