@@ -15,6 +15,7 @@ addresses from the 198.51.100.0/24 documentation range.
 from __future__ import annotations
 
 import ipaddress
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Union
 
@@ -105,6 +106,11 @@ def _service_bytes(protocol: str, port: int) -> int:
     return _service_packets(port) * per_packet
 
 
+def _line_tail(protocol: str, port: int) -> str:
+    """A flow line after its destination: ``,protocol,port,packets,bytes``."""
+    return f",{protocol},{port},{_service_packets(port)},{_service_bytes(protocol, port)}"
+
+
 def generate(spec: ScenarioSpec) -> GeneratedScenario:
     """Emit a deterministic flow log, ground truth and scope for a scenario.
 
@@ -137,46 +143,48 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
     noise_peers = all_endpoints + [object_addr[name] for name, _ in spec.objects]
 
     rng = np.random.default_rng(spec.seed)
-    # Template CDFs built as Generator.choice builds them from p, so one
-    # uniform draw picks what rng.choice(len(p), p=p) picks.
-    cdfs: dict[int, np.ndarray] = {}
+    random, integers = rng.random, rng.integers
+    # Per group, the template CDF built as Generator.choice builds it from p,
+    # searched as a list: bisect_right gives searchsorted(side="right")'s
+    # index, so one uniform draw picks what rng.choice(len(p), p=p) picks.
+    # Per template: (peer group or -1, object address, the line's tail).
+    plans = []
     for gid in range(spec.group_count):
         w = np.array([t.weight for t in spec.profiles[gid]], dtype=np.float64)
-        cdf = cdfs[gid] = (w / w.sum()).cumsum()
+        cdf = (w / w.sum()).cumsum()
         cdf /= cdf[-1]
+        entries = [
+            (int(t.peer) if t.peer_kind == PEER_GROUP else -1, object_addr.get(str(t.peer)),
+             _line_tail(t.protocol, t.dst_port))
+            for t in spec.profiles[gid]
+        ]
+        plans.append((cdf.tolist() if len(cdf) > 1 else None, entries))
+    endpoints = [(f",{src},", *plans[gid]) for gid, members in enumerate(group_members)
+                 for src in members]
 
-    round_robin: dict[int, int] = {gid: 0 for gid in range(spec.group_count)}
+    round_robin = [0] * spec.group_count
     lines: list[str] = []
+    append = lines.append
     noise_count = 0
+    noise_rate = spec.noise_rate
     ws = spec.window_seconds
     fpw = spec.flows_per_endpoint_window
     for w in range(spec.windows):
-        ep_index = 0
-        for gid, members in enumerate(group_members):
-            templates, cdf = spec.profiles[gid], cdfs[gid]
-            for src in members:
-                for j in range(fpw):
-                    ts = w * ws + (ep_index * fpw + j) % ws
-                    if spec.noise_rate > 0 and rng.random() < spec.noise_rate:
-                        noise_count += 1
-                        dst = noise_peers[int(rng.integers(len(noise_peers)))]
-                        protocol = NOISE_PROTOCOLS[int(rng.integers(len(NOISE_PROTOCOLS)))]
-                        port = 0 if protocol == "ICMP" else int(rng.integers(1, 65536))
-                    else:
-                        pick = cdf.searchsorted(rng.random(), side="right") if len(cdf) > 1 else 0
-                        t = templates[int(pick)]
-                        if t.peer_kind == PEER_GROUP:
-                            peer_members = group_members[int(t.peer)]
-                            dst = peer_members[round_robin[int(t.peer)] % len(peer_members)]
-                            round_robin[int(t.peer)] += 1
-                        else:
-                            dst = object_addr[str(t.peer)]
-                        protocol = t.protocol
-                        port = t.dst_port
-                    packets = _service_packets(port)
-                    nbytes = _service_bytes(protocol, port)
-                    lines.append(f"{ts},{src},{dst},{protocol},{port},{packets},{nbytes}")
-                ep_index += 1
+        for ep_index, (head, cdf, entries) in enumerate(endpoints):
+            for offset in range(ep_index * fpw, (ep_index + 1) * fpw):
+                ts = w * ws + offset % ws
+                if noise_rate > 0 and random() < noise_rate:
+                    noise_count += 1
+                    dst = noise_peers[int(integers(len(noise_peers)))]
+                    protocol = NOISE_PROTOCOLS[int(integers(len(NOISE_PROTOCOLS)))]
+                    port = 0 if protocol == "ICMP" else int(integers(1, 65536))
+                    append(f"{ts}{head}{dst}{_line_tail(protocol, port)}")
+                    continue
+                peer, dst, tail = entries[bisect_right(cdf, random()) if cdf else 0]
+                if peer >= 0:
+                    dst = group_members[peer][round_robin[peer] % size]
+                    round_robin[peer] += 1
+                append(f"{ts}{head}{dst}{tail}")
     return GeneratedScenario(
         log_lines=lines,
         truth=truth,

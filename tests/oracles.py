@@ -16,6 +16,10 @@ skips distance rows by Hamerly bounds and updates each row's best polish
 move incrementally, and this fit checks that neither changes a label.
 When every k-means++ weight rounds to 0, both seedings take the lowest-index
 row bitwise equal to no chosen centroid.
+``reference_generate`` is the plain per-flow scenario loop (a numpy
+``searchsorted`` per template pick, a dict of round-robin counters, every
+line formatted from its fields) whose lines, draw for draw, the package's
+``synth.generate`` must write.
 """
 
 import ipaddress
@@ -24,10 +28,25 @@ from collections import Counter
 
 import numpy as np
 
-from microseg.core import DROP_UNKNOWN, UNKNOWN, DataError, FlowRecord, classify_peer
+from microseg.core import (
+    DROP_UNKNOWN,
+    MEMBER_NET,
+    UNKNOWN,
+    DataError,
+    FlowRecord,
+    MemberScope,
+    classify_peer,
+)
 from microseg.features import FeatureSchema
 from microseg.flows import MALFORMED_LIMIT, ClassifiedFlow, IngestReport
 from microseg.rules import EntityRef, ServiceTuple
+from microseg.synth import (
+    NOISE_PROTOCOLS,
+    PEER_GROUP,
+    GeneratedScenario,
+    _service_bytes,
+    _service_packets,
+)
 
 
 def oracle_scores(true_labels, pred_labels):
@@ -383,3 +402,77 @@ def reference_kmeans_fit(X, k, seed, tol=1e-6, max_iter=300, restarts=4):
         if best is None or run[1] < best[1]:
             best = run
     return best
+
+
+def reference_generate(spec):
+    """A scenario's flow log, truth and scope, one flow at a time."""
+    size = spec.endpoints_per_group
+    base = int(MEMBER_NET.network_address) + 1
+    group_members = []
+    truth = {}
+    for gid in range(spec.group_count):
+        first = base + gid * size
+        members = [str(ipaddress.IPv4Address(first + i)) for i in range(size)]
+        group_members.append(members)
+        for ep in members:
+            truth[ep] = gid
+
+    object_addr = {name: str(ipaddress.IPv4Network(cidr).network_address)
+                   for name, cidr in spec.objects}
+    scope = MemberScope(
+        member_cidrs=(MEMBER_NET,),
+        object_table=tuple(
+            (ipaddress.IPv4Network(cidr), name) for name, cidr in spec.objects
+        ),
+    )
+
+    all_endpoints = [ep for members in group_members for ep in members]
+    noise_peers = all_endpoints + [object_addr[name] for name, _ in spec.objects]
+
+    rng = np.random.default_rng(spec.seed)
+    # Template CDFs built as Generator.choice builds them from p, so one
+    # uniform draw picks what rng.choice(len(p), p=p) picks.
+    cdfs = {}
+    for gid in range(spec.group_count):
+        w = np.array([t.weight for t in spec.profiles[gid]], dtype=np.float64)
+        cdf = cdfs[gid] = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+
+    round_robin = {gid: 0 for gid in range(spec.group_count)}
+    lines = []
+    noise_count = 0
+    ws = spec.window_seconds
+    fpw = spec.flows_per_endpoint_window
+    for w in range(spec.windows):
+        ep_index = 0
+        for gid, members in enumerate(group_members):
+            templates, cdf = spec.profiles[gid], cdfs[gid]
+            for src in members:
+                for j in range(fpw):
+                    ts = w * ws + (ep_index * fpw + j) % ws
+                    if spec.noise_rate > 0 and rng.random() < spec.noise_rate:
+                        noise_count += 1
+                        dst = noise_peers[int(rng.integers(len(noise_peers)))]
+                        protocol = NOISE_PROTOCOLS[int(rng.integers(len(NOISE_PROTOCOLS)))]
+                        port = 0 if protocol == "ICMP" else int(rng.integers(1, 65536))
+                    else:
+                        pick = cdf.searchsorted(rng.random(), side="right") if len(cdf) > 1 else 0
+                        t = templates[int(pick)]
+                        if t.peer_kind == PEER_GROUP:
+                            peer_members = group_members[int(t.peer)]
+                            dst = peer_members[round_robin[int(t.peer)] % len(peer_members)]
+                            round_robin[int(t.peer)] += 1
+                        else:
+                            dst = object_addr[str(t.peer)]
+                        protocol = t.protocol
+                        port = t.dst_port
+                    packets = _service_packets(port)
+                    nbytes = _service_bytes(protocol, port)
+                    lines.append(f"{ts},{src},{dst},{protocol},{port},{packets},{nbytes}")
+                ep_index += 1
+    return GeneratedScenario(
+        log_lines=lines,
+        truth=truth,
+        scope=scope,
+        noise_flows=noise_count,
+    )

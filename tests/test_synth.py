@@ -9,6 +9,8 @@ from microseg.flows import filter_flows, parse_flow_log
 from microseg.metrics import evaluate
 from microseg.synth import ScenarioSpec, ServiceTemplate, generate, random_scenario
 
+from oracles import reference_generate
+
 
 def small_spec(**overrides):
     base = dict(
@@ -130,6 +132,68 @@ class TestGenerate:
         lines = scenario.truth_csv.strip().split("\n")
         assert lines[0] == "endpoint,true_group"
         assert len(lines) == 5
+
+
+def mixed_spec(noise_rate, seed):
+    """Single- and multi-template groups, group and object peers, and five
+    seconds per window for twelve flows per endpoint, so timestamps wrap."""
+    return ScenarioSpec(
+        group_count=4,
+        endpoints_per_group=3,
+        windows=3,
+        flows_per_endpoint_window=12,
+        profiles={
+            0: (ServiceTemplate("group", 1, "TCP", 2000, 1.0),),
+            1: (
+                ServiceTemplate("group", 0, "UDP", 2010, 0.5),
+                ServiceTemplate("object", "ext1", "TCP", 443, 2.0),
+                ServiceTemplate("group", 3, "TCP", 2020, 1.25),
+            ),
+            2: (ServiceTemplate("object", "ext0", "UDP", 53, 1.0),),
+            3: (
+                ServiceTemplate("group", 2, "TCP", 2030, 1.0),
+                ServiceTemplate("group", 2, "UDP", 2031, 3.0),
+            ),
+        },
+        objects=(("ext0", "198.51.100.1/32"), ("ext1", "198.51.100.2/32")),
+        noise_rate=noise_rate,
+        seed=seed,
+        window_seconds=5,
+    )
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("noise_rate", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            mixed_spec,
+            lambda noise_rate, seed: random_scenario(
+                5, 2, 2, 9, services_per_group=1, port_pool=16, object_count=0,
+                noise_rate=noise_rate, seed=seed,
+            ),
+            lambda noise_rate, seed: random_scenario(
+                6, 2, 3, 12, services_per_group=4, port_pool=32, external_fraction=0.4,
+                object_count=2, noise_rate=noise_rate, seed=seed, window_seconds=7,
+            ),
+        ],
+        ids=["mixed", "single_template", "random_objects"],
+    )
+    def test_generate_writes_the_reference_scenario(self, build, noise_rate, seed):
+        spec = build(noise_rate, seed)
+        got, want = generate(spec), reference_generate(spec)
+        assert got.log_lines == want.log_lines
+        assert got.truth == want.truth
+        assert got.scope == want.scope
+        assert got.noise_flows == want.noise_flows
+        assert (got.noise_flows > 0) == (noise_rate > 0)
+
+    def test_grid_reaches_icmp_noise_and_wrapped_timestamps(self):
+        lines = generate(mixed_spec(0.5, 0)).log_lines
+        assert any(",ICMP,0,1,64" in line for line in lines)
+        first_window = [int(line.split(",", 1)[0]) for line in lines[:36]]
+        assert sorted(set(first_window)) == [0, 1, 2, 3, 4]
 
 
 class TestRandomScenario:
